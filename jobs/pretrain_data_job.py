@@ -147,7 +147,7 @@ def assemble_pretraining_data(
         mixed.select_columns([id_col, "n_words"]).rename_columns(
             [id_col, "n_tokens"]
         ),
-        capacity=capacity, bucket_size=bucket_size,
+        id_col=id_col, capacity=capacity, bucket_size=bucket_size,
     )
     return packed, funnel
 

@@ -16,24 +16,24 @@ from record_matcher_ray.contract.shared import (  # noqa: F401
     _sql_mulmod,
     _sql_xorshift,
 )
+from record_matcher_ray.sources.readers import read_table
+
 
 def _q_lang_id(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import language_id
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return language_id(ds)
 
 
 def _q_fingerprints(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import fingerprints
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return fingerprints(ds)
@@ -46,11 +46,10 @@ def _q_compression(sf_dir: str):
     decompresses back to the exact bytes) and ``raw_ok`` (Python byte
     count vs Arrow's independent binary_length kernel) — all-true in a
     healthy run, and any wrong row flips a visible bit."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import compression_metrics
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return compression_metrics(ds, verify=True)
@@ -60,11 +59,10 @@ def _q_normalize_text(sf_dir: str):
     """Unicode NFC + lowercase + whitespace canonicalization over the
     document corpus — utf8proc/RE2 on both sides is what makes the oracle
     hash-exact."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import normalize_text
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return normalize_text(ds)
@@ -73,11 +71,10 @@ def _q_normalize_text(sf_dir: str):
 def _q_blocklist(sf_dir: str):
     """Broadcast phrase-blocklist screening: per doc the number of listed
     phrases present and a keep flag (rows flagged, not dropped)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import blocklist_filter
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return blocklist_filter(ds, _BLOCKLIST)
@@ -86,11 +83,10 @@ def _q_blocklist(sf_dir: str):
 def _q_char_entropy(sf_dir: str):
     """Per-document Shannon character entropy (gibberish / single-char-
     spam quality signal) with the ordered-fold float recipe."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import char_entropy
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return char_entropy(ds)
@@ -99,11 +95,10 @@ def _q_char_entropy(sf_dir: str):
 def _q_script_profile(sf_dir: str):
     """Per-document Unicode-script census (latin/digit/space/cyrillic/
     cjk/other counts) — multilingual routing signal."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import script_profile
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return script_profile(ds)
@@ -112,11 +107,10 @@ def _q_script_profile(sf_dir: str):
 def _q_soundex(sf_dir: str):
     """Simplified-Soundex phonetic blocking keys over part names —
     zero-shuffle vectorized byte pass, (p_partkey, soundex)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import soundex_codes
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
     )
     return soundex_codes(ds, "p_name", "p_partkey")
@@ -126,11 +120,10 @@ def _q_repetition(sf_dir: str):
     """Gopher-style repetition quality signals (dup-token fraction, top
     2/3-gram fractions) — count-based variants so the DuckDB string-gram
     oracle checks them exactly."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import repetition_metrics
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return repetition_metrics(ds)
@@ -139,11 +132,10 @@ def _q_repetition(sf_dir: str):
 def _q_lm_quality(sf_dir: str):
     """Unigram-LM cross-entropy (perplexity-filter signal), model trained
     on the corpus itself (vocab 4096, add-1 OOV floor)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import lm_quality
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return lm_quality(ds, vocab_size=4096, alpha=1.0)
@@ -601,22 +593,20 @@ def _hash_oracles() -> dict[str, str]:
 
 
 def token_counts(sf_dir):
-    import ray.data
 
     from record_matcher_ray.pipelines import analysis
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return analysis.token_counts(ds)
 
 
 def quality(sf_dir):
-    import ray.data
 
     from record_matcher_ray.pipelines import analysis
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return analysis.quality_scores(ds)
@@ -625,11 +615,10 @@ def quality(sf_dir):
 def _q_standardize(sf_dir: str):
     """Dictionary token standardization (st->street etc.) over the
     documents table — order-preserving token replace, broadcast map."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import standardize_tokens
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return standardize_tokens(ds)
@@ -646,11 +635,10 @@ def _q_luhn_cards(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.pii import luhn_card_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -715,11 +703,10 @@ def _q_line_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import line_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -775,11 +762,10 @@ def _q_chunk_passages(sf_dir: str):
     """RAG passage chunking: 16-word windows stepping by 12 (4-word
     overlap), trailing partial kept — stable (doc, passage_idx) ids,
     word-slice replay in SQL."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import chunk_passages
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return chunk_passages(ds, window=16, overlap=4)

@@ -10,11 +10,13 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_dedup_exact_docs(sf_dir: str):
-    import ray.data
     from ray.data.aggregate import Count, Min
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     out = (
@@ -29,22 +31,20 @@ def _q_dedup_exact_docs(sf_dir: str):
 
 
 def _q_minhash_dedup(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import minhash_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return minhash_dedup(ds, "text", "doc_id", jaccard_threshold=60.0)["pairs"]
 
 
 def _q_simhash(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import simhash64
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return simhash64(ds, "text", "doc_id")
@@ -60,13 +60,12 @@ def _q_minhash_recall(sf_dir: str):
     because the TRUTH side is O(n²) pairs × shingle-set size on the
     driver — it validates recall, it is not the scale path."""
     import pandas as pd
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import minhash_dedup
     from record_matcher_ray.stages.blocking import char_shingles, normalize_text
 
     docs = (
-        ray.data.read_parquet(
+        read_table(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
         )
         .sort("doc_id")
@@ -120,11 +119,10 @@ def _q_simhash_near_dups(sf_dir: str):
     deterministic — oracled by a brute-force bit_count self-join in SQL
     (`_hash_oracles`); semantics additionally pinned vs brute-force
     Hamming in tests/test_operators.py::test_simhash_near_dups_vs_brute."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import simhash_near_dups
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return simhash_near_dups(ds, "text", "doc_id", max_hamming=3)
@@ -134,11 +132,10 @@ def _q_ngram_jaccard(sf_dir: str):
     """EXACT n-gram-Jaccard near-dup pairs (no LSH) — SQL-expressible via
     an inverted-index self-join, so this one carries a full hash oracle
     (unlike seed-dependent minhash_dedup_docs)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import ngram_jaccard_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     out = ngram_jaccard_dedup(
@@ -153,11 +150,10 @@ def _q_decontam_near(sf_dir: str):
     to its first 80% of characters (planted light-edit contamination);
     broadcast eval inverted index, one zero-shuffle pass over train."""
     import pyarrow as pa
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import ngram_jaccard_decontam
 
-    train = ray.data.read_parquet(
+    train = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -185,11 +181,10 @@ def _q_containment(sf_dir: str):
     slice of every 11th document (embedded contamination Jaccard misses);
     eval-side gram containment over the broadcast inverted index."""
     import pyarrow as pa
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import ngram_jaccard_decontam
 
-    train = ray.data.read_parquet(
+    train = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -221,11 +216,10 @@ def _q_minhash_decontam(sf_dir: str):
     by the SQL oracle (_minhash_decontam_oracle), hash-exact; recall vs
     the exact path is additionally pinned in tests."""
     import pyarrow as pa
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import minhash_decontam
 
-    train = ray.data.read_parquet(
+    train = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -252,12 +246,11 @@ def _q_decontam(sf_dir: str):
     appear anywhere in the eval set. Exact mode (sorted-hash broadcast) so
     the DuckDB string-window oracle matches hash-exactly; bloom mode is
     the fixed-memory 100-TB path (FP-bound tested in tests)."""
-    import ray.data
     import pyarrow as pa
 
     from record_matcher_ray.pipelines.decontam import contamination
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -265,7 +258,7 @@ def _q_decontam(sf_dir: str):
         ids = t["doc_id"].to_numpy()
         return t.filter(pa.array(ids % 20 == 0))
 
-    ref = ray.data.read_parquet(
+    ref = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(every20, batch_format="pyarrow")
     return contamination(ds, ref, "text", "doc_id", window=16, mode="exact")
@@ -274,11 +267,10 @@ def _q_decontam(sf_dir: str):
 def _q_pii(sf_dir: str):
     """Per-doc PII detector counts (email/phone/ipv4/ssn) — RE2 kernels,
     zero shuffle; DuckDB runs the identical RE2 patterns."""
-    import ray.data
 
     from record_matcher_ray.pipelines.pii import pii_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return pii_counts(ds)
@@ -287,11 +279,10 @@ def _q_pii(sf_dir: str):
 def _q_redact(sf_dir: str):
     """PII redaction pass — text rewritten with ordered pattern masking;
     oracle is the same nested regexp_replace chain."""
-    import ray.data
 
     from record_matcher_ray.pipelines.pii import redact_pii
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return redact_pii(ds)
@@ -303,7 +294,6 @@ def _q_minhash_signatures(sf_dir: str):
     dedup pipeline uses (blocking.batch_char_shingles +
     hashkernels.batch_signatures), so the hash-exact SQL replay pins the
     flagship dedup family's signature math, not a lookalike."""
-    import ray.data
 
     from record_matcher_ray.stages.blocking import MinHasher
 
@@ -336,7 +326,7 @@ def _q_minhash_signatures(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return (
@@ -351,11 +341,10 @@ def _q_dup_span_stats(sf_dir: str):
     """Substring-level dedup stats: per doc, the fraction of its 16-char
     normalized windows whose content recurs in ≥2 distinct documents
     (windowed-fingerprint form of suffix-array substring dedup)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.spandedup import duplicated_window_stats
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return duplicated_window_stats(ds, window=16, stride=1, min_docs=2)
@@ -364,11 +353,10 @@ def _q_dup_span_stats(sf_dir: str):
 def _q_dup_spans(sf_dir: str):
     """Merged byte spans (normalized-text coordinates) covered by
     cross-document duplicated 16-char windows."""
-    import ray.data
 
     from record_matcher_ray.pipelines.spandedup import duplicate_spans
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return duplicate_spans(ds, window=16, stride=1, min_docs=2)
@@ -377,11 +365,10 @@ def _q_dup_spans(sf_dir: str):
 def _q_strip_spans(sf_dir: str):
     """Normalized text with cross-document duplicated 16-char window spans
     cut out (suffix-array-style substring dedup, remove form)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.spandedup import strip_duplicate_spans
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return strip_duplicate_spans(ds, window=16, stride=1, min_docs=2)
@@ -391,12 +378,11 @@ def _q_dedup_keep_best(sf_dir: str):
     """Keep-best exact dedup: group docs by NORMALIZED text (NFC,
     lower, collapsed whitespace), keeper = longest original (tie: min
     doc_id); full (doc_id, keeper_id) assignment."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import normalize_text
     from record_matcher_ray.pipelines.dedup import exact_dedup_keep_best
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "n_chars"],
     )
@@ -436,13 +422,12 @@ def _pii_oracles() -> dict[str, str]:
 def _q_capture_recapture(sf_dir: str):
     """Lincoln-Petersen residual-duplicate estimate from prefix/suffix
     dup detectors over the documents table."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import (
         capture_recapture_dup_estimate,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return capture_recapture_dup_estimate(ds, affix_len=16)
@@ -451,11 +436,10 @@ def _q_capture_recapture(sf_dir: str):
 def _q_k_anonymity(sf_dir: str):
     """k-anonymity audit of customers under the (nation, segment)
     quasi-identifier pair at k=5."""
-    import ray.data
 
     from record_matcher_ray.pipelines.pii import k_anonymity_audit
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_nationkey", "c_mktsegment"],
     )
@@ -465,11 +449,10 @@ def _q_k_anonymity(sf_dir: str):
 def _q_simhash_snm(sf_dir: str):
     """SimHash neighborhood dedup: fingerprint-order sliding window
     (w=8) + Hamming <= 6 filter — the linear-pass near-dup path."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import simhash_snm_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return simhash_snm_dedup(ds, window=8, max_hamming=6)
@@ -479,11 +462,10 @@ def _q_ngram_containment(sf_dir: str):
     """Max-containment n-gram pairs (quote/subset detector): same exact
     inverted-index machinery as ngram_jaccard_docs, denominator
     min(|A|, |B|)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import ngram_jaccard_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     out = ngram_jaccard_dedup(
@@ -496,11 +478,10 @@ def _q_ngram_containment(sf_dir: str):
 
 def _q_dedup_savings(sf_dir: str):
     """Exact-dup savings accounting over the documents table."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import dedup_savings_report
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return dedup_savings_report(ds)

@@ -10,6 +10,9 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_docmatch(sf_dir: str):
     """North-star pipeline over a deterministic interleaved corpus sized by
     sf. Blocking + scoring + clustering are not SQL, so the output is
@@ -19,7 +22,6 @@ def _q_docmatch(sf_dir: str):
     matcher shifts visible values, not just an opaque hash."""
     import pandas as pd
 
-    import ray.data
 
     from record_matcher_ray.pipelines.docmatch import match_documents
     from record_matcher_ray.sources.corpus import generate_corpus
@@ -31,8 +33,8 @@ def _q_docmatch(sf_dir: str):
     if not os.path.exists(f"{d}/truth.parquet"):
         generate_corpus(d, n_entities=scale, seed=42)
     res = match_documents(
-        ray.data.read_parquet(f"{d}/corpus.parquet"),
-        ray.data.read_parquet(f"{d}/registry.parquet"),
+        read_table(f"{d}/corpus.parquet"),
+        read_table(f"{d}/registry.parquet"),
     )
     # fixture-scale truth join on the driver (corpus of `scale` entities;
     # at data scale this would be a broadcast-index attach)
@@ -72,7 +74,6 @@ def _q_delta_match(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.docmatch import (
         match_documents,
@@ -91,18 +92,18 @@ def _q_delta_match(sf_dir: str):
         rid = pc.cast(pc.utf8_slice_codeunits(t["doc_id"], 1, 99), pa.int64())
         return t.filter(pa.array(np.mod(rid.to_numpy(), 3) == 0))
 
-    delta_x = ray.data.read_parquet(f"{d}/corpus.parquet").map_batches(
+    delta_x = read_table(f"{d}/corpus.parquet").map_batches(
         keep, batch_format="pyarrow"
     )
     res = match_documents_delta(
         delta_x,
-        ray.data.read_parquet(f"{d}/registry.parquet"),
+        read_table(f"{d}/registry.parquet"),
         f"/tmp/rmr_regindex_{scale}",
         fingerprint=f"corpus-{scale}-seed42",
     )
     direct = match_documents(
         delta_x,
-        ray.data.read_parquet(f"{d}/registry.parquet"),
+        read_table(f"{d}/registry.parquet"),
         cluster_edges=False,
     )
     a = res.assignments.to_pandas()
@@ -294,7 +295,6 @@ def _q_incremental_er(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from jobs.incremental_job import run_day
     from record_matcher_ray.sources.corpus import generate_corpus
@@ -316,11 +316,11 @@ def _q_incremental_er(sf_dir: str):
             m = np.mod(rid.to_numpy(), 3) == 0
             return t.filter(pa.array(m == is_delta))
 
-        return ray.data.read_parquet(f"{d}/corpus.parquet").map_batches(
+        return read_table(f"{d}/corpus.parquet").map_batches(
             keep, batch_format="pyarrow"
         )
 
-    reg = ray.data.read_parquet(f"{d}/registry.parquet")
+    reg = read_table(f"{d}/registry.parquet")
     e1, _ = run_day(root, 1, split(False), reg, fingerprint=f"incr-{scale}")
     e2, _ = run_day(root, 2, split(True), reg, fingerprint=f"incr-{scale}")
     p1 = e1.to_pandas().set_index("node")["entity_id"]

@@ -13,6 +13,8 @@ import numpy as np  # noqa: F401
 from record_matcher_ray.contract.shared import (  # noqa: F401
     _PR_OFF,
 )
+from record_matcher_ray.sources.readers import read_table
+
 
 def _q_pagerank(sf_dir: str):
     """Fixed-point integer PageRank (4 iterations, d=0.85) over the
@@ -21,11 +23,10 @@ def _q_pagerank(sf_dir: str):
     kmeans."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import pagerank
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
@@ -46,11 +47,10 @@ def _q_ppr(sf_dir: str):
     part<->supplier graph."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import pagerank
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
@@ -62,7 +62,7 @@ def _q_ppr(sf_dir: str):
              "dst": pa.array(np.concatenate([s, p]))}
         )
 
-    pk = ray.data.read_parquet(
+    pk = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey"]
     ).to_pandas()["p_partkey"].to_numpy(dtype=np.int64)
     seeds = pk[pk % 97 == 0]
@@ -186,11 +186,10 @@ def _q_connected_components(sf_dir: str):
     SQL-checked row (recursive-CTE reachability replay)."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import connected_components
 
-    docs = ray.data.read_parquet(
+    docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
 
@@ -209,11 +208,10 @@ def _q_triangles(sf_dir: str):
     rank-minimal vertex)."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import triangle_count
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
 
@@ -230,11 +228,10 @@ def _q_bfs_hops(sf_dir: str):
     """Shortest hop counts from part node 0 over the bidirectional
     part↔supplier lineitem graph (the PageRank edge set) — bounded BFS,
     replayed by a depth-bounded WITH RECURSIVE oracle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import bfs_hops
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
@@ -259,11 +256,10 @@ def _q_labelprop(sf_dir: str):
     ties) over the bidirectional part<->supplier graph of lineitem."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import label_propagation
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
 
@@ -332,14 +328,13 @@ def _q_merge_components(sf_dir: str):
     oracle). Companion of docmatch.match_documents_delta."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import (
         connected_components,
         merge_components,
     )
 
-    docs = ray.data.read_parquet(
+    docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
 
@@ -367,11 +362,10 @@ def _q_transitivity(sf_dir: str):
     derivation as triangles_orders): 3 x triangles / wedges."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.graph import transitivity_audit
 
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
 
@@ -394,7 +388,6 @@ def _q_stable_relabel(sf_dir: str):
     component, and colliding fallbacks bump to fresh ids."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import (
         connected_components,
@@ -402,7 +395,7 @@ def _q_stable_relabel(sf_dir: str):
         stable_relabel,
     )
 
-    docs = ray.data.read_parquet(
+    docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
 

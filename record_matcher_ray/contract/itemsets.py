@@ -10,14 +10,16 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_basket_pairs(sf_dir: str):
     """Frequent item pairs (level-2 Apriori): parts co-ordered in >= 2
     orders, exact basket support."""
-    import ray.data
 
     from record_matcher_ray.pipelines.itemsets import basket_pairs
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
     return basket_pairs(ds, "l_orderkey", "l_partkey", min_support=2)
@@ -26,11 +28,10 @@ def _q_basket_pairs(sf_dir: str):
 def _q_adamic_adar(sf_dir: str):
     """Adamic-Adar link-prediction affinity between parts sharing
     orders (weight 1/ln(basket size), support >= 2)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.itemsets import adamic_adar_items
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
     return adamic_adar_items(ds, "l_orderkey", "l_partkey",
@@ -40,13 +41,12 @@ def _q_adamic_adar(sf_dir: str):
 def _q_item_cosine(sf_dir: str):
     """Item-item affinity (cosine + lift over exact basket supports):
     parts co-ordered in >= 3 orders."""
-    import ray.data
 
     from record_matcher_ray.pipelines.itemsets import (
         item_cooccurrence_similarity,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
     return item_cooccurrence_similarity(

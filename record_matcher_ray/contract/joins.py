@@ -10,17 +10,19 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_building_orders_bloom(sf_dir: str):
     """Same semi join as building_orders_semi, but through the
     Bloom-prefilter + bucketed-verify scale path (key side never
     broadcast raw) — exact result, so the oracle is the plain semi SQL."""
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.joins import bloom_semi_join
 
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
     keys = cust.map_batches(
@@ -29,7 +31,7 @@ def _q_building_orders_bloom(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
@@ -46,11 +48,10 @@ def _q_orders_anti_building(sf_dir: str):
     of building_orders_semi)."""
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.joins import semi_join
 
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
     keys = cust.map_batches(
@@ -59,7 +60,7 @@ def _q_orders_anti_building(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
@@ -81,12 +82,11 @@ def _q_events_in_window(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
     from ray.data.aggregate import Sum
 
     from record_matcher_ray.pipelines.joins import range_join
 
-    events = ray.data.read_parquet(
+    events = read_table(
         f"{sf_dir}/events.parquet",
         columns=["ts", "user_id", "event_type", "value"],
     )
@@ -146,14 +146,13 @@ def _q_orders_customer_full(sf_dir: str):
     are cast DOUBLE on both sides so nullable ints hash identically."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from record_matcher_ray.pipelines.joins import hash_join
 
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"]
     )
     out = hash_join(orders, cust, "o_custkey", "c_custkey", how="full")
@@ -175,11 +174,10 @@ def _q_next_purchase(sf_dir: str):
     next (or simultaneous) purchase — the forward twin of
     `last_error_asof` (joins.asof_join direction="forward")."""
     import pandas as pd
-    import ray.data
 
     from record_matcher_ray.pipelines.joins import asof_join
 
-    left = ray.data.read_parquet(
+    left = read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
 
@@ -192,7 +190,7 @@ def _q_next_purchase(sf_dir: str):
             .rename_columns(["user_id", "purchase_ts"])
         )
 
-    right = ray.data.read_parquet(
+    right = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     ).map_batches(purchases, batch_format="pyarrow")
     out = asof_join(
@@ -212,21 +210,20 @@ def _q_q3_shipping(sf_dir: str):
     exact integer cent·(100−disc) revenue units, top 10."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from record_matcher_ray.pipelines.joins import hash_join, semi_join
 
     CUT = 899164800000000  # 1998-06-30 00:00:00 in microseconds
 
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_mktsegment"],
     ).map_batches(
         lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING")),
         batch_format="pyarrow",
     )
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate",
                  "o_orderpriority"],
@@ -248,7 +245,7 @@ def _q_q3_shipping(sf_dir: str):
         cust, "o_custkey", key_col="c_custkey",
     )
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_shipdate", "l_extendedprice",
                  "l_discount"],
@@ -306,7 +303,6 @@ def _q_q5_star(sf_dir: str):
     integer revenue units."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from record_matcher_ray.pipelines.joins import (
@@ -317,7 +313,7 @@ def _q_q5_star(sf_dir: str):
     LO = 820454400000000   # 1996-01-01 UTC micros
     HI = 852076800000000   # 1997-01-01 UTC micros
 
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     )
@@ -331,7 +327,7 @@ def _q_q5_star(sf_dir: str):
 
     orders_f = orders.map_batches(ord_prep, batch_format="pyarrow")
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                  "l_discount"],
@@ -356,22 +352,22 @@ def _q_q5_star(sf_dir: str):
         li.map_batches(li_units, batch_format="pyarrow"),
         orders_f, "l_orderkey", "o_orderkey",
     )
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey"],
     )
     fact = hash_join(fact, cust, "o_custkey", "c_custkey")
-    supp = ray.data.read_parquet(
+    supp = read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_nationkey"],
     )
     fact = broadcast_lookup(fact, supp, "l_suppkey", "s_suppkey",
                             how="inner")
-    nation = ray.data.read_parquet(
+    nation = read_table(
         f"{sf_dir}/nation.parquet",
         columns=["n_nationkey", "n_name", "n_regionkey"],
     )
-    region = ray.data.read_parquet(
+    region = read_table(
         f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
     )
     nr = broadcast_lookup(nation, region, "n_regionkey", "r_regionkey",
@@ -410,14 +406,13 @@ def _q_q5_star(sf_dir: str):
 def _q_join_card(sf_dir: str):
     """Pre-flight exact join cardinality: lineitem x orders on orderkey
     without running the join."""
-    import ray.data
 
     from record_matcher_ray.pipelines.joins import estimate_join_cardinality
 
-    li = ray.data.read_parquet(
+    li = read_table(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
     )
-    orders = ray.data.read_parquet(
+    orders = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
     )
     return estimate_join_cardinality(li, orders, "l_orderkey",

@@ -10,15 +10,17 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_edjoin(sf_dir: str):
     """Exact edit-distance similarity self-join over part names (Ed-Join
     family: q-gram count-filter candidates + Myers bit-parallel verify +
     dup-group expansion) → (x_id, y_id, dist) for dist ≤ 2."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import edit_distance_self_join
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
     )
     return edit_distance_self_join(
@@ -32,11 +34,10 @@ def _q_fellegi_sunter(sf_dir: str):
     from exact value-frequency sums of squares, log-likelihood weights,
     match/possible/nonmatch at (4.0, 0.0)."""
     import numpy as np
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import fellegi_sunter_link
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
 
@@ -63,11 +64,10 @@ def _q_metablock(sf_dir: str):
     """Token blocking + meta-blocking with Weighted Edge Pruning over
     part (name, brand, type) tokens → candidate pairs with CBS weight
     strictly above the global mean weight."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import metablock_wep_pairs
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_name", "p_brand", "p_type"],
     )
@@ -79,11 +79,10 @@ def _q_metablock(sf_dir: str):
 def _q_band_join(sf_dir: str):
     """Numeric band self-join: order pairs within $10 of each other,
     grid-blocked with ±1-cell emission and exact IEEE verification."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import band_self_join
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
     return band_self_join(ds, "o_totalprice", "o_orderkey", 10.0)
@@ -93,7 +92,6 @@ def _q_golden_record(sf_dir: str):
     """End-to-end ER merge: edit-distance name pairs (d ≤ 1) →
     connected components → survivorship golden records (mode brand,
     max price, min size) — one canonical row per entity cluster."""
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import connected_components
     from record_matcher_ray.pipelines.joins import hash_join
@@ -102,7 +100,7 @@ def _q_golden_record(sf_dir: str):
         survivorship,
     )
 
-    part = ray.data.read_parquet(
+    part = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_name", "p_brand", "p_retailprice",
                  "p_size"],
@@ -142,7 +140,6 @@ def _q_golden_record(sf_dir: str):
 def _q_blocking_quality(sf_dir: str):
     """Blocking evaluation: metablocking-WEP candidates vs exact-name
     truth pairs → reduction ratio / pairs completeness / pairs quality."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import (
         blocking_quality,
@@ -150,7 +147,7 @@ def _q_blocking_quality(sf_dir: str):
         metablock_wep_pairs,
     )
 
-    part = ray.data.read_parquet(
+    part = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_name", "p_brand", "p_type"],
     )
@@ -168,13 +165,12 @@ def _q_token_sort(sf_dir: str):
     """Token-sort Levenshtein similarity over distinct part-name pairs
     sharing a token — the distributed form of the registered
     token_sort_ratio scorer."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import (
         token_sort_similarity_pairs,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_name"]
     )
     return token_sort_similarity_pairs(ds, "p_name")
@@ -184,11 +180,10 @@ def _q_compare_vectors(sf_dir: str):
     """ER comparison vectors over nation-blocked customer pairs:
     name Levenshtein similarity, segment equality, balance |Δ| — the
     feature-generation step a linkage classifier consumes."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import compare_vectors
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
     return compare_vectors(
@@ -201,11 +196,10 @@ def _q_compare_vectors(sf_dir: str):
 def _q_jw_prefix(sf_dir: str):
     """Prefix-blocked Jaro-Winkler self-join over distinct part names
     (jw ≥ 75 within 2-char-prefix blocks)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import jw_prefix_join
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_name"]
     )
     return jw_prefix_join(ds, "p_name", threshold=75.0, prefix_len=2)
@@ -217,7 +211,6 @@ def _q_er_pipeline(sf_dir: str):
     edges → survivorship golden records (mode segment, max balance).
     Every stage is the already-oracle-pinned operator; the SQL replay
     chains the same algebra end to end."""
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import connected_components
     from record_matcher_ray.pipelines.joins import hash_join
@@ -226,7 +219,7 @@ def _q_er_pipeline(sf_dir: str):
         survivorship,
     )
 
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
 
@@ -280,11 +273,10 @@ def _q_er_pipeline(sf_dir: str):
 def _q_soft_tfidf(sf_dir: str):
     """SoftTFIDF similarity join over distinct part names (2-char
     prefix blocks, token-JW theta 90, score threshold 40)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import soft_tfidf_join
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_name"]
     )
     return soft_tfidf_join(ds, "p_name", theta=90.0, threshold=40.0,
@@ -294,11 +286,10 @@ def _q_soft_tfidf(sf_dir: str):
 def _q_canopy(sf_dir: str):
     """Canopy blocking over distinct part names: token-set Jaccard,
     loose 0.34 / tight 0.75, ascending-name center order."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import canopy_clusters
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_name"]
     )
     return canopy_clusters(ds, "p_name", t_loose=0.34, t_tight=0.75)
@@ -308,14 +299,13 @@ def _q_match_1to1(sf_dir: str):
     """One-to-one assignment over the prefix-blocked Jaro-Winkler pair
     stream: local-max (mutual-best) rounds, each part name matched at
     most once."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import (
         greedy_max_matching,
         jw_prefix_join,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_name"]
     )
     pairs = jw_prefix_join(ds, "p_name", threshold=75.0, prefix_len=2)
@@ -387,7 +377,6 @@ def _q_merge_report(sf_dir: str):
     """Survivorship audit: same edjoin->CC clusters as
     golden_record_part, reporting per-cluster distinct-value conflicts
     in (brand, size, retailprice)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.cluster import connected_components
     from record_matcher_ray.pipelines.joins import hash_join
@@ -396,7 +385,7 @@ def _q_merge_report(sf_dir: str):
         merge_conflict_report,
     )
 
-    part = ray.data.read_parquet(
+    part = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_name", "p_brand", "p_retailprice",
                  "p_size"],
@@ -435,11 +424,10 @@ def _q_merge_report(sf_dir: str):
 def _q_monge_elkan(sf_dir: str):
     """Monge-Elkan hybrid token-level fuzzy join over brand-blocked
     part names (symmetric mean of per-token best Jaro-Winkler)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import monge_elkan_join
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet",
         columns=["p_partkey", "p_brand", "p_name"],
     )
@@ -452,11 +440,10 @@ def _q_fs_tf(sf_dir: str):
     """TF-adjusted Fellegi-Sunter (Splink-style tf_adjustments): rare-
     value agreements outscore common ones via per-value u = (c_v/N)^2;
     same blocking/fields/thresholds as fs_score_customer."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import fellegi_sunter_link_tf
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
 
@@ -482,14 +469,13 @@ def _q_linkage_eval(sf_dir: str):
     truth pairs — the BASELINE.md pairwise-F1 readout as an operator."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import (
         fellegi_sunter_link,
         pairwise_eval,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
 
@@ -540,11 +526,10 @@ def _q_em_fs(sf_dir: str):
     EM) over nation-blocked customer pairs: agreement-pattern counts on
     (mktsegment, acctbal-band-100) -> 15 EM iterations -> per-pattern
     match posterior."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import em_fellegi_sunter
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
 
@@ -662,13 +647,12 @@ def _em_fs_oracle(n_iter: int = 15) -> str:
 def _q_snm(sf_dir: str):
     """Sorted-neighborhood blocking over part names: candidate pairs
     within a window-8 slide of the (p_name, p_partkey) sort order."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import (
         sorted_neighborhood_pairs,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
     )
     return sorted_neighborhood_pairs(ds, ["p_name"], "p_partkey", window=8)
@@ -681,11 +665,10 @@ def _q_auc(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import auc_score
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_extendedprice", "l_returnflag"],
     )
@@ -704,11 +687,10 @@ def _q_bcubed(sf_dir: str):
     """B-cubed extrinsic clustering eval: market segment as the predicted
     clustering of customers vs nation as truth — per-record overlap
     credit, pinned-order fold parity."""
-    import ray.data
 
     from record_matcher_ray.pipelines.linkage import bcubed_eval
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_mktsegment", "c_nationkey"],
     )
@@ -730,7 +712,7 @@ def _q_blocking_sweep(sf_dir: str):
 
     from record_matcher_ray.pipelines.linkage import blocking_scheme_sweep
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_nationkey", "c_mktsegment", "c_acctbal"],
     )

@@ -10,12 +10,14 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _registry_from_customer(sf_dir):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
-    cust = ray.data.read_parquet(
+    cust = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_name", "c_mktsegment"],
     )
@@ -39,12 +41,11 @@ def _match_exact_customer(sf_dir: str):
     """O7/O8 end-to-end: customers matched against a derived registry,
     blocked on mktsegment, exact scorer on name, copy-over of registry_id.
     Names are unique ⇒ every row MATCHED at 100 with its own key."""
-    import ray.data
 
     from record_matcher_ray.core.config import MatchConfigBuilder
     from record_matcher_ray.pipelines.match import match_datasets
 
-    x = ray.data.read_parquet(
+    x = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
     y = _registry_from_customer(sf_dir)

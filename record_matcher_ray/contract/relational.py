@@ -10,14 +10,16 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_retention(sf_dir: str):
     """Daily retention cohorts (cohort day × offset distinct-user counts);
     three vectorized hash exchanges, no per-user Python."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import retention_cohorts
 
-    ev = ray.data.read_parquet(
+    ev = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
     return retention_cohorts(ev)
@@ -26,11 +28,10 @@ def _q_retention(sf_dir: str):
 def _q_rolling_mean(sf_dir: str):
     """Trailing 4-row mean of event value per user — exact integer window
     sums, pinned-order double mean."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import rolling_mean
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -39,11 +40,10 @@ def _q_rolling_mean(sf_dir: str):
 
 def _q_interarrival(sf_dir: str):
     """Per-user inter-event gaps (lag delta in μs; first event null)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import interarrival
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
     return interarrival(ds)
@@ -51,11 +51,10 @@ def _q_interarrival(sf_dir: str):
 
 def _q_transitions(sf_dir: str):
     """Per-user ordered event-type bigram (Markov transition) counts."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import transition_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
     )
@@ -65,11 +64,10 @@ def _q_transitions(sf_dir: str):
 def _q_rollup(sf_dir: str):
     """ROLLUP(status, priority) counts + exact-cents price sums over
     orders — all three granularities, collapsed dims labelled 'ALL'."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import rollup_aggregate
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
@@ -80,11 +78,10 @@ def _q_rollup(sf_dir: str):
 
 def _q_ntile(sf_dir: str):
     """Quartile band per order within its status (SQL ntile replay)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import ntile_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )
@@ -95,11 +92,10 @@ def _q_ntile(sf_dir: str):
 
 def _q_intervals(sf_dir: str):
     """SCD2 validity intervals of each user's event_type runs."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import value_intervals
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
     )
@@ -108,11 +104,10 @@ def _q_intervals(sf_dir: str):
 
 def _q_pivot(sf_dir: str):
     """Crosstab: order counts per status × priority (wide columns)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import pivot_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority"],
     )
@@ -125,11 +120,10 @@ def _q_pivot(sf_dir: str):
 def _q_twap(sf_dir: str):
     """Time-weighted average event value per user (left-continuous
     holding intervals, exact integer weighted sums)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import time_weighted_avg
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -139,11 +133,10 @@ def _q_twap(sf_dir: str):
 def _q_resample(sf_dir: str):
     """Per-user daily event counts with empty days gap-filled to 0
     between each user's first and last event."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import resample_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
     return resample_counts(ds)
@@ -152,11 +145,10 @@ def _q_resample(sf_dir: str):
 def _q_running_total(sf_dir: str):
     """Per-user cumulative event-value sum (exact integer prefix sums,
     one pinned-order division)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import running_total
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -166,11 +158,10 @@ def _q_running_total(sf_dir: str):
 def _q_pct_rank(sf_dir: str):
     """percent_rank of each order's total within its status (min-rank
     ties; bit-identical small-integer division)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import percent_rank_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )
@@ -182,11 +173,10 @@ def _q_pct_rank(sf_dir: str):
 def _q_rolling_active(sf_dir: str):
     """Trailing-7-day distinct active users per day (WAU curve) via the
     interval-stab prefix-sum layout — exact, no per-window re-scan."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import rolling_active
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
     return rolling_active(ds, window_days=7)
@@ -195,11 +185,10 @@ def _q_rolling_active(sf_dir: str):
 def _q_row_number(sf_dir: str):
     """Dense global row numbers over orders by (totalprice, orderkey) —
     one sort exchange + broadcast block offsets, no second shuffle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import global_row_number
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
     )
     return global_row_number(ds, ["o_totalprice", "o_orderkey"])
@@ -208,11 +197,10 @@ def _q_row_number(sf_dir: str):
 def _q_seq_pattern(sf_dir: str):
     """MATCH_RECOGNIZE-lite: per user, count click+→purchase arcs in the
     (ts, id)-ordered event-type sequence."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import sequence_pattern_counts
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
     )
@@ -226,13 +214,12 @@ def _q_seq_pattern(sf_dir: str):
 def _q_snm_pairs(sf_dir: str):
     """Sorted-neighborhood blocking over customers ordered by
     (c_name, c_custkey), window 5 → candidate pairs (x_id, y_id, gap)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import (
         sorted_neighborhood_pairs,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
     return sorted_neighborhood_pairs(
@@ -243,11 +230,10 @@ def _q_snm_pairs(sf_dir: str):
 def _q_funnel(sf_dir: str):
     """Ordered view→click→purchase funnel per user (greedy earliest
     completion, strict ts ordering); bucketed segmented-min passes."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import funnel_steps
 
-    ev = ray.data.read_parquet(
+    ev = read_table(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
     return funnel_steps(ev, ["view", "click", "purchase"])
@@ -256,11 +242,10 @@ def _q_funnel(sf_dir: str):
 def _q_cube(sf_dir: str):
     """GROUP BY CUBE over (status, priority) with exact-cents sums —
     every dimension subset, not just the rollup prefix chain."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import cube_aggregate
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
@@ -272,11 +257,10 @@ def _q_cube(sf_dir: str):
 def _q_ewma(sf_dir: str):
     """Per-user EWMA level of event values (α=0.2, (ts, id) fold
     order, first value seeds the state)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import ewma_by_key
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "value", "event_id"],
     )
@@ -287,13 +271,12 @@ def _q_ewma(sf_dir: str):
 def _q_attribution(sf_dir: str):
     """Last-touch attribution: purchases credit the user's most recent
     preceding click/view within a 7-day lookback."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import (
         attribute_conversions,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -303,13 +286,12 @@ def _q_attribution(sf_dir: str):
 def _q_attribution_first(sf_dir: str):
     """First-touch attribution: purchases credit the user's FIRST
     preceding click/view (unattributed if outside 7 days)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import (
         attribute_conversions,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -319,13 +301,12 @@ def _q_attribution_first(sf_dir: str):
 def _q_interval_union(sf_dir: str):
     """Gaps-and-islands coverage: 1-hour exposure windows per event,
     merged into maximal islands per user."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import (
         interval_union_by_key,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id"],
     )
@@ -336,11 +317,10 @@ def _q_interval_union(sf_dir: str):
 def _q_cusum(sf_dir: str):
     """Per-user two-sided CUSUM drift statistics of event values
     (target 0, slack 0.5, alarm threshold 40, (ts, id) fold order)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import cusum_by_key
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "value", "event_id"],
     )
@@ -351,11 +331,10 @@ def _q_cusum(sf_dir: str):
 def _q_late_events(sf_dir: str):
     """Watermark / late-data audit over the events stream: arrival order
     = event_id, watermark = running max event time - 1h."""
-    import ray.data
 
     from record_matcher_ray.pipelines.relational import late_event_audit
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "event_type"],
     )

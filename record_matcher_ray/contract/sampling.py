@@ -13,16 +13,17 @@ import numpy as np  # noqa: F401
 from record_matcher_ray.contract.shared import (  # noqa: F401
     _SPLIT_WEIGHTS,
 )
+from record_matcher_ray.sources.readers import read_table
+
 
 def _q_chunks(sf_dir: str):
     """Overlapping token-window chunking (size 64, overlap 16) — the
     retrieval-prep transform; deterministic window starts so the DuckDB
     generate_series mirror matches hash-exactly."""
-    import ray.data
 
     from record_matcher_ray.pipelines.chunking import chunk_documents
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return chunk_documents(ds, size=64, overlap=16)
@@ -32,12 +33,11 @@ def _q_split_docs(sf_dir: str):
     """Leakage-safe train/val/test split: every exact duplicate of a
     document gets the split of its group REPRESENTATIVE (min doc_id per
     identical text), so no content straddles train and eval."""
-    import ray.data
 
     from record_matcher_ray.pipelines.dedup import tuple_representatives
     from record_matcher_ray.pipelines.sampling import leakage_safe_split
 
-    docs = ray.data.read_parquet(
+    docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     reps = tuple_representatives(docs, ["text"], "doc_id")
@@ -51,12 +51,11 @@ def _q_pack_docs(sf_dir: str):
     The query pins a canonical packing (one block, one batch, sorted
     ids) so the DuckDB recursive-CTE replay of the next-fit recurrence
     checks it exactly; at scale packing is partition-local by design."""
-    import ray.data
 
     from record_matcher_ray.pipelines.analysis import token_counts
     from record_matcher_ray.pipelines.packing import pack_sequences
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
         override_num_blocks=1,
     )
@@ -72,11 +71,10 @@ def _q_shuffle_docs(sf_dir: str):
     positions — proves the deterministic epoch-shuffle ORDER end to end
     (the driver compare is order-insensitive, so the position column
     carries the order into the hash check)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import deterministic_shuffle
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
     head = (
@@ -92,11 +90,10 @@ def _q_sample_docs(sf_dir: str):
     """Deterministic 10% uniform sample by splitmix64(doc_id ^ seed) —
     the oracle reproduces the hash bit-exactly in SQL (32-bit-split
     modular multiplication), so this is a full hash-checked query."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import hash_sample
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
     return hash_sample(ds, "doc_id", 0.1, seed=42)
@@ -105,11 +102,10 @@ def _q_sample_docs(sf_dir: str):
 def _q_weighted_sample(sf_dir: str):
     """Length-proportional importance sample (p = min(n_chars, 800)/800)
     — exact integer predicate, hash-replayed bit-exactly in SQL."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import importance_sample
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
     )
     return importance_sample(ds, "doc_id", "n_chars", denom=800, seed=13)
@@ -118,11 +114,10 @@ def _q_weighted_sample(sf_dir: str):
 def _q_stratified_docs(sf_dir: str):
     """At most 20 docs per language, chosen by deterministic hash order
     (row_number over sample_hash in the SQL oracle)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import stratified_cap
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
     )
     return stratified_cap(ds, "lang", 20, "doc_id", seed=7)
@@ -131,11 +126,10 @@ def _q_stratified_docs(sf_dir: str):
 def _q_mix_docs(sf_dir: str):
     """Weighted source mixing: per-source deterministic keep-rates (the
     training-mixture primitive); unlisted sources get the default rate."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import weighted_mix
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
     )
     return weighted_mix(
@@ -147,11 +141,10 @@ def _q_mix_docs(sf_dir: str):
 def _q_weighted_topk(sf_dir: str):
     """Fixed-size weighted sample without replacement (Efraimidis-
     Spirakis A-ES): 50 documents drawn proportionally to n_chars."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import weighted_topk
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
     return weighted_topk(ds, "doc_id", "n_chars", 50, seed=2)
@@ -164,12 +157,11 @@ def _q_chunk_dedup(sf_dir: str):
     runs between document-level exact and minhash near-dup passes."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from record_matcher_ray.pipelines.chunking import chunk_documents
     from record_matcher_ray.pipelines.dedup import exact_dup_groups
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     ch = chunk_documents(ds, size=32, overlap=0)
@@ -294,11 +286,10 @@ def _q_pack_sequences(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.sampling import pack_sequences
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -325,13 +316,16 @@ _PACK_SQL = """
                   '[^a-z0-9]+', ' ', 'g')) AS nt
       FROM documents
     ), d AS (
-      SELECT doc_id,
-             (CASE WHEN nt = '' THEN 0
-                   ELSE len(string_split(nt, ' ')) END)::BIGINT AS ln,
-             (doc_id // 50)::BIGINT AS pb,
-             row_number() OVER (PARTITION BY doc_id // 50
-                                ORDER BY doc_id) AS rn
-      FROM d0
+      SELECT *, row_number() OVER (PARTITION BY pb ORDER BY doc_id) AS rn
+      FROM (
+        SELECT doc_id,
+               (CASE WHEN nt = '' THEN 0
+                     ELSE len(string_split(nt, ' ')) END)::BIGINT AS ln,
+               (CASE WHEN doc_id % 50 <> 0 AND doc_id < 0
+                     THEN doc_id // 50 - 1
+                     ELSE doc_id // 50 END)::BIGINT AS pb
+        FROM d0
+      )
     ), walk(pb, rn, doc_id, ln, bin, off, open_after, fill_after,
             trunc) AS (
       SELECT pb, rn, doc_id, ln,
@@ -374,11 +368,10 @@ def _q_pretrain_pack(sf_dir: str):
     eval holdout → quality gate → exact dedup → decontaminate →
     deterministic mix → sequence packing, end to end over the document
     table — the WHOLE funnel replays hash-exactly as one DuckDB query."""
-    import ray.data
 
     from jobs.pretrain_data_job import assemble_pretraining_data
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     packed, _ = assemble_pretraining_data(ds)
@@ -420,10 +413,14 @@ def _pretrain_pack_sql() -> str:
     mx AS (
       SELECT doc_id, ln FROM s5 WHERE {hcol} < CAST({thr} AS UBIGINT)
     ), d AS (
-      SELECT doc_id, ln, (doc_id // 50)::BIGINT AS pb,
-             row_number() OVER (PARTITION BY doc_id // 50
-                                ORDER BY doc_id) AS rn
-      FROM mx
+      SELECT *, row_number() OVER (PARTITION BY pb ORDER BY doc_id) AS rn
+      FROM (
+        SELECT doc_id, ln,
+               (CASE WHEN doc_id % 50 <> 0 AND doc_id < 0
+                     THEN doc_id // 50 - 1
+                     ELSE doc_id // 50 END)::BIGINT AS pb
+        FROM mx
+      )
     ), walk(pb, rn, doc_id, ln, bin, off, open_after, fill_after,
             trunc) AS (
       SELECT pb, rn, doc_id, ln,

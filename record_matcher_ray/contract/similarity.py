@@ -10,14 +10,16 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_ann_topk(sf_dir: str):
     import pyarrow.parquet as pq
 
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import brute_force_topk
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     head = pq.read_table(
@@ -37,11 +39,10 @@ def _q_lsh_topk(sf_dir: str):
     bucket-colliding candidates are scored (the LSH-bucketed scale path)."""
     import pyarrow.parquet as pq
 
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import lsh_topk
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     head = pq.read_table(
@@ -118,11 +119,10 @@ def _q_embedding_near_dups(sf_dir: str):
     IVF multi-probe variant is the >1 M-row scale path, recall-tested in
     tests/test_operators.py. Threshold 0.35 because the synthetic
     embeddings have no true near-dups (max pairwise cos ≈ 0.51)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import embedding_near_dups_exact
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return embedding_near_dups_exact(ds, threshold=0.35)
@@ -133,12 +133,11 @@ def _q_semantic_decontam(sf_dir: str):
     every 5th vector; matches = cosine >= 0.9 (catches paraphrase-level
     leakage n-gram/MinHash decontam can't see). Eval matrix broadcast
     once, one zero-shuffle train pass."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import semantic_decontam
 
     def emb():
-        return ray.data.read_parquet(
+        return read_table(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         )
 
@@ -155,11 +154,10 @@ def _q_kmeans(sf_dir: str):
     """Distributed fixed-point k-means assignments over the embeddings
     table (k=8, 5 Lloyd iterations, deterministic hash init) — exact
     integer arithmetic end to end, bit-replayed by the DuckDB oracle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import kmeans
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     _, assign = kmeans(ds, k=8, iters=5, seed=0)
@@ -169,11 +167,10 @@ def _q_kmeans(sf_dir: str):
 def _q_centroid_cosine(sf_dir: str):
     """Pairwise cosine between per-label embedding centroids (exact
     integer sums; one division + two IEEE sqrts per pair)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import label_centroid_cosine
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
     )
     return label_centroid_cosine(ds)
@@ -182,13 +179,12 @@ def _q_centroid_cosine(sf_dir: str):
 def _q_mutual_nn(sf_dir: str):
     """Mutual (reciprocal top-1) nearest neighbors under exact quantized
     cosine — the high-precision embedding-ER seed pairs."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import (
         mutual_nearest_neighbors,
     )
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return mutual_nearest_neighbors(ds)
@@ -197,11 +193,10 @@ def _q_mutual_nn(sf_dir: str):
 def _q_davies_bouldin(sf_dir: str):
     """Clustering-quality eval: Davies-Bouldin (RMS form) over the
     fixed-point kmeans clusters of the embeddings table."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import davies_bouldin
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return davies_bouldin(ds, k=8, iters=5)
@@ -210,11 +205,10 @@ def _q_davies_bouldin(sf_dir: str):
 def _q_dbscan(sf_dir: str):
     """DBSCAN under cosine over the embeddings table (exact bounded
     variant): eps-sim 0.35, min_pts 3, canonical min-core-id labels."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import dbscan_embeddings
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return dbscan_embeddings(ds, eps_sim=0.35, min_pts=3)
@@ -223,11 +217,10 @@ def _q_dbscan(sf_dir: str):
 def _q_quantize(sf_dir: str):
     """Per-vector symmetric int8 quantization of the embeddings table —
     pinned divide/round chain, list output."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import quantize_embeddings
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return quantize_embeddings(ds, bits=8)
@@ -240,11 +233,10 @@ def _q_semantic_dedup(sf_dir: str):
     k-means buckets + within-bucket exact-cosine near-dup components,
     min-id representative per semantic copy group — clustering,
     predicate and components all bit-replayed by the oracle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import semantic_dedup
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return semantic_dedup(ds, k=8, iters=5, threshold=0.4)

@@ -15,15 +15,16 @@ from record_matcher_ray.contract.shared import (  # noqa: F401
     _sql_mulmod,
     _sql_xorshift,
 )
+from record_matcher_ray.sources.readers import read_table
+
 
 def _q_approx_quantiles(sf_dir: str):
     """Mergeable histogram quantile sketch over order totals — constant
     per-block partials, pinned-order IEEE float math (bit-replayable)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import approx_quantiles
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_totalprice"]
     )
     return approx_quantiles(
@@ -34,11 +35,10 @@ def _q_approx_quantiles(sf_dir: str):
 def _q_profile(sf_dir: str):
     """Per-column profile of orders: counts, null counts, HLL distinct
     for ints, exact distinct for strings."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import profile_table
 
-    ds = ray.data.read_parquet(  # whole-table profile by design
+    ds = read_table(  # whole-table profile by design
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
                  "o_orderdate", "o_orderpriority"],
@@ -130,11 +130,10 @@ def _q_countmin(sf_dir: str):
     play) — counters built by exact-integer partial addition, replayed
     cell-for-cell by the SQL oracle."""
     import pandas as pd
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import cm_estimate, count_min
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
     counters = count_min(ds, "o_custkey", width=512, depth=4, seed=0)
@@ -150,11 +149,10 @@ def _q_countmin(sf_dir: str):
 def _q_kmv(sf_dir: str):
     """KMV bottom-k distinct sketch over o_custkey (k=256): per-block
     bottom-k hash partials, driver merge, (k-1)·2^64/h_k estimator."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import kmv_distinct
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
     return kmv_distinct(ds, "o_custkey", k=256)
@@ -164,14 +162,13 @@ def _q_kmv_setops(sf_dir: str):
     """KMV set-operation estimates (k=256) between the distinct
     o_custkey set of orders and the c_custkey set of customer:
     union / Jaccard / intersection from two bottom-k sketches."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import kmv_set_ops
 
-    a = ray.data.read_parquet(
+    a = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
-    b = ray.data.read_parquet(
+    b = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     )
     return kmv_set_ops(a, b, "o_custkey", "c_custkey", k=256)
@@ -182,12 +179,11 @@ def _q_approx_distinct(sf_dir: str):
     a global 'ALL' row (p=12) — fixed-size mergeable partials, raw
     values never shuffle (sketches.py)."""
     import pandas as pd
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import approx_distinct
 
     def orders():
-        return ray.data.read_parquet(
+        return read_table(
             f"{sf_dir}/orders.parquet",
             columns=["o_custkey", "o_orderstatus"],
         )
@@ -204,11 +200,10 @@ def _q_approx_distinct(sf_dir: str):
 def _q_heavy_hitters(sf_dir: str):
     """Exact frequent customers (count·1000 > N) via the two-phase
     local-candidates algorithm — no raw-key groupby, zero shuffles."""
-    import ray.data
 
     from record_matcher_ray.pipelines.sketches import heavy_hitters
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
     return heavy_hitters(ds, "o_custkey", 1000)

@@ -10,14 +10,16 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_linear_fit(sf_dir: str):
     """Distributed OLS: lineitem extendedprice vs quantity — one-pass
     integer-moment partials, closed form on the driver."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import linear_fit
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_quantity", "l_extendedprice"],
     )
@@ -27,11 +29,10 @@ def _q_linear_fit(sf_dir: str):
 def _q_pca(sf_dir: str):
     """Top principal direction of the embeddings Gram matrix — fixed-point
     power iteration, bit-replayed by a chained-CTE oracle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import top_component
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["embedding"]
     )
     return top_component(ds, scale_bits=12, iters=6)
@@ -90,11 +91,10 @@ def _pca_oracle(d: int = 64, scale_bits: int = 12, iters: int = 6,
 def _q_zscore(sf_dir: str):
     """Per-event-type z-score of value — exact integer moments broadcast,
     pinned-order double readout."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import zscore_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "value"],
     )
@@ -104,11 +104,10 @@ def _q_zscore(sf_dir: str):
 def _q_robust_z(sf_dir: str):
     """Median/MAD robust z-score of event values within each event type
     (cents-quantized so every median/MAD is an exact dyadic double)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import robust_zscore
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "value"],
     )
@@ -118,11 +117,10 @@ def _q_robust_z(sf_dir: str):
 def _q_grouped_corr(sf_dir: str):
     """Per-returnflag Pearson correlation of quantity vs extendedprice
     from exact integer moment partials (grouped linear_fit sibling)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import grouped_corr
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice"],
     )
@@ -134,11 +132,10 @@ def _q_grouped_corr(sf_dir: str):
 def _q_grouped_entropy(sf_dir: str):
     """Per-nation Shannon entropy of the market-segment mix — categorical
     diversity profiling with the pinned ordered-fold float recipe."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import grouped_entropy
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_nationkey", "c_mktsegment"],
     )
@@ -148,11 +145,10 @@ def _q_grouped_entropy(sf_dir: str):
 def _q_grouped_linear_fit(sf_dir: str):
     """Per-returnflag OLS trend of extendedprice vs quantity from exact
     integer moment partials (grouped sibling of linear_fit_lineitem)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import grouped_linear_fit
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice"],
     )
@@ -164,11 +160,10 @@ def _q_grouped_linear_fit(sf_dir: str):
 def _q_psi(sf_dir: str):
     """Numeric drift monitor: PSI of order totalprice per priority
     class vs the corpus blend (fixed bins, add-1 smoothing)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import psi_numeric
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"],
     )
@@ -180,11 +175,10 @@ def _q_psi(sf_dir: str):
 
 def _q_gini(sf_dir: str):
     """Gini concentration of order spend per priority class."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import gini_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"],
     )
@@ -193,11 +187,10 @@ def _q_gini(sf_dir: str):
 
 def _q_theil(sf_dir: str):
     """Theil T inequality of order spend per priority class."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import theil_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"],
     )
@@ -207,11 +200,10 @@ def _q_theil(sf_dir: str):
 def _q_welch(sf_dir: str):
     """Welch two-sample t-test per order priority: does o_totalprice
     differ between status 'F' and status 'O' orders?"""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import welch_t_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_orderstatus", "o_totalprice"],
     )
@@ -224,11 +216,10 @@ def _q_welch(sf_dir: str):
 def _q_benford(sf_dir: str):
     """Benford first-digit χ² forensics of order amounts per priority
     class (exact integer digit counts, pinned double χ² fold)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import benford_digit_test
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_totalprice"],
     )
@@ -239,11 +230,10 @@ def _q_ks(sf_dir: str):
     """Two-sample KS distance between open ('O') and finished ('F')
     orders' totalprice distributions — exact integer cdf max, one double
     division."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import ks_test_two_sample
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_totalprice"],
     )
@@ -254,11 +244,10 @@ def _q_ks(sf_dir: str):
 def _q_chi2(sf_dir: str):
     """Pearson chi-square independence of order status x priority —
     exact integer numerators per cell, pinned (a, b) fold."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import chi_square_independence
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority"],
     )
@@ -268,11 +257,10 @@ def _q_chi2(sf_dir: str):
 def _q_chi2_cells(sf_dir: str):
     """Per-cell standardized residuals of status x priority — the
     drill-down behind chi2_orders."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import chi_square_cells
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority"],
     )
@@ -282,11 +270,10 @@ def _q_chi2_cells(sf_dir: str):
 def _q_hhi(sf_dir: str):
     """HHI concentration of order share per customer within each
     priority class — exact integer sums, one double division."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import hhi_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderpriority", "o_custkey"],
     )
@@ -296,11 +283,10 @@ def _q_hhi(sf_dir: str):
 def _q_spearman(sf_dir: str):
     """Spearman rank correlation of quantity vs extendedprice per
     returnflag — exact doubled-average-rank moments."""
-    import ray.data
 
     from record_matcher_ray.pipelines.stats import spearman_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_quantity", "l_extendedprice"],
     )

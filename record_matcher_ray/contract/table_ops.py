@@ -10,13 +10,15 @@ import os  # noqa: F401
 
 import numpy as np  # noqa: F401
 
+from record_matcher_ray.sources.readers import read_table
+
+
 def _q_uniqueness_customer(sf_dir: str):
     import pandas as pd
-    import ray.data
 
     from record_matcher_ray.pipelines import table_ops
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_name", "c_mktsegment", "c_nationkey"],
     )
@@ -27,22 +29,20 @@ def _q_uniqueness_customer(sf_dir: str):
 
 
 def _q_group_by_segment(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines import table_ops
 
-    ds = ray.data.read_parquet(  # full-row output: every column rides
+    ds = read_table(  # full-row output: every column rides
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey", "c_acctbal", "c_mktsegment"]
     )
     return table_ops.group_by(ds, {"c_mktsegment": "BUILDING"})
 
 
 def _q_duplicated_orders(sf_dir: str):
-    import ray.data
 
     from record_matcher_ray.pipelines import table_ops
 
-    ds = ray.data.read_parquet(  # full-row output
+    ds = read_table(  # full-row output
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
                  "o_orderdate", "o_orderpriority"],
@@ -53,11 +53,10 @@ def _q_duplicated_orders(sf_dir: str):
 def _q_latest_order(sf_dir: str):
     """CDC / upsert compaction: each customer's latest order (max
     o_orderdate, ties broken by max o_orderkey)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import latest_by_key
 
-    ds = ray.data.read_parquet(  # full-row output
+    ds = read_table(  # full-row output
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
                  "o_orderdate", "o_orderpriority"],
@@ -75,11 +74,10 @@ def _q_snapshot_diff(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import snapshot_diff
 
-    new = ray.data.read_parquet(
+    new = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
 
@@ -105,7 +103,7 @@ def _q_snapshot_diff(sf_dir: str):
         )
         return pa.concat_tables([base, ghosts])
 
-    old = ray.data.read_parquet(
+    old = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(build_old, batch_format="pyarrow")
     return snapshot_diff(old, new)
@@ -113,11 +111,10 @@ def _q_snapshot_diff(sf_dir: str):
 
 def _q_distinct_by(sf_dir: str):
     """Exact distinct users per event type (pre-reduced pair exchange)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import distinct_count_by
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
     return distinct_count_by(ds, "event_type", "user_id")
@@ -125,11 +122,10 @@ def _q_distinct_by(sf_dir: str):
 
 def _q_histogram(sf_dir: str):
     """Fixed-width ($20k) histogram of order totals."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import histogram
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_totalprice"]
     )
     return histogram(ds, "o_totalprice", width_cents=2_000_000)
@@ -139,11 +135,10 @@ def _q_winsorize(sf_dir: str):
     """Per-source winsorization of document lengths at [0.05, 0.95] —
     clip-to-band twin of quantile_filter_docs (rows kept, values
     clamped)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import winsorize_by_quantile
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "source", "n_chars"],
     )
@@ -155,11 +150,10 @@ def _q_winsorize(sf_dir: str):
 def _q_mode(sf_dir: str):
     """Dominant order priority per status (count desc, value asc
     tie-break)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import mode_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority"],
     )
@@ -171,11 +165,10 @@ def _q_pareto(sf_dir: str):
     (o_totalprice, o_orderdate) — per-block local frontiers via one
     lexsort + prefix max, tiny driver merge, zero shuffle
     (table_ops.pareto_frontier)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import pareto_frontier
 
-    ds = ray.data.read_parquet(  # full-row skyline output
+    ds = read_table(  # full-row skyline output
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
                  "o_orderdate", "o_orderpriority"],
@@ -188,11 +181,10 @@ def _q_explode(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as _pc
 
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import explode_list
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     out = explode_list(ds, "embedding", "vec_id")
@@ -209,11 +201,10 @@ def _q_quantile_filter(sf_dir: str):
     the quality-curation primitive (trim per-source outliers); exact
     thresholds rounded to 6 decimals so the boundary decision is
     deterministic on both sides."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import filter_by_quantile
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "source", "n_chars"],
     )
@@ -226,11 +217,10 @@ def _q_quantiles(sf_dir: str):
     """Exact per-group quantiles of o_totalprice by order status — hash
     BUCKET of the group key is the shuffle key (never the raw column),
     all of a bucket's groups resolved in one vectorized lexsort pass."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import grouped_quantiles
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderstatus", "o_totalprice"]
     )
     return grouped_quantiles(ds, ["o_orderstatus"], "o_totalprice")
@@ -239,11 +229,10 @@ def _q_quantiles(sf_dir: str):
 def _q_window_dedupe(sf_dir: str):
     """Windowed dedup: first event per (user, type, hour) — the
     telemetry-burst / at-least-once-delivery collapse."""
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import window_dedupe
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "event_type", "ts"],
     )
@@ -258,15 +247,14 @@ def _q_union_by_name(sf_dir: str):
     counted per status."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.table_ops import union_by_name
 
-    old_v = ray.data.read_parquet(
+    old_v = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderstatus"],
     )
-    new_v = ray.data.read_parquet(
+    new_v = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )

@@ -15,15 +15,16 @@ from record_matcher_ray.contract.shared import (  # noqa: F401
     _sql_mulmod,
     _sql_xorshift,
 )
+from record_matcher_ray.sources.readers import read_table
+
 
 def _q_bm25_topk(sf_dir: str):
     """Ranked retrieval: top-10 docs by BM25 for the fixed query, ties by
     doc_id ascending (deterministic cut)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import bm25_topk
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return bm25_topk(ds, "merge scan vector window", k=10)
@@ -32,11 +33,10 @@ def _q_bm25_topk(sf_dir: str):
 def _q_top_terms(sf_dir: str):
     """Global top-100 terms with occurrence + document frequency —
     partial factorize+bincount per block, one vocab-sized groupby."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import top_terms
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return top_terms(ds, k=100)
@@ -47,11 +47,10 @@ def _q_hashed_tfidf(sf_dir: str):
     (doc_id, dim, tfidf) for the hash compare."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import hashed_tfidf
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     out = hashed_tfidf(ds, n_dims=32)
@@ -139,11 +138,10 @@ def _q_inverted_index(sf_dir: str):
     (term, df, doc_id) long rows for the hash compare."""
     import pyarrow as pa
 
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import inverted_index
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     out = inverted_index(ds, min_df=2, max_postings=20)
@@ -164,11 +162,10 @@ def _q_inverted_index(sf_dir: str):
 def _q_bm25(sf_dir: str):
     """BM25 lexical relevance to a fixed query — broadcast idf table from
     one O(|query|)-rows-per-block aggregate pass, zero-shuffle scoring."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import bm25_scores
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return bm25_scores(ds, "merge scan vector window",
@@ -177,11 +174,10 @@ def _q_bm25(sf_dir: str):
 
 def _q_pmi(sf_dir: str):
     """Top-vocab PMI co-occurrence over documents (V=48)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import pmi_cooccurrence
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return pmi_cooccurrence(ds, vocab_k=48)
@@ -189,11 +185,10 @@ def _q_pmi(sf_dir: str):
 
 def _q_chao1(sf_dir: str):
     """Chao1 unseen-vocabulary estimate from exact term counts."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import chao1_vocab
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return chao1_vocab(ds)
@@ -202,11 +197,10 @@ def _q_chao1(sf_dir: str):
 def _q_heaps(sf_dir: str):
     """Heaps'-law vocabulary-growth curve: per doc (ascending doc_id),
     new terms introduced, token count, running vocab/token totals."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import heaps_curve
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return heaps_curve(ds)
@@ -215,11 +209,10 @@ def _q_heaps(sf_dir: str):
 def _q_zipf(sf_dir: str):
     """Zipf's-law OLS fit (ln freq ~ ln rank) over the corpus's
     top-128 terms."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import zipf_fit
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return zipf_fit(ds, k=128)
@@ -229,7 +222,6 @@ def _q_hybrid_search(sf_dir: str):
     """Hybrid retrieval: BM25 lexical top-20 fused with the exact
     quantized-cosine top-20 neighbors of doc 0's embedding via
     Reciprocal Rank Fusion (k=60) — the classic two-leg search stack."""
-    import ray.data
 
     from record_matcher_ray.pipelines.similarity import (
         exact_cosine_topk,
@@ -237,12 +229,12 @@ def _q_hybrid_search(sf_dir: str):
     )
     from record_matcher_ray.pipelines.terms import bm25_topk
 
-    docs = ray.data.read_parquet(
+    docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     lex = bm25_topk(docs, "merge scan vector window", k=20).to_pandas()
     lex = lex.rename(columns={"doc_id": "id"})
-    emb = ray.data.read_parquet(
+    emb = read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     sem = exact_cosine_topk(emb, query_id=0, k=20)
@@ -251,11 +243,10 @@ def _q_hybrid_search(sf_dir: str):
 
 def _q_top_terms_by_source(sf_dir: str):
     """Per-source top-10 terms (vocabulary census per shard)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import top_terms_by_group
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
     )
     return top_terms_by_group(ds, "source", k=10)
@@ -264,11 +255,10 @@ def _q_top_terms_by_source(sf_dir: str):
 def _q_term_kl(sf_dir: str):
     """Per-source term-distribution KL divergence vs the corpus blend
     (mixture drift monitoring)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import term_kl_divergence
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
     )
     return term_kl_divergence(ds, "source")
@@ -278,11 +268,10 @@ def _q_tfidf_pairs(sf_dir: str):
     """Sparse TF-IDF cosine similarity join over documents: all pairs
     with cosine >= 0.5 in the df<=100-pruned term space (term-at-a-time
     exchange, exact integer dots)."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import tfidf_cosine_pairs
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return tfidf_cosine_pairs(ds, threshold=0.5, max_df=100)
@@ -291,11 +280,10 @@ def _q_tfidf_pairs(sf_dir: str):
 def _q_ndcg(sf_dir: str):
     """nDCG@10 of the BM25 ranking vs a term-overlap relevance grade —
     pinned-order DCG/IDCG folds, libm log2 both sides."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import ndcg_at_k
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return ndcg_at_k(ds, "merge scan vector window", k=10)
@@ -303,11 +291,10 @@ def _q_ndcg(sf_dir: str):
 
 def _q_search_eval(sf_dir: str):
     """Recall@10 + MRR of the BM25 ranking vs term-overlap relevance."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import search_eval_at_k
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return search_eval_at_k(ds, "merge scan vector window", k=10)
@@ -324,11 +311,10 @@ def _q_bpe_merges(sf_dir: str):
     word-frequency reduce + the greedy merge loop on the capped vocab —
     the merge TABLE itself is the result, all-integer so the DuckDB
     replay of every single merge iteration is hash-exact."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import bpe_train
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["text"]
     )
     return bpe_train(ds, num_merges=_BPE_MERGES, max_words=_BPE_WORDS)
@@ -338,15 +324,14 @@ def _q_bpe_encode(sf_dir: str):
     """Apply the trained merge table back to the corpus → per-doc
     subword token counts (the vocab-fit diagnostic). Vectorized: K
     literal-replace Arrow passes, zero shuffle."""
-    import ray.data
 
     from record_matcher_ray.pipelines.terms import bpe_encode, bpe_train
 
-    ds = ray.data.read_parquet(
+    ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     m = bpe_train(
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+        read_table(f"{sf_dir}/documents.parquet",
                               columns=["text"]),
         num_merges=_BPE_MERGES, max_words=_BPE_WORDS,
     )

@@ -19,6 +19,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange
+
 # BPE-ish pre-tokenizer: word pieces, numbers, punctuation runs (the GPT-2
 # pre-tokenizer family, simplified to stdlib `re`)
 BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]+")
@@ -950,7 +952,6 @@ def line_dedup(
     (line_idx-sorted) pieces. Exchange volume ≈ the corpus text — the
     unavoidable cost of an exact global line census.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64
 
     def explode(t: pa.Table) -> pa.Table:
         txt = pc.fill_null(pc.cast(t[text_col], pa.string()), "")
@@ -964,10 +965,8 @@ def line_dedup(
         doc = np.repeat(ids, counts)
         idx = np.arange(len(flat), dtype=np.int64) - np.repeat(
             offs[:-1], counts)
-        lb = (column_hash64(flat) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table({
-            "doc": pa.array(doc), "idx": pa.array(idx),
-            "line": flat, "__lb__": pa.array(lb),
+            "doc": pa.array(doc), "idx": pa.array(idx), "line": flat,
         })
 
     def census(t: pa.Table) -> pa.Table:
@@ -987,12 +986,9 @@ def line_dedup(
             keep = df[codes] < min_df
         else:
             keep = np.zeros(0, bool)
-        db = (t["doc"].to_numpy().view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-              >> np.uint64(40)) % np.uint64(n_buckets)
         return pa.table({
             "doc": t["doc"], "idx": t["idx"], "line": t["line"],
             "keep": pa.array(keep),
-            "__db__": pa.array(db.astype(np.int64)),
         })
 
     def reassemble(t: pa.Table) -> pa.Table:
@@ -1020,15 +1016,11 @@ def line_dedup(
             "n_removed": pa.array(n_rm, pa.int64()),
         })
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__lb__")
-        .map_groups(lambda t: census(t.drop_columns(["__lb__"])),
-                    batch_format="pyarrow")
-        .groupby("__db__")
-        .map_groups(lambda t: reassemble(t.drop_columns(["__db__"])),
-                    batch_format="pyarrow")
+    marked = bucket_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"), ["line"], census,
+        n_buckets,
     )
+    return bucket_exchange(marked, ["doc"], reassemble, n_buckets)
 
 
 def chunk_passages(

@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Min, Sum
 
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.pipelines.joins import hash_join
 
 
@@ -377,8 +378,6 @@ def stable_relabel(
     NEXT TO its data — zero exchanges, one driver fold (measured 12.4 s
     → ~2 s at 3M nodes). Above the cap: one hash-join-shaped exchange
     on node (≤``n_buckets`` buckets) + a per-component min reduce."""
-    from record_matcher_ray.core.hashkernels import column_hash64
-
     old = old.materialize()
     new = new.materialize()
     if old.count() <= broadcast_cap:
@@ -411,30 +410,23 @@ def stable_relabel(
             new, comps, claims, node_col, comp_col, entity_col)
 
     def tag_old(t: pa.Table) -> pa.Table:
-        bk = (column_hash64(t[node_col]) % np.uint64(n_buckets)).astype(
-            np.int64)
         return pa.table({
             "n": pc.cast(t[node_col], pa.int64()),
             "old_e": pc.cast(t[comp_col], pa.int64()),
             "side": pa.array(np.zeros(len(t), np.int8)),
             "comp": pa.array(np.full(len(t), -1, np.int64)),
-            "__b__": pa.array(bk),
         })
 
     def tag_new(t: pa.Table) -> pa.Table:
-        bk = (column_hash64(t[node_col]) % np.uint64(n_buckets)).astype(
-            np.int64)
         return pa.table({
             "n": pc.cast(t[node_col], pa.int64()),
             "old_e": pa.array(np.full(len(t), -1, np.int64)),
             "side": pa.array(np.ones(len(t), np.int8)),
             "comp": pc.cast(t[comp_col], pa.int64()),
-            "__b__": pa.array(bk),
         })
 
-    both = old.map_batches(tag_old, batch_format="pyarrow").union(
-        new.map_batches(tag_new, batch_format="pyarrow")
-    )
+    both = [old.map_batches(tag_old, batch_format="pyarrow"),
+            new.map_batches(tag_new, batch_format="pyarrow")]
 
     def join_min(t: pa.Table) -> pa.Table:
         """per bucket: node-join old entities onto new members, then
@@ -475,9 +467,7 @@ def stable_relabel(
                          "m": pa.array(mins)})
 
     mins = (
-        both.groupby("__b__")
-        .map_groups(lambda t: join_min(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
+        bucket_exchange(both, ["n"], join_min, n_buckets)
         .groupby("comp")
         .min("m")
         .to_pandas()

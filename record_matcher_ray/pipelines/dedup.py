@@ -28,38 +28,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 from record_matcher_ray.pipelines.cluster import connected_components
 from record_matcher_ray.stages.blocking import MinHasher
-
-
-def _with_tuple_bucket(
-    ds: ray.data.Dataset, columns: list[str], n_buckets: int, col: str = "__xb__"
-) -> ray.data.Dataset:
-    """Append a ≤``n_buckets`` hash bucket of the value TUPLE of ``columns``
-    (vectorized row-hash) so downstream grouping runs per bucket, never per
-    distinct value — the CLAUDE.md per-group-overhead rule. The raw text of
-    ``columns`` still rides the shuffle (needed for in-bucket equality).
-    r3: pyarrow batch + per-column numpy hashes folded with splitmix64 —
-    the r2 pandas form copied every batch (VERDICT cleanup item)."""
-
-    def add(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        h = np.zeros(len(t), np.uint64)
-        with np.errstate(over="ignore"):
-            for c in columns:
-                h = mix64(
-                    h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(t[c])
-                )
-        # strip parquet/pandas schema metadata: a pa.Schema with metadata
-        # is UNHASHABLE (the dict), so Ray's reduce-side schema dedup
-        # warns "Failed to hash the schemas" and falls back to slow-path
-        # unification on every exchange fed by parquet-born blocks
-        return t.replace_schema_metadata(None).append_column(
-            col, pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    return ds.map_batches(add, batch_format="pyarrow")
 
 
 def _tuple_groups_sorted(t: pa.Table, columns: list[str], id_col: str):
@@ -94,15 +65,10 @@ def exact_dedup(
     Arrow sort+boundary-diff per bucket (SURVEY.md §7.3)."""
 
     def pick(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__xb__"])
         order, first, _ = _tuple_groups_sorted(t, columns, id_col)
         return t.take(pa.array(order[first]))
 
-    return (
-        _with_tuple_bucket(ds, columns, n_buckets)
-        .groupby("__xb__")
-        .map_groups(pick, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds, columns, pick, n_buckets)
 
 
 def exact_dup_groups(
@@ -121,11 +87,7 @@ def exact_dup_groups(
         return pa.table({"keeper_id": pa.array(keeper[dup]),
                          "dup_id": pa.array(ids_s[dup])})
 
-    return (
-        _with_tuple_bucket(ds, columns, n_buckets)
-        .groupby("__xb__")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds, columns, pairs, n_buckets)
 
 
 def tuple_representatives(
@@ -144,26 +106,22 @@ def tuple_representatives(
         rep = np.repeat(ids_s[bounds], sizes)
         return pa.table({id_col: pa.array(ids_s), "rep": pa.array(rep)})
 
-    return (
-        _with_tuple_bucket(ds, columns, n_buckets)
-        .groupby("__xb__")
-        .map_groups(reps, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds, columns, reps, n_buckets)
 
 
 class _MinhashKeys:
     """Stateless band-key emitter with per-process-cached permutation state.
-    Emits (hash bucket of band_key, int64 band_key, id) so downstream
-    grouping runs per BUCKET (≈n_buckets vectorized calls) instead of per
-    band key. Whole-batch vectorized: shingles, signatures and band keys
-    all come from the flat-buffer kernels in core.hashkernels — the
+    Emits (int64 band_key, id); the downstream exchange groups per hash
+    BUCKET of band_key (≈n_buckets vectorized calls), never per band key.
+    Whole-batch vectorized: shingles, signatures and band keys all come
+    from the flat-buffer kernels in core.hashkernels — the
     round-1 per-doc/per-band Python loop is gone. Docs with no shingles
     (empty after normalization) emit no keys (the round-1 form emitted
     identical all-zero-signature keys, making every empty doc a candidate
     of every other)."""
 
-    def __init__(self, text_col, id_col, num_perm, bands, shingle, seed, n_buckets):
-        self.args = (text_col, id_col, num_perm, bands, shingle, seed, n_buckets)
+    def __init__(self, text_col, id_col, num_perm, bands, shingle, seed):
+        self.args = (text_col, id_col, num_perm, bands, shingle, seed)
 
     def __call__(self, t: pa.Table) -> pa.Table:
         from record_matcher_ray.core.hashkernels import (
@@ -175,7 +133,7 @@ class _MinhashKeys:
             batch_char_shingles,
         )
 
-        text_col, id_col, num_perm, bands, shingle, seed, n_buckets = self.args
+        text_col, id_col, num_perm, bands, shingle, seed = self.args
         hasher = MinHasher(num_perm=num_perm, seed=seed)
         ids = t[id_col].to_numpy()
         norm = normalize_utf8(t[text_col])
@@ -185,13 +143,8 @@ class _MinhashKeys:
         has = sh_lens > 0
         keys = band_k[has].reshape(-1)
         out_ids = np.repeat(ids[has], bands)
-        buckets = (
-            keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            >> np.uint64(33)
-        ) % np.uint64(n_buckets)
         return pa.table(
-            {"bucket": pa.array(buckets.astype(np.int64)),
-             "band_key": pa.array(keys),
+            {"band_key": pa.array(keys),
              "id": pa.array(out_ids.astype(np.int64))}
         )
 
@@ -250,12 +203,6 @@ def _dedupe_pairs_bucketed(pairs: ray.data.Dataset, n_buckets: int = 256) -> ray
     """Distinct (a, b) via hash-bucketed groupby + local vectorized dedupe
     (a per-(a,b) groupby would make one Python call per pair)."""
 
-    def add_pb(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy()
-        b = t["b"].to_numpy()
-        pb = ((a * np.int64(1000003)) ^ b) % n_buckets
-        return t.append_column("pb", pa.array(pb.astype(np.int64)))
-
     def local_dedupe(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy()
         b = t["b"].to_numpy()
@@ -264,11 +211,7 @@ def _dedupe_pairs_bucketed(pairs: ray.data.Dataset, n_buckets: int = 256) -> ray
         first = np.concatenate(([True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])))
         return pa.table({"a": pa.array(a_s[first]), "b": pa.array(b_s[first])})
 
-    return (
-        pairs.map_batches(add_pb, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(local_dedupe, batch_format="pyarrow")
-    )
+    return bucket_exchange(pairs, ["a", "b"], local_dedupe, n_buckets)
 
 
 def minhash_candidates(
@@ -291,11 +234,11 @@ def minhash_candidates(
     (minhash_dedup's estimate prefilter) dedupe the much smaller
     SURVIVOR set instead."""
     keys = ds.map_batches(
-        _MinhashKeys(text_col, id_col, num_perm, bands, shingle, seed, n_buckets),
+        _MinhashKeys(text_col, id_col, num_perm, bands, shingle, seed),
         batch_format="pyarrow",
     )
-    pairs = keys.groupby("bucket").map_groups(
-        _bucket_pairs_fn(max_bucket), batch_format="pyarrow"
+    pairs = bucket_exchange(
+        keys, ["band_key"], _bucket_pairs_fn(max_bucket), n_buckets
     )
     if not distinct:
         return pairs
@@ -521,20 +464,14 @@ def _candidates_from_comb(
         band_k = batch_band_keys(sig, bands)
         keys = band_k[has].reshape(-1)
         out_ids = np.repeat(ids[has], bands)
-        buckets = (
-            keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            >> np.uint64(33)
-        ) % np.uint64(n_buckets)
         return pa.table(
-            {"bucket": pa.array(buckets.astype(np.int64)),
-             "band_key": pa.array(keys),
+            {"band_key": pa.array(keys),
              "id": pa.array(out_ids.astype(np.int64))}
         )
 
-    pairs = (
-        comb.map_batches(keys_fn, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_bucket_pairs_fn(max_bucket, est), batch_format="pyarrow")
+    pairs = bucket_exchange(
+        comb.map_batches(keys_fn, batch_format="pyarrow"), ["band_key"],
+        _bucket_pairs_fn(max_bucket, est), n_buckets,
     )
     return _dedupe_pairs_bucketed(pairs, n_buckets) if distinct else pairs
 
@@ -1051,10 +988,8 @@ def simhash_near_dups(
             keys[bi * n:(bi + 1) * n] = mix64(
                 bits ^ (np.uint64(bi + 1) * np.uint64(0xD6E8FEB86659FD93))
             )
-        bucket = (keys % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
-            {"bucket": pa.array(bucket),
-             "band_key": pa.array(keys.view(np.int64)),
+            {"band_key": pa.array(keys.view(np.int64)),
              "id": pa.array(np.tile(ids, n_bands)),
              "fp": pa.array(np.tile(fps.view(np.int64), n_bands))}
         )
@@ -1082,9 +1017,10 @@ def simhash_near_dups(
              "hamming": pa.array(ham[keep])}
         )
 
-    cand = fp_ds.map_batches(expand, batch_format="pyarrow").groupby(
-        "bucket"
-    ).map_groups(bucket_pairs, batch_format="pyarrow")
+    cand = bucket_exchange(
+        fp_ds.map_batches(expand, batch_format="pyarrow"), ["band_key"],
+        bucket_pairs, n_buckets,
+    )
 
     # a pair can surface from several bands — dedupe on (a, b), keeping the
     # (identical) hamming of the first occurrence
@@ -1107,17 +1043,7 @@ def simhash_near_dups(
              "hamming": pa.array(h_s[first])}
         )
 
-    def add_pb(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy()
-        b = t["b"].to_numpy()
-        pb = ((a * np.int64(1000003)) ^ b) % n_buckets
-        return t.append_column("pb", pa.array(pb.astype(np.int64)))
-
-    return (
-        cand.map_batches(add_pb, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(dedupe, batch_format="pyarrow")
-    )
+    return bucket_exchange(cand, ["a", "b"], dedupe, n_buckets)
 
 
 def ngram_jaccard_dedup(
@@ -1192,27 +1118,18 @@ def ngram_jaccard_dedup(
     order = np.argsort(ids_cat)
     sizes_ref = _ray.put((ids_cat[order], ns_cat[order]))
 
-    # ---- explode to (bucket, gram, id) ----------------------------------
+    # ---- explode to (gram, id) ------------------------------------------
     def explode(t: pa.Table) -> pa.Table:
         col = t["sh"].combine_chunks()
         lens = np.diff(col.offsets.to_numpy()).astype(np.int64)
         grams = col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
         ids = np.repeat(t["id"].to_numpy(), lens)
-        buckets = (
-            grams.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            >> np.uint64(33)
-        ) % np.uint64(n_buckets)
-        return pa.table(
-            {"bucket": pa.array(buckets.astype(np.int64)),
-             "gram": pa.array(grams),
-             "id": pa.array(ids)}
-        )
+        return pa.table({"gram": pa.array(grams), "id": pa.array(ids)})
 
     # ---- per-bucket pair emission + LOCAL partial count combine ---------
     def bucket_pair_counts(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("pb", pa.int64()), ("a", pa.int64()), ("b", pa.int64()),
-             ("cnt", pa.int64())]
+            [("a", pa.int64()), ("b", pa.int64()), ("cnt", pa.int64())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -1222,18 +1139,15 @@ def ngram_jaccard_dedup(
         if len(a) == 0:
             return empty
         # partial combine: many grams in this bucket hit the same (a, b)
-        key = a * np.int64(1_000_003) ^ b
         order = np.lexsort((b, a))
-        a_s, b_s, k_s = a[order], b[order], key[order]
+        a_s, b_s = a[order], b[order]
         first = np.concatenate(
             ([True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1]))
         )
         starts = np.nonzero(first)[0]
         cnt = np.diff(np.concatenate((starts, [len(a_s)])))
-        pb = (k_s[starts].view(np.uint64) >> np.uint64(17)) % np.uint64(n_buckets)
         return pa.table(
-            {"pb": pa.array(pb.astype(np.int64)),
-             "a": pa.array(a_s[starts]), "b": pa.array(b_s[starts]),
+            {"a": pa.array(a_s[starts]), "b": pa.array(b_s[starts]),
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
@@ -1271,13 +1185,11 @@ def ngram_jaccard_dedup(
              score_name: pa.array(jac[keep])}
         )
 
-    return (
-        sh.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pair_counts, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(sum_and_score, batch_format="pyarrow")
+    partials = bucket_exchange(
+        sh.map_batches(explode, batch_format="pyarrow"), ["gram"],
+        bucket_pair_counts, n_buckets,
     )
+    return bucket_exchange(partials, ["a", "b"], sum_and_score, n_buckets)
 
 
 def ngram_jaccard_decontam(
@@ -1510,8 +1422,19 @@ def exact_dedup_keep_best(
              "dup_id": df[id_col][dup].to_numpy(dtype=np.int64)}
         )
 
+    def add_bucket(t: pa.Table) -> pa.Table:
+        from record_matcher_ray.core.hashkernels import column_hash64, mix64
+
+        h = np.zeros(len(t), np.uint64)
+        with np.errstate(over="ignore"):
+            for c in columns:
+                h = mix64(
+                    h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(t[c])
+                )
+        return t.append_column("__xb__", pa.array(bucket_ids(h, n_buckets)))
+
     return (
-        _with_tuple_bucket(ds, columns, n_buckets)
+        ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("__xb__")
         .map_groups(pairs, batch_format="pandas")
     )

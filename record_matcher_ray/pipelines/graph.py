@@ -32,6 +32,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+
 
 def pagerank(
     ds: ray.data.Dataset,
@@ -188,7 +190,6 @@ def triangle_count(
     (``max_broadcast_nodes`` guard); wedge volume is guarded per bucket
     with an actionable error.
     """
-    from record_matcher_ray.core.hashkernels import mix64
 
     def node_partial(t: pa.Table) -> pa.Table:
         s = t[src_col].to_numpy().astype(np.int64)
@@ -263,17 +264,15 @@ def triangle_count(
         sw = rb < ra
         src = np.where(sw, b, a)
         dst = np.where(sw, a, b)
-        bucket = (mix64(src) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {"s": pa.array(src.astype(np.int64)),
-             "t": pa.array(dst.astype(np.int64)),
-             "bucket": pa.array(bucket)}
+             "t": pa.array(dst.astype(np.int64))}
         )
 
-    def wedge_group(df: pd.DataFrame) -> pd.DataFrame:
+    def wedge_group(tb: pa.Table) -> pa.Table:
         dg = ray.get(deg_ref).astype(np.uint64)
-        s = df["s"].to_numpy(dtype=np.int64)
-        t = df["t"].to_numpy(dtype=np.uint64)
+        s = tb["s"].to_numpy()
+        t = tb["t"].to_numpy().astype(np.uint64)
         rank_t = (dg[t] << np.uint64(32)) | t
         order = np.lexsort((rank_t, s))
         s, t = s[order], t[order]
@@ -313,34 +312,24 @@ def triangle_count(
         else:
             ck = np.empty(0, np.uint64)
             m = np.empty(0, np.int64)
-        return pd.DataFrame(
-            {"ck": ck.astype(np.int64), "m": m.astype(np.int64)}
+        return pa.table(
+            {"ck": pa.array(ck.astype(np.int64)),
+             "m": pa.array(m.astype(np.int64))}
         )
 
-    wedges = (
-        edges.map_batches(orient, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(wedge_group)
+    wedges = bucket_exchange(
+        edges.map_batches(orient, batch_format="pyarrow"), ["s"], wedge_group,
+        n_buckets,
     )
 
     def tag_edge(t: pa.Table) -> pa.Table:
-        ek = t["ek"].to_numpy().astype(np.uint64)
         return pa.table(
-            {"ck": t["ek"],
-             "m": pa.array(np.zeros(len(t), np.int64)),
-             "kb": pa.array((mix64(ek) % np.uint64(n_buckets)).astype(np.int64))}
+            {"ck": t["ek"], "m": pa.array(np.zeros(len(t), np.int64))}
         )
 
-    def tag_wedge(t: pa.Table) -> pa.Table:
-        ck = t["ck"].to_numpy().astype(np.uint64)
-        return pa.table(
-            {"ck": t["ck"], "m": t["m"],
-             "kb": pa.array((mix64(ck) % np.uint64(n_buckets)).astype(np.int64))}
-        )
-
-    def close_group(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["m"].to_numpy(dtype=np.int64)
-        ck = df["ck"].to_numpy(dtype=np.int64)
+    def close_group(t: pa.Table) -> pa.Table:
+        m = t["m"].to_numpy()
+        ck = t["ck"].to_numpy()
         ekeys = np.sort(ck[m == 0])
         cand = ck[m > 0]
         cm = m[m > 0]
@@ -351,13 +340,12 @@ def triangle_count(
             tot = int(cm[ekeys[pos] == cand].sum())
         else:
             tot = 0
-        return pd.DataFrame({"tri": pd.array([tot], dtype=np.int64)})
+        return pa.table({"tri": pa.array([tot], pa.int64())})
 
-    tagged = edges.map_batches(tag_edge, batch_format="pyarrow").union(
-        wedges.map_batches(tag_wedge, batch_format="pyarrow")
-    )
+    tagged = [edges.map_batches(tag_edge, batch_format="pyarrow"), wedges]
     tri = int(
-        tagged.groupby("kb").map_groups(close_group).to_pandas()["tri"].sum()
+        bucket_exchange(tagged, ["ck"], close_group, n_buckets)
+        .to_pandas()["tri"].sum()
     )
     return pd.DataFrame(
         {"n_nodes": pd.array([n], dtype=np.int64),
@@ -536,8 +524,7 @@ def label_propagation(
         def bucket(t: pa.Table) -> pa.Table:
             return t.append_column(
                 "__gb__",
-                pa.array(((t["key"].to_numpy() // nn) % n_buckets)
-                         .astype(np.int64)),
+                pa.array(bucket_ids(t["key"].to_numpy() // nn, n_buckets)),
             )
 
         def argmax(t: pa.Table) -> pa.Table:

@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
-from record_matcher_ray.core.hashkernels import column_hash64
+from record_matcher_ray.core.exchange import bucket_exchange
 
 
 def _distinct_capped(
@@ -117,11 +117,7 @@ def basket_pairs(
     def project(t: pa.Table) -> pa.Table:
         ok = pc.and_(pc.is_valid(t[basket_col]), pc.is_valid(t[item_col]))
         sub = t.filter(ok)
-        b = column_hash64(sub[basket_col]) % np.uint64(n_buckets)
-        return pa.table(
-            {"__b__": pa.array(b.astype(np.int64)),
-             "bk": sub[basket_col], "it": sub[item_col]}
-        )
+        return pa.table({"bk": sub[basket_col], "it": sub[item_col]})
 
     def gen_pairs(t: pa.Table) -> pa.Table:
         bk = t["bk"].to_numpy(zero_copy_only=False)
@@ -138,9 +134,10 @@ def basket_pairs(
         )
 
     pairs = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(gen_pairs, batch_format="pyarrow")
+        bucket_exchange(
+            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_pairs,
+            n_buckets,
+        )
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"))
     )
@@ -201,11 +198,7 @@ def item_cooccurrence_similarity(
                 "item_cooccurrence_similarity requires non-negative "
                 "item ids (negative ids collide with sentinel rows)"
             )
-        b = column_hash64(sub[basket_col]) % np.uint64(n_buckets)
-        return pa.table(
-            {"__b__": pa.array(b.astype(np.int64)),
-             "bk": sub[basket_col], "it": sub[item_col]}
-        )
+        return pa.table({"bk": sub[basket_col], "it": sub[item_col]})
 
     def gen_partials(t: pa.Table) -> pa.Table:
         bk = t["bk"].to_numpy(zero_copy_only=False)
@@ -240,9 +233,10 @@ def item_cooccurrence_similarity(
         )
 
     merged = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(gen_partials, batch_format="pyarrow")
+        bucket_exchange(
+            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_partials,
+            n_buckets,
+        )
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"))
         .materialize()
@@ -354,11 +348,7 @@ def adamic_adar_items(
     def project(t: pa.Table) -> pa.Table:
         ok = pc.and_(pc.is_valid(t[basket_col]), pc.is_valid(t[item_col]))
         sub = t.filter(ok)
-        b = column_hash64(sub[basket_col]) % np.uint64(n_buckets)
-        return pa.table(
-            {"__b__": pa.array(b.astype(np.int64)),
-             "bk": sub[basket_col], "it": sub[item_col]}
-        )
+        return pa.table({"bk": sub[basket_col], "it": sub[item_col]})
 
     def _empty() -> pa.Table:
         z = pa.array([], pa.int64())
@@ -407,9 +397,10 @@ def adamic_adar_items(
         )
 
     pairs = (
-        ds.map_batches(project, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(gen_pairs, batch_format="pyarrow")
+        bucket_exchange(
+            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_pairs,
+            n_buckets,
+        )
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"),
                    Sum("aa_units", alias_name="aa_units"))

@@ -17,23 +17,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+
 _J_SIDE = "__jside__"
-
-
-def _bucket_of(arr: pa.ChunkedArray, n_buckets: int) -> pa.Array:
-    """Deterministic hash bucket per value, Arrow/numpy-native for the
-    common int/string key types (r2 paid an Arrow→pandas copy per batch
-    here — VERDICT r2 cleanup item). Stability contract: the SAME value
-    must bucket identically on both join sides in every worker process —
-    ints canonicalize via fill_null(0)+int64 before splitmix64, strings
-    via fill_null("")+the repo's own whole-string rolling hash. Null keys
-    match nothing downstream (Acero join null semantics), so the bucket
-    they land in is irrelevant. Other key types take the pandas-siphash
-    fallback (fixed default key — process-stable)."""
-    from record_matcher_ray.core.hashkernels import column_hash64
-
-    h = column_hash64(arr)
-    return pa.array((h % np.uint64(n_buckets)).astype(np.int64))
 
 
 def hash_join(
@@ -67,8 +53,7 @@ def hash_join(
         raise ValueError(f"hash_join column collision: {overlap}")
 
     key_type = lschema.field(left_on).type
-    fields = [(_J_SIDE, pa.int8()), ("__jb__", pa.int64()),
-              ("__jkey__", key_type)]
+    fields = [(_J_SIDE, pa.int8()), ("__jkey__", key_type)]
     fields += [(c, lschema.field(c).type) for c in lcols]
     fields += [(c, rschema.field(c).type) for c in rcols]
     wire = pa.schema(fields)
@@ -76,7 +61,7 @@ def hash_join(
     def prep_l(t: pa.Table) -> pa.Table:
         key = pc.cast(t[left_on], key_type).combine_chunks()
         cols = {_J_SIDE: pa.array(np.zeros(len(t), np.int8)),
-                "__jb__": _bucket_of(key, n_buckets), "__jkey__": key}
+                "__jkey__": key}
         for c in lcols:
             cols[c] = t[c].combine_chunks()
         for c in rcols:
@@ -86,16 +71,15 @@ def hash_join(
     def prep_r(t: pa.Table) -> pa.Table:
         key = pc.cast(t[right_on], key_type).combine_chunks()
         cols = {_J_SIDE: pa.array(np.ones(len(t), np.int8)),
-                "__jb__": _bucket_of(key, n_buckets), "__jkey__": key}
+                "__jkey__": key}
         for c in lcols:
             cols[c] = pa.nulls(len(t), wire.field(c).type)
         for c in rcols:
             cols[c] = t[c].combine_chunks()
         return pa.table({f.name: cols[f.name] for f in wire})
 
-    tagged = left.map_batches(prep_l, batch_format="pyarrow").union(
-        right.map_batches(prep_r, batch_format="pyarrow")
-    )
+    tagged = [left.map_batches(prep_l, batch_format="pyarrow"),
+              right.map_batches(prep_r, batch_format="pyarrow")]
 
     out_schema = pa.schema(
         [(c, lschema.field(c).type) for c in lcols]
@@ -139,9 +123,7 @@ def hash_join(
             cols[left_on] = pc.cast(j["__jkey__"].combine_chunks(), key_type)
         return pa.table({c: cols[c] for c in out_names}).cast(out_schema)
 
-    return tagged.groupby("__jb__").map_groups(
-        bucket_join, batch_format="pyarrow"
-    )
+    return bucket_exchange(tagged, ["__jkey__"], bucket_join, n_buckets)
 
 
 def range_join(
@@ -205,8 +187,7 @@ def range_join(
     if left_on is not None:
         key_type = lschema.field(left_on).type
         wire = pa.schema(
-            [(_J_SIDE, pa.int8()), ("__jb__", pa.int64()),
-             ("__jkey__", key_type)]
+            [(_J_SIDE, pa.int8()), ("__jkey__", key_type)]
             + [(c, lschema.field(c).type) for c in lcols]
             + [(c, rschema.field(c).type) for c in rcols]
         )
@@ -216,7 +197,6 @@ def range_join(
                 key = pc.cast(t[key_col], key_type).combine_chunks()
                 cols = {
                     _J_SIDE: pa.array(np.full(len(t), side, np.int8)),
-                    "__jb__": _bucket_of(key, n_buckets),
                     "__jkey__": key,
                 }
                 for c in own:
@@ -227,12 +207,12 @@ def range_join(
 
             return fn
 
-        tagged = left.map_batches(
-            prep(0, left_on, lcols, rcols), batch_format="pyarrow"
-        ).union(
+        tagged = [
+            left.map_batches(prep(0, left_on, lcols, rcols),
+                             batch_format="pyarrow"),
             right.map_batches(prep(1, right_on, rcols, lcols),
-                              batch_format="pyarrow")
-        )
+                              batch_format="pyarrow"),
+        ]
 
         def bucket_join(t: pa.Table) -> pa.Table:
             lmask = pc.equal(t[_J_SIDE], 0)
@@ -248,9 +228,7 @@ def range_join(
             out = j.filter(pc.fill_null(mask, False))
             return out.select(out_names).cast(out_schema)
 
-        return tagged.groupby("__jb__").map_groups(
-            bucket_join, batch_format="pyarrow"
-        )
+        return bucket_exchange(tagged, ["__jkey__"], bucket_join, n_buckets)
 
     # ---- pure range: domain bucketing with interval replication ---------
     if bucket_width is None:
@@ -358,6 +336,7 @@ def asof_join(
     ``left_on``, per ``by`` key): hash-bucket both sides on the key, one
     ``pd.merge_asof`` per bucket over the sorted bucket (the Ray-portable
     pattern for range/as-of joins). Non-key column names must be disjoint."""
+    from record_matcher_ray.core.hashkernels import column_hash64
     from record_matcher_ray.pipelines.match import _arrow_schema
 
     lschema = _arrow_schema(left)
@@ -382,7 +361,8 @@ def asof_join(
             key = pc.cast(t[by], by_type)
             cols = {
                 "__aside__": pa.array(np.full(len(t), side, np.int8)),
-                "__ab__": _bucket_of(key, n_buckets),
+                "__ab__": pa.array(
+                    bucket_ids(column_hash64(key), n_buckets)),
             }
             for f in wire:
                 if f.name in cols:
@@ -547,23 +527,14 @@ def bloom_semi_join(
 
     # distinct key values via a bounded-bucket exchange (never groupby the
     # raw key), then an exact bucketed hash_join over the small superset
-    def kb(t: pa.Table) -> pa.Table:
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
-        return pa.table(
-            {key_col: t[key_col],
-             "__sb__": pa.array(b.astype(np.int64))}
-        )
-
     def uniq(t: pa.Table) -> pa.Table:
         col = t[key_col]
         u = pc.unique(col.combine_chunks() if isinstance(
             col, pa.ChunkedArray) else col)
         return pa.table({"__key__": u})
 
-    distinct_keys = (
-        keys.map_batches(kb, batch_format="pyarrow")
-        .groupby("__sb__")
-        .map_groups(uniq, batch_format="pyarrow")
+    distinct_keys = bucket_exchange(
+        keys.select_columns([key_col]), [key_col], uniq, n_buckets
     )
     return hash_join(survivors, distinct_keys, on, "__key__",
                      how="inner", n_buckets=n_buckets)
@@ -596,8 +567,6 @@ def estimate_join_cardinality(
         def fn(t: pa.Table) -> pa.Table:
             import pandas as _pd
 
-            from record_matcher_ray.core.hashkernels import column_hash64
-
             col = t[on]
             valid = pc.is_valid(col)
             col = col.filter(valid)
@@ -606,19 +575,15 @@ def estimate_join_cardinality(
                 k.to_numpy(zero_copy_only=False))
             cnt = np.bincount(codes).astype(np.int64)
             ua = pa.array(np.asarray(uniq, object), pa.string())
-            bk = (column_hash64(ua) % np.uint64(n_buckets)).astype(
-                np.int64)
             return pa.table({
                 "k": ua, "c": pa.array(cnt),
                 "side": pa.array(np.full(len(cnt), side, np.int8)),
-                "__b__": pa.array(bk),
             })
 
         return fn
 
-    both = left.map_batches(counts(0, left_on), batch_format="pyarrow").union(
-        right.map_batches(counts(1, right_on), batch_format="pyarrow")
-    )
+    both = [left.map_batches(counts(0, left_on), batch_format="pyarrow"),
+            right.map_batches(counts(1, right_on), batch_format="pyarrow")]
 
     def reduce_bucket(t: pa.Table) -> pa.Table:
         import pandas as _pd
@@ -641,12 +606,7 @@ def estimate_join_cardinality(
             "mx": pa.array([max(prod) if prod else 0], pa.int64()),
         })
 
-    parts = (
-        both.groupby("__b__")
-        .map_groups(lambda t: reduce_bucket(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(both, ["k"], reduce_bucket, n_buckets).to_pandas()
     if parts.empty:
         return pd.DataFrame({"n_left": [0], "n_right": [0],
                              "n_shared_keys": [0], "join_rows": [0],

@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 from record_matcher_ray.core.hashkernels import (
     column_hash64,
     mix64,
@@ -46,15 +47,12 @@ from record_matcher_ray.core.hashkernels import (
 )
 from record_matcher_ray.pipelines.dedup import _group_pairs
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket_u64(h: np.ndarray, n_buckets: int) -> np.ndarray:
-    """uint64/int64 hash array → int64 bucket ids in [0, n_buckets)."""
-    return (
-        (h.view(np.uint64) * _GOLD >> np.uint64(33))
-        % np.uint64(n_buckets)
-    ).astype(np.int64)
+def _non_null(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
+    """Drop rows whose ``col`` is null (SQL join semantics for block and
+    cluster keys: a null key groups with nothing)."""
+    return ds.map_batches(
+        lambda t: t.filter(pc.is_valid(t[col])), batch_format="pyarrow"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,6 @@ def edit_distance_self_join(
         return pa.table(
             {
                 "uhash": pa.array(h),
-                "bucket": pa.array(_bucket_u64(h, n_buckets)),
                 "id": pc.cast(t[id_col], pa.int64()),
                 "txt": txt,
             }
@@ -204,11 +201,9 @@ def edit_distance_self_join(
             {"uhash": pa.array(u[sel]), "txt": t["txt"].take(pa.array(sel))}
         )
 
-    uniq = (
-        members.groupby("bucket")
-        .map_groups(distinct_strings, batch_format="pyarrow")
-        .materialize()
-    )
+    uniq = bucket_exchange(
+        members, ["uhash"], distinct_strings, n_buckets
+    ).materialize()
 
     # ---- intra-group exact-dup pairs (dist 0) ---------------------------
     def dup_pairs(t: pa.Table) -> pa.Table:
@@ -226,15 +221,13 @@ def edit_distance_self_join(
              "dist": pa.array(np.zeros(len(a), np.int64))}
         )
 
-    zero_pairs = members.groupby("bucket").map_groups(
-        dup_pairs, batch_format="pyarrow"
-    )
+    zero_pairs = bucket_exchange(members, ["uhash"], dup_pairs, n_buckets)
 
     # ---- candidate keys over distinct strings ---------------------------
     def expand_keys(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("kb", pa.int64()), ("key", pa.int64()),
-             ("uhash", pa.int64()), ("txt", pa.string())]
+            [("key", pa.int64()), ("uhash", pa.int64()),
+             ("txt", pa.string())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -258,7 +251,6 @@ def edit_distance_self_join(
         rows = np.concatenate([rows_g, rows_s])
         return pa.table(
             {
-                "kb": pa.array(_bucket_u64(keys, n_buckets)),
                 "key": pa.array(keys),
                 "uhash": pa.array(t["uhash"].to_numpy()[rows]),
                 "txt": txt.take(pa.array(rows)),
@@ -267,9 +259,9 @@ def edit_distance_self_join(
 
     def key_pairs(t: pa.Table) -> pa.Table:
         """Per key group → candidate (ua, ub) with texts, locally deduped
-        and length-filtered; pair-bucketed for the global dedupe."""
+        and length-filtered, for the global per-pair dedupe."""
         empty = pa.schema(
-            [("pb", pa.int64()), ("ua", pa.int64()), ("ub", pa.int64()),
+            [("ua", pa.int64()), ("ub", pa.int64()),
              ("ta", pa.string()), ("tb", pa.string())]
         ).empty_table()
         if len(t) == 0:
@@ -300,13 +292,8 @@ def edit_distance_self_join(
             ([True], (ua_s[1:] != ua_s[:-1]) | (ub_s[1:] != ub_s[:-1]))
         )
         sel = order[first]
-        pairb = _bucket_u64(
-            (ua2[sel].view(np.uint64) * _GOLD) ^ ub2[sel].view(np.uint64),
-            n_buckets,
-        )
         return pa.table(
             {
-                "pb": pa.array(pairb),
                 "ua": pa.array(ua2[sel]),
                 "ub": pa.array(ub2[sel]),
                 "ta": txt.take(pa.array(pa2[sel])),
@@ -338,14 +325,15 @@ def edit_distance_self_join(
              "dist": pa.array(d[keep])}
         )
 
-    accepted = (
-        uniq.map_batches(expand_keys, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(key_pairs, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(verify, batch_format="pyarrow")
-        .materialize()  # small (verified distinct-string pairs); also
-    )  # lets the all-pruned case short-circuit the joins below
+    cand = bucket_exchange(
+        uniq.map_batches(expand_keys, batch_format="pyarrow"), ["key"],
+        key_pairs, n_buckets,
+    )
+    # small (verified distinct-string pairs); materializing also lets the
+    # all-pruned case short-circuit the joins below
+    accepted = bucket_exchange(
+        cand, ["ua", "ub"], verify, n_buckets
+    ).materialize()
     if accepted.count() == 0:
         return zero_pairs
 
@@ -504,14 +492,6 @@ def fellegi_sunter_link(
     proj = ds.select_columns([id_col, block_col, *fields])
     wa, wd = fellegi_sunter_weights(proj, fields, m_probs)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        mask = pc.is_valid(t[block_col])
-        t = t.filter(mask)
-        b = column_hash64(t[block_col])
-        return t.append_column(
-            "__fsb__", pa.array((b % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def score_block(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -548,10 +528,8 @@ def fellegi_sunter_link(
             }
         )
 
-    return (
-        proj.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__fsb__")
-        .map_groups(score_block, batch_format="pyarrow")
+    return bucket_exchange(
+        _non_null(proj, block_col), [block_col], score_block, n_buckets,
     )
 
 
@@ -593,7 +571,7 @@ def metablock_wep_pairs(
 
     def token_instances(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("tb", pa.int64()), ("tok", pa.int64()), ("id", pa.int64())]
+            [("tok", pa.int64()), ("id", pa.int64())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -620,18 +598,11 @@ def metablock_wep_pairs(
         tu, tu_lens = unique_per_doc(th, n_tok)
         rows_u = np.repeat(np.arange(len(t), dtype=np.int64), tu_lens)
         ids = pc.cast(t[id_col], pa.int64()).to_numpy()
-        return pa.table(
-            {
-                "tb": pa.array(_bucket_u64(tu, n_buckets)),
-                "tok": pa.array(tu),
-                "id": pa.array(ids[rows_u]),
-            }
-        )
+        return pa.table({"tok": pa.array(tu), "id": pa.array(ids[rows_u])})
 
     def bucket_pair_counts(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("pb", pa.int64()), ("x", pa.int64()), ("y", pa.int64()),
-             ("cnt", pa.int64())]
+            [("x", pa.int64()), ("y", pa.int64()), ("cnt", pa.int64())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -648,12 +619,8 @@ def metablock_wep_pairs(
         )
         starts = np.nonzero(first)[0]
         cnt = np.diff(np.concatenate((starts, [len(a_s)])))
-        xa, yb = a_s[first], b_s[first]
-        pairb = _bucket_u64(
-            (xa.view(np.uint64) * _GOLD) ^ yb.view(np.uint64), n_buckets
-        )
         return pa.table(
-            {"pb": pa.array(pairb), "x": pa.array(xa), "y": pa.array(yb),
+            {"x": pa.array(a_s[first]), "y": pa.array(b_s[first]),
              "cnt": pa.array(cnt.astype(np.int64))}
         )
 
@@ -679,14 +646,14 @@ def metablock_wep_pairs(
              "weight": pa.array(w.astype(np.int64))}
         )
 
-    edges = (
-        ds.map_batches(token_instances, batch_format="pyarrow")
-        .groupby("tb")
-        .map_groups(bucket_pair_counts, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(combine_pairs, batch_format="pyarrow")
-        .materialize()  # two consumers: global mean + the pruning filter
+    partial_pairs = bucket_exchange(
+        ds.map_batches(token_instances, batch_format="pyarrow"), ["tok"],
+        bucket_pair_counts, n_buckets,
     )
+    # two consumers: global mean + the pruning filter
+    edges = bucket_exchange(
+        partial_pairs, ["x", "y"], combine_pairs, n_buckets
+    ).materialize()
 
     @ray.remote
     def _totals(t: pa.Table) -> tuple[int, int]:
@@ -753,8 +720,7 @@ def band_self_join(
 
     def expand_cells(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("cb", pa.int64()), ("cell", pa.int64()),
-             ("id", pa.int64()), ("v", pa.float64())]
+            [("cell", pa.int64()), ("id", pa.int64()), ("v", pa.float64())]
         ).empty_table()
         v = pc.cast(t[val_col], pa.float64())
         ok = pc.is_valid(v)
@@ -768,17 +734,12 @@ def band_self_join(
         ids3 = np.tile(ids, 3)
         v3 = np.tile(vv, 3)
         return pa.table(
-            {
-                "cb": pa.array(_bucket_u64(cells, n_buckets)),
-                "cell": pa.array(cells),
-                "id": pa.array(ids3),
-                "v": pa.array(v3),
-            }
+            {"cell": pa.array(cells), "id": pa.array(ids3), "v": pa.array(v3)}
         )
 
     def cell_pairs(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("pb", pa.int64()), ("x_id", pa.int64()), ("y_id", pa.int64()),
+            [("x_id", pa.int64()), ("y_id", pa.int64()),
              ("diff", pa.float64())]
         ).empty_table()
         if len(t) == 0:
@@ -795,13 +756,9 @@ def band_self_join(
         if not keep.any():
             return empty
         ids = t["id"].to_numpy()
-        a, b = ids[pa_][keep], ids[pb_][keep]
-        pairb = _bucket_u64(
-            (a.view(np.uint64) * _GOLD) ^ b.view(np.uint64), n_buckets
-        )
         return pa.table(
-            {"pb": pa.array(pairb), "x_id": pa.array(a), "y_id": pa.array(b),
-             "diff": pa.array(d[keep])}
+            {"x_id": pa.array(ids[pa_][keep]),
+             "y_id": pa.array(ids[pb_][keep]), "diff": pa.array(d[keep])}
         )
 
     def dedupe(t: pa.Table) -> pa.Table:
@@ -825,13 +782,11 @@ def band_self_join(
              "diff": pa.array(d[sel])}
         )
 
-    return (
-        ds.map_batches(expand_cells, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(cell_pairs, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(dedupe, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        ds.map_batches(expand_cells, batch_format="pyarrow"), ["cell"],
+        cell_pairs, n_buckets,
     )
+    return bucket_exchange(pairs, ["x_id", "y_id"], dedupe, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -874,13 +829,6 @@ def survivorship(
                 f"survivorship rule {agg!r} for {col!r}: must be one of "
                 f"{_SURV_AGGS}"
             )
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[cluster_col]))
-        b = column_hash64(t[cluster_col])
-        return t.append_column(
-            "__svb__", pa.array((b % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def fold(t: pa.Table) -> pa.Table:
         fields = [("cluster", t.schema.field(cluster_col).type),
@@ -958,10 +906,8 @@ def survivorship(
             )
         return pa.table(out)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__svb__")
-        .map_groups(fold, batch_format="pyarrow")
+    return bucket_exchange(
+        _non_null(ds, cluster_col), [cluster_col], fold, n_buckets,
     )
 
 
@@ -992,18 +938,14 @@ def blocking_quality(
         def inner(t: pa.Table) -> pa.Table:
             x = pc.cast(t["x_id"], pa.int64()).to_numpy()
             y = pc.cast(t["y_id"], pa.int64()).to_numpy()
-            pb = _bucket_u64(
-                (x.view(np.uint64) * _GOLD) ^ y.view(np.uint64), n_buckets
-            )
             return pa.table(
-                {"pb": pa.array(pb), "x": pa.array(x), "y": pa.array(y),
+                {"x": pa.array(x), "y": pa.array(y),
                  "side": pa.array(np.full(len(x), side, np.int8))}
             )
         return inner
 
-    both = cand.map_batches(tag(0), batch_format="pyarrow").union(
-        truth.map_batches(tag(1), batch_format="pyarrow")
-    )
+    both = [cand.map_batches(tag(0), batch_format="pyarrow"),
+            truth.map_batches(tag(1), batch_format="pyarrow")]
 
     def bucket_counts(t: pa.Table) -> pa.Table:
         empty = pa.schema(
@@ -1034,8 +976,8 @@ def blocking_quality(
              "nh": pa.array([nh], pa.int64())}
         )
 
-    parts = both.groupby("pb").map_groups(
-        bucket_counts, batch_format="pyarrow"
+    parts = bucket_exchange(
+        both, ["x", "y"], bucket_counts, n_buckets
     ).to_pandas()
     n_cand = int(parts["nc"].sum()) if len(parts) else 0
     n_truth = int(parts["nt"].sum()) if len(parts) else 0
@@ -1086,10 +1028,8 @@ def token_sort_similarity_pairs(
         txt = pc.fill_null(pc.cast(t[text_col], pa.string()), "")
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
-        h = column_hash64(txt).view(np.int64)
         return pa.table(
-            {"b": pa.array(_bucket_u64(h, n_buckets)),
-             "uh": pa.array(h), "txt": txt}
+            {"uh": pa.array(column_hash64(txt).view(np.int64)), "txt": txt}
         )
 
     def dedupe_vals(t: pa.Table) -> pa.Table:
@@ -1108,8 +1048,7 @@ def token_sort_similarity_pairs(
 
     def token_keys(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("kb", pa.int64()), ("key", pa.int64()),
-             ("uh", pa.int64()), ("txt", pa.string())]
+            [("key", pa.int64()), ("uh", pa.int64()), ("txt", pa.string())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -1129,7 +1068,6 @@ def token_sort_similarity_pairs(
         rows_u = np.repeat(np.arange(len(t), dtype=np.int64), tu_lens)
         return pa.table(
             {
-                "kb": pa.array(_bucket_u64(tu, n_buckets)),
                 "key": pa.array(tu),
                 "uh": pa.array(t["uh"].to_numpy()[rows_u]),
                 "txt": txt.take(pa.array(rows_u)),
@@ -1138,7 +1076,7 @@ def token_sort_similarity_pairs(
 
     def key_pairs(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("pb", pa.int64()), ("ua", pa.int64()), ("ub", pa.int64()),
+            [("ua", pa.int64()), ("ub", pa.int64()),
              ("ta", pa.string()), ("tb", pa.string())]
         ).empty_table()
         if len(t) == 0:
@@ -1164,12 +1102,8 @@ def token_sort_similarity_pairs(
         sel = order[first]
         txt = t["txt"].combine_chunks() if isinstance(
             t["txt"], pa.ChunkedArray) else t["txt"]
-        pairb = _bucket_u64(
-            (ua2[sel].view(np.uint64) * _GOLD) ^ ub2[sel].view(np.uint64),
-            n_buckets,
-        )
         return pa.table(
-            {"pb": pa.array(pairb), "ua": pa.array(ua2[sel]),
+            {"ua": pa.array(ua2[sel]),
              "ub": pa.array(ub2[sel]),
              "ta": txt.take(pa.array(pa2[sel])),
              "tb": txt.take(pa.array(pb2[sel]))}
@@ -1218,16 +1152,15 @@ def token_sort_similarity_pairs(
              "ts_sim": pa.array(sim.astype(np.float64))}
         )
 
-    return (
-        ds.map_batches(distinct_vals, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(dedupe_vals, batch_format="pyarrow")
-        .map_batches(token_keys, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(key_pairs, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(score, batch_format="pyarrow")
+    vals = bucket_exchange(
+        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
+        dedupe_vals, n_buckets,
     )
+    pairs = bucket_exchange(
+        vals.map_batches(token_keys, batch_format="pyarrow"), ["key"],
+        key_pairs, n_buckets,
+    )
+    return bucket_exchange(pairs, ["ua", "ub"], score, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,13 +1204,6 @@ def compare_vectors(
     cols = [id_col, block_col] + [c for c, _ in specs]
     proj = ds.select_columns(list(dict.fromkeys(cols)))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[block_col]))
-        b = column_hash64(t[block_col])
-        return t.append_column(
-            "__cvb__", pa.array((b % np.uint64(n_buckets)).astype(np.int64))
-        )
-
     def featurize(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1317,10 +1243,8 @@ def compare_vectors(
                 out[name] = pa.array(np.abs(v[pa_] - v[pb_]))
         return pa.table(out)
 
-    return (
-        proj.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__cvb__")
-        .map_groups(featurize, batch_format="pyarrow")
+    return bucket_exchange(
+        _non_null(proj, block_col), [block_col], featurize, n_buckets,
     )
 
 
@@ -1360,15 +1284,13 @@ def jw_prefix_join(
         txt = pc.fill_null(pc.cast(t[text_col], pa.string()), "")
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
-        h = column_hash64(txt).view(np.int64)
         return pa.table(
-            {"b": pa.array(_bucket_u64(h, n_buckets)),
-             "uh": pa.array(h), "txt": txt}
+            {"uh": pa.array(column_hash64(txt).view(np.int64)), "txt": txt}
         )
 
     def dedupe_vals(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("kb", pa.int64()), ("pfx", pa.int64()), ("txt", pa.string())]
+            [("pfx", pa.int64()), ("txt", pa.string())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -1387,9 +1309,7 @@ def jw_prefix_join(
         ph = whole_hashes(flat, starts, lens).view(np.int64)
         sel2 = np.nonzero(keep)[0]
         return pa.table(
-            {"kb": pa.array(_bucket_u64(ph[sel2], n_buckets)),
-             "pfx": pa.array(ph[sel2]),
-             "txt": txt.take(pa.array(sel2))}
+            {"pfx": pa.array(ph[sel2]), "txt": txt.take(pa.array(sel2))}
         )
 
     def block_pairs(t: pa.Table) -> pa.Table:
@@ -1423,13 +1343,11 @@ def jw_prefix_join(
              "jw_sim": pa.array(sim[keep])}
         )
 
-    return (
-        ds.map_batches(distinct_vals, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(dedupe_vals, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(block_pairs, batch_format="pyarrow")
+    names = bucket_exchange(
+        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
+        dedupe_vals, n_buckets,
     )
+    return bucket_exchange(names, ["pfx"], block_pairs, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1486,14 +1404,6 @@ def em_fellegi_sunter(
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     proj = ds.select_columns([id_col, block_col, *fields])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[block_col]))
-        b = column_hash64(t[block_col])
-        return t.append_column(
-            "__emb__",
-            pa.array((b % np.uint64(n_buckets)).astype(np.int64)),
-        )
-
     def pattern_counts(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1520,9 +1430,10 @@ def em_fellegi_sunter(
                          "c": pa.array(cnt[nz])})
 
     rows = (
-        proj.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__emb__")
-        .map_groups(pattern_counts, batch_format="pyarrow")
+        bucket_exchange(
+            _non_null(proj, block_col), [block_col], pattern_counts,
+            n_buckets,
+        )
         .groupby("pattern")
         .sum("c")
         .take_all()
@@ -1627,21 +1538,14 @@ def pairwise_eval(
             a, b = a[ne], b[ne]
             lo = np.minimum(a, b)
             hi = np.maximum(a, b)
-            hb = _bucket_u64(
-                mix64(lo.astype(np.uint64) * np.uint64(1000003)
-                      ^ hi.astype(np.uint64)),
-                n_buckets,
-            )
             return pa.table(
-                {"__pb__": pa.array(hb), "lo": pa.array(lo),
-                 "hi": pa.array(hi),
+                {"lo": pa.array(lo), "hi": pa.array(hi),
                  "side": pa.array(np.full(len(lo), side, np.int8))}
             )
         return fn
 
-    both = pred.map_batches(tag(0), batch_format="pyarrow").union(
-        truth.map_batches(tag(1), batch_format="pyarrow")
-    )
+    both = [pred.map_batches(tag(0), batch_format="pyarrow"),
+            truth.map_batches(tag(1), batch_format="pyarrow")]
 
     def partial(t: pa.Table) -> pa.Table:
         lo = t["lo"].to_numpy()
@@ -1667,11 +1571,7 @@ def pairwise_eval(
                          "fp": pa.array([fp], pa.int64()),
                          "fn": pa.array([fn_], pa.int64())})
 
-    parts = (
-        both.groupby("__pb__")
-        .map_groups(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(both, ["lo", "hi"], partial, n_buckets).to_pandas()
     if len(parts) == 0 or "tp" not in parts.columns:
         parts = pd.DataFrame({"tp": [0], "fp": [0], "fn": [0]})
     tp = int(parts["tp"].sum())
@@ -1774,15 +1674,6 @@ def fellegi_sunter_link_tf(
     lut_ref = ray.put((lut, n_total))
     lm = [math.log(m) for m in m_probs]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        mask = pc.is_valid(t[block_col])
-        t = t.filter(mask)
-        b = column_hash64(t[block_col])
-        return t.append_column(
-            "__fsb__",
-            pa.array((b % np.uint64(n_buckets)).astype(np.int64)),
-        )
-
     def score_block(t: pa.Table) -> pa.Table:
         lut_l, n_tot = ray.get(lut_ref)
         empty = pa.schema(
@@ -1827,10 +1718,8 @@ def fellegi_sunter_link_tf(
              "decision": pa.array(decision.astype(object), pa.string())}
         )
 
-    return (
-        proj.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__fsb__")
-        .map_groups(score_block, batch_format="pyarrow")
+    return bucket_exchange(
+        _non_null(proj, block_col), [block_col], score_block, n_buckets,
     )
 
 
@@ -1876,14 +1765,6 @@ def monge_elkan_join(
     from record_matcher_ray.pipelines.terms import _normalize
 
     proj = ds.select_columns([id_col, block_col, text_col])
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[block_col]))
-        b = column_hash64(t[block_col])
-        return t.append_column(
-            "__meb__",
-            pa.array((b % np.uint64(n_buckets)).astype(np.int64)),
-        )
 
     cap = int(max_tokens)
     thr = float(threshold)
@@ -1984,10 +1865,8 @@ def monge_elkan_join(
              "me_sim": pa.array(sym[keep])}
         )
 
-    return (
-        proj.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__meb__")
-        .map_groups(score_block, batch_format="pyarrow")
+    return bucket_exchange(
+        _non_null(proj, block_col), [block_col], score_block, n_buckets,
     )
 
 
@@ -2016,10 +1895,9 @@ def merge_conflict_report(
 
     def add_bucket(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[cluster_col]))
-        b = column_hash64(t[cluster_col])
         return t.append_column(
             "__mcb__",
-            pa.array((b % np.uint64(n_buckets)).astype(np.int64)),
+            pa.array(bucket_ids(column_hash64(t[cluster_col]), n_buckets)),
         )
 
     def report(df: pd.DataFrame) -> pd.DataFrame:
@@ -2088,12 +1966,10 @@ def greedy_max_matching(
             return pa.concat_arrays([x, y])
 
         a, b, s = t[a_col], t[b_col], t[score_col]
-        both = pa.table(
+        return pa.table(
             {"__node__": cat(a, b), "__other__": cat(b, a),
              a_col: cat(a, a), b_col: cat(b, b), score_col: cat(s, s)}
         )
-        hb = column_hash64(both["__node__"]) % np.uint64(n_buckets)
-        return both.append_column("__nb__", pa.array(hb.astype(np.int64)))
 
     def nominate(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -2142,21 +2018,11 @@ def greedy_max_matching(
     for rnd in range(1, int(rounds) + 1):
         if remaining.count() == 0:
             break
-        nom = (
-            remaining.map_batches(explode, batch_format="pyarrow")
-            .groupby("__nb__")
-            .map_groups(lambda t: nominate(t.drop_columns(["__nb__"])),
-                        batch_format="pyarrow")
+        nom = bucket_exchange(
+            remaining.map_batches(explode, batch_format="pyarrow"),
+            ["__node__"], nominate, n_buckets,
         )
-        from record_matcher_ray.pipelines.dedup import _with_tuple_bucket
-
-        mut = (
-            _with_tuple_bucket(nom, [a_col, b_col], n_buckets, "__mb__")
-            .groupby("__mb__")
-            .map_groups(lambda t: mutual(t.drop_columns(["__mb__"])),
-                        batch_format="pyarrow")
-        )
-        m = mut.to_pandas()
+        m = bucket_exchange(nom, [a_col, b_col], mutual, n_buckets).to_pandas()
         if len(m) == 0:
             break
         if len(m) > max_matched_broadcast:
@@ -2365,16 +2231,13 @@ def soft_tfidf_join(
         txt = pc.fill_null(pc.cast(t[text_col], pa.string()), "")
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
-        h = column_hash64(txt).view(np.int64)
         return pa.table(
-            {"b": pa.array(_bucket_u64(h, n_buckets)),
-             "uh": pa.array(h), "txt": txt}
+            {"uh": pa.array(column_hash64(txt).view(np.int64)), "txt": txt}
         )
 
     def dedupe_vals(t: pa.Table) -> pa.Table:
         empty = pa.schema(
-            [("kb", pa.int64()), ("pfx", pa.int64()),
-             ("txt", pa.string())]
+            [("pfx", pa.int64()), ("txt", pa.string())]
         ).empty_table()
         if len(t) == 0:
             return empty
@@ -2393,9 +2256,7 @@ def soft_tfidf_join(
         ph = whole_hashes(flat, starts, lens).view(np.int64)
         sel2 = np.nonzero(keep)[0]
         return pa.table(
-            {"kb": pa.array(_bucket_u64(ph[sel2], n_buckets)),
-             "pfx": pa.array(ph[sel2]),
-             "txt": txt.take(pa.array(sel2))}
+            {"pfx": pa.array(ph[sel2]), "txt": txt.take(pa.array(sel2))}
         )
 
     def _row_tokens(txt: pa.Array):
@@ -2431,10 +2292,9 @@ def soft_tfidf_join(
         start = np.concatenate(([0], np.cumsum(cnt)))[:-1]
         return ts, start, cnt
 
-    m = (
-        ds.map_batches(distinct_vals, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(dedupe_vals, batch_format="pyarrow")
+    m = bucket_exchange(
+        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
+        dedupe_vals, n_buckets,
     ).materialize()
     n_names = m.count()
 
@@ -2545,9 +2405,7 @@ def soft_tfidf_join(
              "st_sim": pa.array(st[keep])}
         )
 
-    return m.groupby("kb").map_groups(
-        score_block, batch_format="pyarrow"
-    )
+    return bucket_exchange(m, ["pfx"], score_block, n_buckets)
 
 
 def sorted_neighborhood_pairs(
@@ -2589,8 +2447,6 @@ def sorted_neighborhood_pairs(
     w = int(window)
 
     def to_groups(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import mix64
-
         r = t["__rn__"].to_numpy()
         ids = t[id_col]
         g_own = r // w
@@ -2604,11 +2460,8 @@ def sorted_neighborhood_pairs(
         )
         keep = g >= 0
         idx = pa.array(np.concatenate([np.arange(len(r), dtype=np.int64)] * 2)[keep])
-        bk = (mix64(g[keep].astype(np.uint64))
-              % np.uint64(n_buckets)).astype(np.int64)
         cols = {
             "__g__": pa.array(g[keep]),
-            "__b__": pa.array(bk),
             "__rn__": pa.array(rr[keep]),
             "__own__": pa.array(own[keep]),
             id_col: pc.take(ids, idx),
@@ -2665,11 +2518,9 @@ def sorted_neighborhood_pairs(
             cols[f"y_{c}"] = pc.take(cv, pa.array(yi))
         return pa.table(cols)
 
-    return (
-        rn.map_batches(to_groups, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(lambda t: emit(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        rn.map_batches(to_groups, batch_format="pyarrow"), ["__g__"], emit,
+        n_buckets,
     )
 
 
@@ -2708,8 +2559,6 @@ def auc_score(
     import pandas as pd
 
     def partial(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import mix64
-
         ok = pc.and_(pc.is_valid(t[score_col]), pc.is_valid(t[label_col]))
         t = t.filter(ok)
         q = np.floor(
@@ -2720,13 +2569,7 @@ def auc_score(
 
         codes, uniq = _pd.factorize(q * 2 + lab.astype(np.int64))
         cnt = np.bincount(codes).astype(np.int64)
-        bk = (mix64(uniq.astype(np.uint64))
-              % np.uint64(256)).astype(np.int64)
-        return pa.table({
-            "__k__": pa.array(uniq),
-            "__c__": pa.array(cnt),
-            "__b__": pa.array(bk),
-        })
+        return pa.table({"__k__": pa.array(uniq), "__c__": pa.array(cnt)})
 
     def merge(t: pa.Table) -> pa.Table:
         k = t["__k__"].to_numpy()
@@ -2739,13 +2582,10 @@ def auc_score(
             "__c__": pa.array(np.bincount(codes, weights=c).astype(np.int64)),
         })
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(lambda t: merge(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), ["__k__"], merge,
+        256,
+    ).to_pandas()
     if len(parts) > max_distinct:
         raise ValueError(
             f"auc_score: {len(parts)} distinct (score,label) cells exceed "
@@ -2814,8 +2654,6 @@ def bcubed_eval(
     import pandas as pd
 
     def partial(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
         ok = pc.and_(pc.is_valid(t[pred_col]), pc.is_valid(t[truth_col]))
         t = t.filter(ok)
         import pandas as _pd
@@ -2828,14 +2666,7 @@ def bcubed_eval(
         cnt = np.bincount(codes).astype(np.int64)
         up = pa.array([u[0] for u in uniq])
         ut = pa.array([u[1] for u in uniq])
-        bk = (
-            (mix64(column_hash64(up) * np.uint64(1099511628211))
-             ^ column_hash64(ut)) % np.uint64(256)
-        ).astype(np.int64)
-        return pa.table({
-            "__p__": up, "__t__": ut, "__c__": pa.array(cnt),
-            "__b__": pa.array(bk),
-        })
+        return pa.table({"__p__": up, "__t__": ut, "__c__": pa.array(cnt)})
 
     def merge(t: pa.Table) -> pa.Table:
         import pandas as _pd
@@ -2851,13 +2682,10 @@ def bcubed_eval(
             "__c__": pa.array(cnt),
         })
 
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(lambda t: merge(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    cells = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), ["__p__", "__t__"],
+        merge, 256,
+    ).to_pandas()
     if len(cells) > max_distinct:
         raise ValueError(
             f"bcubed_eval: {len(cells)} contingency cells exceed "
@@ -2924,10 +2752,7 @@ def blocking_scheme_sweep(
     """
     import pandas as pd
 
-    from record_matcher_ray.pipelines.dedup import (
-        _tuple_groups_sorted,
-        _with_tuple_bucket,
-    )
+    from record_matcher_ray.pipelines.dedup import _tuple_groups_sorted
 
     all_cols = sorted({c for cols in schemes.values() for c in cols})
     n_records = ds.count()
@@ -2938,23 +2763,16 @@ def blocking_scheme_sweep(
         cols = schemes[name]
 
         def bucket_pairs(t: pa.Table, cols=cols) -> pa.Table:
-            _, first, _ = _tuple_groups_sorted(
-                t.drop_columns(["__xb__"]), cols, id_col
-            )
+            _, first, _ = _tuple_groups_sorted(t, cols, id_col)
             b = np.nonzero(first)[0]
             sizes = np.diff(np.concatenate((b, [len(first)])))
             m = sizes.astype(object)  # python ints: C(m,2) can pass 2**63
             tot = int(sum(v * (v - 1) // 2 for v in m))
             return pa.table({"c": pa.array([tot], pa.int64())})
 
-        parts = (
-            _with_tuple_bucket(
-                ds.select_columns([id_col] + cols), cols, n_buckets
-            )
-            .groupby("__xb__")
-            .map_groups(bucket_pairs, batch_format="pyarrow")
-            .to_pandas()
-        )
+        parts = bucket_exchange(
+            ds.select_columns([id_col] + cols), cols, bucket_pairs, n_buckets
+        ).to_pandas()
         n_cand[name] = int(parts["c"].sum())
 
     # ---- truth-pair co-blocking: narrow semi-join on truth ids -------
@@ -3040,7 +2858,9 @@ def uncertainty_sample(
         s = t[score_col].to_numpy(zero_copy_only=False).astype(np.float64)
         g = np.abs(s - thr)
         g = np.floor(g * 1e6 + 0.5) / 1e6
-        t = t.append_column("gap", pa.array(g, pa.float64()))
+        # metadata-free blocks into the global sort (see core.exchange)
+        t = t.replace_schema_metadata(None).append_column(
+            "gap", pa.array(g, pa.float64()))
         if len(t) > k:
             x = pc.cast(t[x_col], pa.int64()).to_numpy()
             y = pc.cast(t[y_col], pa.int64()).to_numpy()

@@ -45,6 +45,7 @@ import ray.data
 
 from record_matcher_ray.core.config import MatchConfig
 from record_matcher_ray.core.dup import resolve_duplicates
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block
 from record_matcher_ray.pipelines import table_ops
 
@@ -161,10 +162,6 @@ def compute_flips(
         t = batch.filter(mask)
         return t.select([x_id_col, "winner_y_id", "winner_score"])
 
-    def add_wb(t: pa.Table) -> pa.Table:
-        wb = np.mod(t["winner_y_id"].to_numpy(), n_buckets)
-        return t.append_column("wb", pa.array(wb.astype(np.int64)))
-
     def resolve_bucket(t: pa.Table) -> pa.Table:
         n = len(t)
         empty = pa.schema([("x_id", pa.int64()), ("verdict", pa.string())])
@@ -203,12 +200,9 @@ def compute_flips(
                 )
             )
         return {}
-    flips_df = (
-        w.map_batches(add_wb, batch_format="pyarrow")
-        .groupby("wb")
-        .map_groups(resolve_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    flips_df = bucket_exchange(
+        w, ["winner_y_id"], resolve_bucket, n_buckets
+    ).to_pandas()
     if len(flips_df) and "x_id" in flips_df.columns:
         return dict(zip(flips_df["x_id"].astype(np.int64), flips_df["verdict"]))
     return {}
@@ -558,10 +552,6 @@ def _match_salted(
          ("rows_matched", pa.string()), ("match_score_str", pa.string())]
     )
 
-    def add_xb(t: pa.Table) -> pa.Table:
-        xb = np.mod(t["x_id"].to_numpy(), n_buckets)
-        return t.append_column("xb", pa.array(xb.astype(np.int64)))
-
     def reduce_bucket(t: pa.Table) -> pa.Table:
         n = len(t)
         if n == 0:
@@ -609,12 +599,9 @@ def _match_salted(
     # materialized: tiny (≈1 row per hot x), and the downstream hash joins
     # probe schemas — on a lazy dataset that would re-execute the expensive
     # scoring stage once per probe
-    reduced = (
-        pairs.map_batches(add_xb, batch_format="pyarrow")
-        .groupby("xb")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    reduced = bucket_exchange(
+        pairs, ["x_id"], reduce_bucket, n_buckets
+    ).materialize()
 
     # x originals for the hot subset (one row per x)
     def x_originals(t: pa.Table) -> pa.Table:

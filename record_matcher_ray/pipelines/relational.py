@@ -21,6 +21,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 from record_matcher_ray.pipelines.joins import broadcast_lookup
 
 
@@ -155,7 +156,7 @@ def topk_per_group(
 
     def bucketed(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["__b__"] = (df["o_custkey"].astype("int64") % n_buckets).astype("int64")
+        df["__b__"] = bucket_ids(df["o_custkey"].to_numpy(np.int64), n_buckets)
         return df
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -191,7 +192,7 @@ def sessionize_events(
 
     def bucketed(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["__b__"] = (df["user_id"].astype("int64") % n_buckets).astype("int64")
+        df["__b__"] = bucket_ids(df["user_id"].to_numpy(np.int64), n_buckets)
         return df
 
     def sessions(df: pd.DataFrame) -> pd.DataFrame:
@@ -439,20 +440,8 @@ def funnel_steps(
         t2 = t.filter(keep)
         code2 = pc.cast(pc.index_in(t2[type_col], value_set=step_set),
                         pa.int64())
-        u = t2[user_col].to_numpy(zero_copy_only=False)
-        if np.issubdtype(u.dtype, np.number):
-            b = ((u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                 >> np.uint64(33)) % np.uint64(n_buckets)
-        else:
-            # generic (string/object) user ids: vectorized row-hash, the
-            # same pattern as dedup._with_tuple_bucket (CLAUDE.md rule)
-            b = (
-                pd.util.hash_pandas_object(pd.Series(u), index=False)
-                .to_numpy() % np.uint64(n_buckets)
-            )
         return pa.table(
-            {"__fb__": pa.array(b.astype(np.int64)),
-             user_col: t2[user_col],
+            {user_col: t2[user_col],
              "__ts__": pc.cast(t2[ts_col], pa.int64()),
              "__code__": code2}
         )
@@ -497,10 +486,9 @@ def funnel_steps(
              "steps_completed": pa.array(done[hit])}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__fb__")
-        .map_groups(local, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [user_col], local,
+        n_buckets,
     )
 
 
@@ -543,17 +531,13 @@ def rolling_mean(
     """
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         c = np.floor(
             pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
         ).astype(np.int64)
         return pa.table(
             {id_col: t[id_col], key_col: t[key_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__c__": pa.array(c),
-             "__wb__": pa.array(b.astype(np.int64))}
+             "__c__": pa.array(c)}
         )
 
     def windows(t: pa.Table) -> pa.Table:
@@ -576,13 +560,9 @@ def rolling_mean(
              "roll_mean": pa.array(mean)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__wb__")
-        .map_groups(
-            lambda t: windows(t.drop_columns(["__wb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], windows,
+        n_buckets,
     )
 
 
@@ -601,13 +581,9 @@ def interarrival(
     """
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {id_col: t[id_col], key_col: t[key_col],
-             ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__wb__": pa.array(b.astype(np.int64))}
+             ts_col: pc.cast(t[ts_col], pa.int64())}
         )
 
     def deltas(t: pa.Table) -> pa.Table:
@@ -624,13 +600,9 @@ def interarrival(
              "delta_us": pa.array(d, pa.int64(), mask=first)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__wb__")
-        .map_groups(
-            lambda t: deltas(t.drop_columns(["__wb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], deltas,
+        n_buckets,
     )
 
 
@@ -721,15 +693,11 @@ def transition_counts(
     """
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {key_col: t[key_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
              id_col: t[id_col],
-             type_col: t[type_col],
-             "__tb__": pa.array(b.astype(np.int64))}
+             type_col: t[type_col]}
         )
 
     empty = pa.table({"src": pa.array([], pa.string()),
@@ -758,11 +726,9 @@ def transition_counts(
              "n": pa.array(cnt[nz].astype(np.int64))}
         )
 
-    parts = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__tb__")
-        .map_groups(lambda t: local(t.drop_columns(["__tb__"])),
-                    batch_format="pyarrow")
+    parts = bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
     return parts.groupby(["src", "dst"]).aggregate(Sum("n", alias_name="n"))
 
@@ -876,16 +842,12 @@ def ntile_by_group(
         raise ValueError(f"k must be positive, got {k}")
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[group_col]) % np.uint64(n_buckets)
         c = np.floor(
             pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
         ).astype(np.int64)
         return pa.table(
             {id_col: t[id_col], group_col: t[group_col],
-             "__c__": pa.array(c),
-             "__nb__": pa.array(b.astype(np.int64))}
+             "__c__": pa.array(c)}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -913,11 +875,9 @@ def ntile_by_group(
              "tile": pa.array(tile.astype(np.int64))}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__nb__")
-        .map_groups(lambda t: local(t.drop_columns(["__nb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
+        n_buckets,
     )
 
 
@@ -943,15 +903,11 @@ def value_intervals(
     oracle's LAG/LEAD windows frame identically."""
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {key_col: t[key_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
              id_col: t[id_col],
-             val_col: t[val_col],
-             "__vb__": pa.array(b.astype(np.int64))}
+             val_col: t[val_col]}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -987,11 +943,9 @@ def value_intervals(
              "valid_to": pa.array(nxt, mask=~same_key)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__vb__")
-        .map_groups(lambda t: local(t.drop_columns(["__vb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 
@@ -1075,17 +1029,13 @@ def time_weighted_avg(
     DuckDB HUGEINT oracle replays it bit-for-bit."""
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         c = np.floor(
             pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
         ).astype(np.int64)
         return pa.table(
             {key_col: t[key_col], id_col: t[id_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__c__": pa.array(c),
-             "__tb__": pa.array(b.astype(np.int64))}
+             "__c__": pa.array(c)}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -1140,11 +1090,9 @@ def time_weighted_avg(
                               pa.float64(), from_pandas=True)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__tb__")
-        .map_groups(lambda t: local(t.drop_columns(["__tb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 
@@ -1172,7 +1120,7 @@ def resample_counts(
     with an actionable error — a single sensor with a 10-year gap at 1 ms
     windows is a data bug, not a reason to OOM.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64, mix64
+    from record_matcher_ray.core.hashkernels import column_hash64
 
     if window_us <= 0:
         raise ValueError(f"window_us must be positive, got {window_us}")
@@ -1203,8 +1151,9 @@ def resample_counts(
         idx = np.flatnonzero(first)
         cnt = np.diff(np.append(idx, len(cs)))
         ku = pa.array(uniq).take(pa.array(cs[idx]))
-        h = column_hash64(pa.chunked_array([pa.array(uniq)]))
-        bucket = (mix64(h) % np.uint64(n_buckets)).astype(np.int64)
+        bucket = bucket_ids(
+            column_hash64(pa.chunked_array([pa.array(uniq)])), n_buckets
+        )
         return pa.table(
             {key_col: ku,
              "win": pa.array(ws[idx]),
@@ -1286,9 +1235,6 @@ def running_total(
     """
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         c = np.floor(
             pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
         ).astype(np.int64)
@@ -1296,8 +1242,7 @@ def running_total(
             {id_col: t[id_col], key_col: t[key_col],
              ts_col: pc.cast(pc.cast(t[ts_col], pa.timestamp("us")),
                              pa.int64()),
-             "__c__": pa.array(c),
-             "__wb__": pa.array(b.astype(np.int64))}
+             "__c__": pa.array(c)}
         )
 
     def windows(t: pa.Table) -> pa.Table:
@@ -1317,13 +1262,9 @@ def running_total(
              "run_total": pa.array(tot)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__wb__")
-        .map_groups(
-            lambda t: windows(t.drop_columns(["__wb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], windows,
+        n_buckets,
     )
 
 
@@ -1344,14 +1285,6 @@ def percent_rank_by_group(
     lexsort resolves every group (boundary flags give segment sizes and
     tie-run min-ranks via a running maximum — no per-group Python).
     """
-
-    def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = column_hash64(t[group_col]) % np.uint64(n_buckets)
-        return t.select([id_col, group_col, val_col]).append_column(
-            "__pb__", pa.array(b.astype(np.int64))
-        )
 
     def local(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -1385,13 +1318,9 @@ def percent_rank_by_group(
              "pct_rank": pa.array(pr)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__pb__")
-        .map_groups(
-            lambda t: local(t.drop_columns(["__pb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.select_columns([id_col, group_col, val_col]), [group_col], local,
+        n_buckets,
     )
 
 
@@ -1422,8 +1351,6 @@ def rolling_active(
     day-keyed exchange, so the driver only ever sees O(#distinct days)
     rows regardless of corpus size.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64
-
     if window_days <= 0:
         raise ValueError(f"window_days must be positive, got {window_days}")
     w = np.int64(window_days)
@@ -1451,10 +1378,6 @@ def rolling_active(
         .drop_columns(["count()"])
         .materialize()  # two consumers: day-range aggregate + deltas
     )
-
-    def bucketed(t: pa.Table) -> pa.Table:
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
-        return t.append_column("__ab__", pa.array(b.astype(np.int64)))
 
     def deltas(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -1489,12 +1412,7 @@ def rolling_active(
     lo_day, hi_day = int(rng["min(d)"]), int(rng["max(d)"])
 
     day_deltas = (
-        pairs.map_batches(bucketed, batch_format="pyarrow")
-        .groupby("__ab__")
-        .map_groups(
-            lambda t: deltas(t.drop_columns(["__ab__"])),
-            batch_format="pyarrow",
-        )
+        bucket_exchange(pairs, [key_col], deltas, n_buckets)
         .groupby("day")
         .aggregate(Sum("delta", alias_name="delta"))
         .to_pandas()
@@ -1613,8 +1531,6 @@ def sequence_pattern_counts(
     code_items = sorted(codes.items())
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         tv = t[type_col].to_numpy(zero_copy_only=False)
         ch = np.zeros(len(tv), np.uint8)
         keep = np.zeros(len(tv), bool)
@@ -1622,14 +1538,12 @@ def sequence_pattern_counts(
             m = tv == name
             ch[m] = ord(c)
             keep |= m
-        b = column_hash64(t[key_col]) % np.uint64(n_buckets)
         out = pa.table(
             {key_col: t[key_col],
              ts_col: pc.cast(pc.cast(t[ts_col], pa.timestamp("us")),
                              pa.int64()),
              id_col: t[id_col],
-             "__ch__": pa.array(ch),
-             "__sb__": pa.array(b.astype(np.int64))}
+             "__ch__": pa.array(ch)}
         )
         return out.filter(pa.array(keep))
 
@@ -1653,13 +1567,9 @@ def sequence_pattern_counts(
              "n_matches": pa.array(n_m)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__sb__")
-        .map_groups(
-            lambda t: scan(t.drop_columns(["__sb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], scan,
+        n_buckets,
     )
 
 
@@ -1901,16 +1811,12 @@ def ewma_by_key(
     b = 1.0 - a
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         ok = pc.and_(pc.is_valid(t[key_col]), pc.is_valid(t[val_col]))
         t = t.filter(ok)
-        bk = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {key_col: t[key_col], id_col: t[id_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__x__": pc.cast(t[val_col], pa.float64()),
-             "__eb__": pa.array(bk.astype(np.int64))}
+             "__x__": pc.cast(t[val_col], pa.float64())}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -1937,11 +1843,9 @@ def ewma_by_key(
              "ewma": pa.array(ew)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__eb__")
-        .map_groups(lambda t: local(t.drop_columns(["__eb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 
@@ -1984,16 +1888,12 @@ def cusum_by_key(
         raise ValueError(f"slack must be >= 0, got {slack}")
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         ok = pc.and_(pc.is_valid(t[key_col]), pc.is_valid(t[val_col]))
         t = t.filter(ok)
-        bk = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {key_col: t[key_col], id_col: t[id_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__x__": pc.cast(t[val_col], pa.float64()),
-             "__cb__": pa.array(bk.astype(np.int64))}
+             "__x__": pc.cast(t[val_col], pa.float64())}
         )
 
     def _round6(v: np.ndarray) -> np.ndarray:
@@ -2030,11 +1930,9 @@ def cusum_by_key(
              "alarm": pa.array(alarm)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__cb__")
-        .map_groups(lambda t: local(t.drop_columns(["__cb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 
@@ -2066,14 +1964,10 @@ def interval_union_by_key(
     dur = np.int64(int(duration_us))
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         t = t.filter(pc.is_valid(t[key_col]))
-        bk = column_hash64(t[key_col]) % np.uint64(n_buckets)
         return pa.table(
             {key_col: t[key_col], id_col: t[id_col],
-             ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__ib__": pa.array(bk.astype(np.int64))}
+             ts_col: pc.cast(t[ts_col], pa.int64())}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -2108,11 +2002,9 @@ def interval_union_by_key(
              "n_events": pa.array(cnt)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__ib__")
-        .map_groups(lambda t: local(t.drop_columns(["__ib__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 
@@ -2159,8 +2051,6 @@ def attribute_conversions(
     chan = list(channels)
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         tv = pc.cast(t[type_col], pa.string())
         keep = pc.and_(
             pc.is_valid(t[key_col]),
@@ -2168,7 +2058,6 @@ def attribute_conversions(
         )
         t = t.filter(keep)
         tv = pc.cast(t[type_col], pa.string())
-        bk = column_hash64(t[key_col]) % np.uint64(n_buckets)
         # type code: index into channels, -1 for the conversion type
         code = np.full(len(t), -1, np.int8)
         tn = tv.to_numpy(zero_copy_only=False)
@@ -2177,8 +2066,7 @@ def attribute_conversions(
         return pa.table(
             {key_col: t[key_col], id_col: t[id_col],
              ts_col: pc.cast(t[ts_col], pa.int64()),
-             "__tc__": pa.array(code),
-             "__ab__": pa.array(bk.astype(np.int64))}
+             "__tc__": pa.array(code)}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -2240,11 +2128,9 @@ def attribute_conversions(
              "lag_us": pa.array(lag, pa.int64(), mask=miss)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__ab__")
-        .map_groups(lambda t: local(t.drop_columns(["__ab__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
+        n_buckets,
     )
 
 

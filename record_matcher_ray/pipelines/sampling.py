@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Max, Sum
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 from record_matcher_ray.core.hashkernels import mix64
 
 _TWO64 = 1 << 64
@@ -119,8 +120,8 @@ def stratified_cap(
     def add_bucket(t: pa.Table) -> pa.Table:
         from record_matcher_ray.core.hashkernels import column_hash64
 
-        b = column_hash64(t[group_col]) % np.uint64(n_buckets)
-        return t.append_column("__sb__", pa.array(b.astype(np.int64)))
+        b = bucket_ids(column_hash64(t[group_col]), n_buckets)
+        return t.append_column("__sb__", pa.array(b))
 
     def rank_keep(df: pd.DataFrame) -> pd.DataFrame:
         h = sample_hash(df[id_col].to_numpy(), s)
@@ -390,12 +391,9 @@ def pack_sequences(
     def tag(t: pa.Table) -> pa.Table:
         ids = pa.compute.cast(t[id_col], pa.int64()).to_numpy()
         ln = pa.compute.cast(t[len_col], pa.int64()).to_numpy()
-        pb = ids // bucket_size
-        bk = (mix64(pb.astype(np.uint64)) % np.uint64(n_buckets)).astype(
-            np.int64)
         return pa.table({
             "id": pa.array(ids), "len": pa.array(ln),
-            "pb": pa.array(pb), "__b__": pa.array(bk),
+            "pb": pa.array(ids // bucket_size),
         })
 
     def pack(t: pa.Table) -> pa.Table:
@@ -434,11 +432,8 @@ def pack_sequences(
             "truncated": pa.array(trunc),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(lambda t: pack(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(tag, batch_format="pyarrow"), ["pb"], pack, n_buckets
     )
 
 

@@ -19,6 +19,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_ids
+
 
 def _merge_topk(
     parts: pd.DataFrame, k: int, query_ids: np.ndarray
@@ -391,10 +393,10 @@ def embedding_near_dups(
     # bounded-bucket shuffle + vectorized first-per-pair (CLAUDE.md rule)
     def add_pb(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["__pb__"] = (
-            ((df["a"].to_numpy() * np.int64(1000003)) ^ df["b"].to_numpy())
-            % n_pair_buckets
-        ).astype(np.int64)
+        df["__pb__"] = bucket_ids(
+            (df["a"].to_numpy() * np.int64(1000003)) ^ df["b"].to_numpy(),
+            n_pair_buckets,
+        )
         return df
 
     def local_distinct(df: pd.DataFrame) -> pd.DataFrame:

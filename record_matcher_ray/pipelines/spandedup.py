@@ -9,9 +9,9 @@ Scale shape
 -----------
 Window hashing is one vectorized sweep per batch (core.hashkernels
 .window_hashes — rolling polynomial hash, no per-row Python). The only
-all-to-all exchange carries (bucket, window_hash, doc_id, payload) rows —
-never text — and the shuffle KEY is ``hash % n_buckets`` (≤256), never
-the raw window hash, so per-group Python overhead is bounded by the
+all-to-all exchange (core.exchange.bucket_exchange) carries
+(window_hash, doc_id, payload) rows — never text — keyed by a ≤256
+bucket of the window hash, never the raw hash, so per-group Python overhead is bounded by the
 bucket count (CLAUDE.md rule) and each bucket resolves duplicate status
 in one vectorized sort/boundary pass. Per-doc aggregation is a second
 bounded-key exchange of doc-level partials. Nothing is materialized on
@@ -42,14 +42,13 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.hashkernels import (
     normalize_utf8,
     utf8_view,
     window_hashes,
 )
 from record_matcher_ray.pipelines.analysis import _round_half_away6
-
-_B = "__sdb__"  # bucket column riding the exchanges
 
 
 def _shuffle_parts(explicit: int | None) -> int:
@@ -90,8 +89,7 @@ def duplicated_window_stats(
         ids = t[id_col].combine_chunks()
         if len(h) == 0:
             return pa.table(
-                {_B: pa.array([], pa.int64()),
-                 "__h__": pa.array([], pa.int64()),
+                {"__h__": pa.array([], pa.int64()),
                  id_col: ids.slice(0, 0),
                  "__cnt__": pa.array([], pa.int64())}
             )
@@ -108,7 +106,6 @@ def duplicated_window_stats(
         hu, du = hs[first], dsx[first]
         return pa.table(
             {
-                _B: pa.array((hu % np.uint64(n_buckets)).astype(np.int64)),
                 "__h__": pa.array(hu.view(np.int64)),
                 id_col: ids.take(pa.array(du)),
                 "__cnt__": pa.array(cnt),
@@ -150,11 +147,9 @@ def duplicated_window_stats(
         )
 
     parts = _shuffle_parts(shuffle_partitions)
-    partials = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .repartition(parts)
-        .groupby(_B)
-        .map_groups(bucket_resolve, batch_format="pyarrow")
+    partials = bucket_exchange(
+        ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
+        ["__h__"], bucket_resolve, n_buckets,
     )
     agg = partials.groupby(id_col).aggregate(
         Sum("n_windows", alias_name="n_windows"),
@@ -196,8 +191,7 @@ def duplicate_spans(
         ids = t[id_col].combine_chunks()
         if len(h) == 0:
             return pa.table(
-                {_B: pa.array([], pa.int64()),
-                 "__h__": pa.array([], pa.int64()),
+                {"__h__": pa.array([], pa.int64()),
                  id_col: ids.slice(0, 0),
                  "__pos__": pa.array([], pa.int64()),
                  "__end__": pa.array([], pa.int64())}
@@ -209,7 +203,6 @@ def duplicate_spans(
         end = np.minimum(pos + window, lens[doc_idx])
         return pa.table(
             {
-                _B: pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
                 "__h__": pa.array(h.view(np.int64)),
                 id_col: ids.take(pa.array(doc_idx)),
                 "__pos__": pa.array(pos),
@@ -235,19 +228,7 @@ def duplicate_spans(
         dup_sorted = ndocs[hid_sorted] >= min_docs
         keep = np.empty(len(hs), bool)
         keep[order] = dup_sorted
-        out = t.filter(pa.array(keep))
-        # re-key the surviving rows by DOC hash bucket for the merge stage
-        doc_b = pd.util.hash_pandas_object(
-            out[id_col].to_pandas(), index=False
-        ).to_numpy() % np.uint64(n_buckets)
-        return pa.table(
-            {
-                _B: pa.array(doc_b.astype(np.int64)),
-                id_col: out[id_col].combine_chunks(),
-                "__pos__": out["__pos__"].combine_chunks(),
-                "__end__": out["__end__"].combine_chunks(),
-            }
-        )
+        return t.filter(pa.array(keep)).select([id_col, "__pos__", "__end__"])
 
     def bucket_merge(t: pa.Table) -> pa.Table:
         # merge overlapping/touching [pos, end) windows per doc — one
@@ -310,16 +291,14 @@ def duplicate_spans(
         )
 
     parts = _shuffle_parts(shuffle_partitions)
-    marked = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .repartition(parts)
-        .groupby(_B)
-        .map_groups(bucket_mark, batch_format="pyarrow")
+    marked = bucket_exchange(
+        ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
+        ["__h__"], bucket_mark, n_buckets,
     )
-    return (
-        marked.repartition(max(parts // 2, 1))
-        .groupby(_B)
-        .map_groups(bucket_merge, batch_format="pyarrow")
+    # the merge stage re-keys the surviving windows by document
+    return bucket_exchange(
+        marked.repartition(max(parts // 2, 1)), [id_col], bucket_merge,
+        n_buckets,
     )
 
 

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange
+
 _CHUNK = 1024  # int64-safe partial-sum chunk (CLAUDE.md int64-safety bound)
 
 
@@ -1054,8 +1056,6 @@ def gini_by_group(
     import math
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         ok = pc.and_(pc.is_valid(t[group_col]), pc.is_valid(t[val_col]))
         t = t.filter(ok)
         c = np.floor(
@@ -1066,10 +1066,8 @@ def gini_by_group(
                 f"gini_by_group quantized values exceed |{_WELCH_QMAX}|; "
                 f"lower `scale`."
             )
-        bk = column_hash64(t[group_col]) % np.uint64(n_buckets)
         return pa.table(
-            {group_col: t[group_col], "__c__": pa.array(c),
-             "__gb__": pa.array(bk.astype(np.int64))}
+            {group_col: t[group_col], "__c__": pa.array(c)}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -1122,11 +1120,9 @@ def gini_by_group(
              "gini": pa.array(out_gini, pa.float64())}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__gb__")
-        .map_groups(lambda t: local(t.drop_columns(["__gb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
+        n_buckets,
     )
 
 
@@ -1164,8 +1160,6 @@ def theil_by_group(
     import math
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         ok = pc.and_(pc.is_valid(t[group_col]), pc.is_valid(t[val_col]))
         t = t.filter(ok)
         c = np.floor(
@@ -1176,10 +1170,8 @@ def theil_by_group(
                 f"theil_by_group quantized values exceed |{_WELCH_QMAX}|; "
                 f"lower `scale`."
             )
-        bk = column_hash64(t[group_col]) % np.uint64(n_buckets)
         return pa.table(
-            {group_col: t[group_col], "__c__": pa.array(c),
-             "__tb__": pa.array(bk.astype(np.int64))}
+            {group_col: t[group_col], "__c__": pa.array(c)}
         )
 
     def local(t: pa.Table) -> pa.Table:
@@ -1229,11 +1221,9 @@ def theil_by_group(
                                mask=~ok_g)}
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__tb__")
-        .map_groups(lambda t: local(t.drop_columns(["__tb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
+        n_buckets,
     )
 
 
@@ -1268,8 +1258,6 @@ def ks_test_two_sample(
     import math
 
     def partial(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import mix64
-
         lv = pc.cast(t[label_col], pa.string())
         keep = pc.and_(
             pc.is_valid(t[val_col]),
@@ -1284,10 +1272,7 @@ def ks_test_two_sample(
         is_a = (lv2 == label_a).astype(np.int64)
         codes, uniq = pd.factorize(q * 2 + is_a)
         cnt = np.bincount(codes).astype(np.int64)
-        bk = (mix64(uniq.astype(np.uint64))
-              % np.uint64(256)).astype(np.int64)
-        return pa.table({"__k__": pa.array(uniq), "__c__": pa.array(cnt),
-                         "__b__": pa.array(bk)})
+        return pa.table({"__k__": pa.array(uniq), "__c__": pa.array(cnt)})
 
     def merge(t: pa.Table) -> pa.Table:
         k = t["__k__"].to_numpy()
@@ -1298,13 +1283,10 @@ def ks_test_two_sample(
             "__c__": pa.array(np.bincount(codes, weights=c).astype(np.int64)),
         })
 
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b__")
-        .map_groups(lambda t: merge(t.drop_columns(["__b__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    cells = bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), ["__k__"], merge,
+        256,
+    ).to_pandas()
     if len(cells) > max_distinct:
         raise ValueError(
             f"ks_test_two_sample: {len(cells)} distinct cells exceed "
@@ -1340,13 +1322,48 @@ def ks_test_two_sample(
     })
 
 
+def _contingency_cells(
+    ds: ray.data.Dataset, col_a: str, col_b: str
+) -> pd.DataFrame:
+    """Exact observed contingency cells of two categorical columns (nulls
+    drop) → DataFrame (__a__, __b__, __c__), one row per OBSERVED (a, b)
+    pair: per-block partial counts merged through one ≤256-bucket
+    exchange, so raw rows never shuffle."""
+
+    def count(a: np.ndarray, b: np.ndarray, w) -> pa.Table:
+        codes, uniq = pd.factorize(pd.MultiIndex.from_arrays([a, b]))
+        return pa.table({
+            "__a__": pa.array([u[0] for u in uniq], pa.string()),
+            "__b__": pa.array([u[1] for u in uniq], pa.string()),
+            "__c__": pa.array(
+                np.bincount(codes, weights=w).astype(np.int64)),
+        })
+
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.is_valid(t[col_a]), pc.is_valid(t[col_b])))
+        return count(
+            pc.cast(t[col_a], pa.string()).to_numpy(zero_copy_only=False),
+            pc.cast(t[col_b], pa.string()).to_numpy(zero_copy_only=False),
+            None,
+        )
+
+    def merge(t: pa.Table) -> pa.Table:
+        return count(t["__a__"].to_numpy(zero_copy_only=False),
+                     t["__b__"].to_numpy(zero_copy_only=False),
+                     t["__c__"].to_numpy())
+
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), ["__a__", "__b__"],
+        merge, 256,
+    ).to_pandas()
+
+
 def chi_square_independence(
     ds: ray.data.Dataset,
     col_a: str,
     col_b: str,
     *,
     ndigits: int = 6,
-    max_cells: int = 1_000_000,
 ) -> pd.DataFrame:
     """Pearson χ² test of independence between two categorical columns
     (the association screen between, e.g., a data source and a quality
@@ -1362,85 +1379,42 @@ def chi_square_independence(
     drop; dof = (rows−1)(cols−1); a degenerate table (one row or one
     column) yields chi2 = 0.
 
+    Zero cells never need enumerating: each contributes
+    (0·n − r·c)²/(n·r·c) = r·c/n, and Σ over ALL cells of r·c is n², so
+    together they add (n² − Σ_observed r·c)/n. Work is therefore linear
+    in the OBSERVED cells however sparse the r × c cross product is.
+
     Parity recipe: cell and marginal counts are exact integers; each
-    cell's term does its numerator in Python big ints and ONE double
-    division, folded in PINNED (a-value, b-value) ascending order — the
-    DuckDB ``list_reduce`` replay is hash-exact.
+    observed cell's term does its numerator in Python big ints and ONE
+    double division, folded in PINNED (a-value, b-value) ascending
+    order, then the zero-cell total is one more exact-integer division
+    — hash-exact against the DuckDB ``list_reduce`` replay whenever every
+    cell is observed.
 
     Scale shape: per-block pre-aggregated cell partials, one ≤256-bucket
-    exchange, then a driver fold over DISTINCT cells (``max_cells``
-    guard)."""
+    exchange, then a driver fold over the distinct observed cells."""
     import math
 
-    def partial(t: pa.Table) -> pa.Table:
-        ok = pc.and_(pc.is_valid(t[col_a]), pc.is_valid(t[col_b]))
-        t = t.filter(ok)
-        a = pc.cast(t[col_a], pa.string()).to_numpy(zero_copy_only=False)
-        b = pc.cast(t[col_b], pa.string()).to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(pd.MultiIndex.from_arrays([a, b]))
-        cnt = np.bincount(codes).astype(np.int64)
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        ua = pa.array([u[0] for u in uniq], pa.string())
-        ub = pa.array([u[1] for u in uniq], pa.string())
-        bk = (
-            (mix64(column_hash64(ua) * np.uint64(1099511628211))
-             ^ column_hash64(ub)) % np.uint64(256)
-        ).astype(np.int64)
-        return pa.table({"__a__": ua, "__b__": ub, "__c__": pa.array(cnt),
-                         "__k__": pa.array(bk)})
-
-    def merge(t: pa.Table) -> pa.Table:
-        a = t["__a__"].to_numpy(zero_copy_only=False)
-        b = t["__b__"].to_numpy(zero_copy_only=False)
-        c = t["__c__"].to_numpy()
-        codes, uniq = pd.factorize(pd.MultiIndex.from_arrays([a, b]))
-        cnt = np.bincount(codes, weights=c).astype(np.int64)
-        return pa.table({
-            "__a__": pa.array([u[0] for u in uniq], pa.string()),
-            "__b__": pa.array([u[1] for u in uniq], pa.string()),
-            "__c__": pa.array(cnt),
-        })
-
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__k__")
-        .map_groups(lambda t: merge(t.drop_columns(["__k__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(cells) > max_cells:
-        raise ValueError(
-            f"chi_square_independence: {len(cells)} cells exceed "
-            f"max_cells={max_cells}"
-        )
+    cells = _contingency_cells(ds, col_a, col_b)
     if cells.empty:
         return pd.DataFrame({"n": [0], "n_rows": [0], "n_cols": [0],
                              "dof": [0], "chi2": [None],
                              "cramers_v": [None]})
+    cells = cells.sort_values(["__a__", "__b__"], kind="stable")
     n = int(cells["__c__"].sum())
-    ra = cells.groupby("__a__")["__c__"].sum().to_dict()
-    cb = cells.groupby("__b__")["__c__"].sum().to_dict()
+    ra = cells.groupby("__a__")["__c__"].sum()
+    cb = cells.groupby("__b__")["__c__"].sum()
     n_rows, n_cols = len(ra), len(cb)
-    if n_rows * n_cols > max_cells:
-        raise ValueError(
-            f"chi_square_independence: full cross product "
-            f"{n_rows}×{n_cols} exceeds max_cells={max_cells} — zero "
-            f"cells are enumerated too, so sparse observed cells alone "
-            f"don't bound the work"
-        )
     dof = (n_rows - 1) * (n_cols - 1)
-    # observed cells in pinned (a, b) order; ZERO cells contribute
-    # (0·n − r·c)²/(n·r·c) = r·c/n too — enumerate the full cross product
-    obs = {(r["__a__"], r["__b__"]): int(r["__c__"])
-           for _, r in cells.iterrows()}
     acc = 0.0
-    for av in sorted(ra):
-        for bv in sorted(cb):
-            o = obs.get((av, bv), 0)
-            r, c = int(ra[av]), int(cb[bv])
-            num = o * n - r * c
-            acc = acc + float(num * num) / float(n * r * c)
+    rc_observed = 0
+    for o, r, c in zip(cells["__c__"].tolist(),
+                       cells["__a__"].map(ra).tolist(),
+                       cells["__b__"].map(cb).tolist()):
+        num = o * n - r * c
+        acc = acc + float(num * num) / float(n * r * c)
+        rc_observed += r * c
+    acc = acc + float(n * n - rc_observed) / float(n)
     p10 = 10.0 ** ndigits
     kmin = min(n_rows - 1, n_cols - 1)
     v = (math.sqrt(acc / (float(n) * float(kmin))) if kmin > 0 else None)
@@ -1472,43 +1446,7 @@ def chi_square_cells(
     one libm sqrt — pinned order, DuckDB replay hash-exact."""
     import math
 
-    def partial(t: pa.Table) -> pa.Table:
-        ok = pc.and_(pc.is_valid(t[col_a]), pc.is_valid(t[col_b]))
-        t = t.filter(ok)
-        a = pc.cast(t[col_a], pa.string()).to_numpy(zero_copy_only=False)
-        b = pc.cast(t[col_b], pa.string()).to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(pd.MultiIndex.from_arrays([a, b]))
-        cnt = np.bincount(codes).astype(np.int64)
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        ua = pa.array([u[0] for u in uniq], pa.string())
-        ub = pa.array([u[1] for u in uniq], pa.string())
-        bk = (
-            (mix64(column_hash64(ua) * np.uint64(1099511628211))
-             ^ column_hash64(ub)) % np.uint64(256)
-        ).astype(np.int64)
-        return pa.table({"__a__": ua, "__b__": ub, "__c__": pa.array(cnt),
-                         "__k__": pa.array(bk)})
-
-    def merge(t: pa.Table) -> pa.Table:
-        a = t["__a__"].to_numpy(zero_copy_only=False)
-        b = t["__b__"].to_numpy(zero_copy_only=False)
-        c = t["__c__"].to_numpy()
-        codes, uniq = pd.factorize(pd.MultiIndex.from_arrays([a, b]))
-        cnt = np.bincount(codes, weights=c).astype(np.int64)
-        return pa.table({
-            "__a__": pa.array([u[0] for u in uniq], pa.string()),
-            "__b__": pa.array([u[1] for u in uniq], pa.string()),
-            "__c__": pa.array(cnt),
-        })
-
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__k__")
-        .map_groups(lambda t: merge(t.drop_columns(["__k__"])),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    cells = _contingency_cells(ds, col_a, col_b)
     if len(cells) > max_cells:
         raise ValueError(
             f"chi_square_cells: {len(cells)} cells exceed "
@@ -1643,8 +1581,6 @@ def spearman_by_group(
     import math
 
     def prep(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         ok = pc.and_(
             pc.is_valid(t[group_col]),
             pc.and_(pc.is_valid(t[x_col]), pc.is_valid(t[y_col])),
@@ -1656,11 +1592,9 @@ def spearman_by_group(
         qy = np.floor(
             pc.cast(t[y_col], pa.float64()).to_numpy() * scale + 0.5
         ).astype(np.int64)
-        bk = (column_hash64(t[group_col]) % np.uint64(n_buckets)).astype(
-            np.int64)
         return pa.table({
             group_col: t[group_col], "__x__": pa.array(qx),
-            "__y__": pa.array(qy), "__sb__": pa.array(bk),
+            "__y__": pa.array(qy),
         })
 
     def rank2(vals: np.ndarray) -> np.ndarray:
@@ -1724,9 +1658,7 @@ def spearman_by_group(
             "rho": pa.array(out_rho, pa.float64()),
         })
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__sb__")
-        .map_groups(lambda t: local(t.drop_columns(["__sb__"])),
-                    batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
+        n_buckets,
     )

@@ -19,6 +19,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+
 
 def column_names(ds: ray.data.Dataset) -> set[str]:
     """O1 — schema inference; free with Arrow (records.py:33-46)."""
@@ -334,8 +336,8 @@ def duplicated_by_column(
     def add_bucket(t: pa.Table) -> pa.Table:
         from record_matcher_ray.core.hashkernels import column_hash64
 
-        b = column_hash64(t[column]) % np.uint64(n_buckets)
-        return t.append_column("__db__", pa.array(b.astype(np.int64)))
+        b = bucket_ids(column_hash64(t[column]), n_buckets)
+        return t.append_column("__db__", pa.array(b))
 
     def keep_dups(df: pd.DataFrame) -> pd.DataFrame:
         vals = df[column]
@@ -394,9 +396,7 @@ def grouped_quantiles(
                 h = mix64(
                     h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(t[c])
                 )
-        return t.append_column(
-            "__qb__", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+        return t.append_column("__qb__", pa.array(bucket_ids(h, n_buckets)))
 
     def bucket_quantiles(df: pd.DataFrame) -> pd.DataFrame:
         vals = df[value_col].to_numpy(dtype=np.float64)
@@ -473,27 +473,9 @@ def latest_by_key(
         last = np.concatenate([diff, [True]])  # max (order, tie) per key
         return t.take(pa.array(idx[last]))
 
-    def prereduce(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        w = winners(t)
-        h = np.zeros(len(w), np.uint64)
-        with np.errstate(over="ignore"):
-            for c in key_cols:
-                h = mix64(
-                    h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(w[c])
-                )
-        return w.append_column(
-            "__kb__", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
-
-    def bucket_winners(t: pa.Table) -> pa.Table:
-        return winners(t.drop_columns(["__kb__"]))
-
-    return (
-        ds.map_batches(prereduce, batch_format="pyarrow")
-        .groupby("__kb__")
-        .map_groups(bucket_winners, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(winners, batch_format="pyarrow"), key_cols, winners,
+        n_buckets,
     )
 
 
@@ -522,20 +504,17 @@ def snapshot_diff(
     def prep(side: int):
         def f(t: pa.Table) -> pa.Table:
             h = column_hash64(t[content_col]).view(np.int64)
-            b = column_hash64(t[id_col]) % np.uint64(n_buckets)
             return pa.table(
                 {id_col: t[id_col],
                  "__h__": pa.array(h),
                  "__side__": pa.array(
-                     np.full(len(t), side, dtype=np.int64)),
-                 "__db__": pa.array(b.astype(np.int64))}
+                     np.full(len(t), side, dtype=np.int64))}
             )
 
         return f
 
-    u = old_ds.map_batches(prep(0), batch_format="pyarrow").union(
-        new_ds.map_batches(prep(1), batch_format="pyarrow")
-    )
+    u = [old_ds.map_batches(prep(0), batch_format="pyarrow"),
+         new_ds.map_batches(prep(1), batch_format="pyarrow")]
 
     _STATUS = np.array(["added", "removed", "changed", "unchanged"],
                        dtype=object)
@@ -566,7 +545,7 @@ def snapshot_diff(
              "status": pa.array(_STATUS[st], pa.string())}
         )
 
-    return u.groupby("__db__").map_groups(resolve, batch_format="pyarrow")
+    return bucket_exchange(u, [id_col], resolve, n_buckets)
 
 
 def distinct_count_by(
@@ -673,7 +652,7 @@ def mode_by_group(
     lexsort merges partial counts and picks every group's winner
     vectorized.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64, mix64
+    from record_matcher_ray.core.hashkernels import column_hash64
 
     def partial(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -688,8 +667,9 @@ def mode_by_group(
         uk, n = np.unique(key, return_counts=True)
         gi = (uk // len(vu)).astype(np.int64)
         vi = (uk % len(vu)).astype(np.int64)
-        h = column_hash64(pa.chunked_array([pa.array(gu)]))
-        bucket = (mix64(h) % np.uint64(n_buckets)).astype(np.int64)
+        bucket = bucket_ids(
+            column_hash64(pa.chunked_array([pa.array(gu)])), n_buckets
+        )
         return pa.table(
             {group_col: pa.array(gu).take(pa.array(gi)),
              val_col: pa.array(vu).take(pa.array(vi)),
@@ -913,8 +893,6 @@ def window_dedupe(
     """
     import pandas as pd
 
-    from record_matcher_ray.pipelines.dedup import _with_tuple_bucket
-
     w_us = int(window_s) * 1_000_000
     proj = ds.select_columns(
         list(dict.fromkeys([id_col, ts_col, *key_cols]))
@@ -950,11 +928,7 @@ def window_dedupe(
         out["win"] = pa.array(win[sel])
         return pa.table(out)
 
-    return (
-        _with_tuple_bucket(proj, list(key_cols), n_buckets, "__wdb__")
-        .groupby("__wdb__")
-        .map_groups(pick, batch_format="pyarrow")
-    )
+    return bucket_exchange(proj, list(key_cols), pick, n_buckets)
 
 
 def union_by_name(

@@ -19,6 +19,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
+from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+
 
 def _normalize(text: pa.Array) -> pa.Array:
     """lower + collapse non-alphanumeric runs to single spaces (same
@@ -206,15 +208,12 @@ def inverted_index(
     """
 
     def pairs(batch: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
         toks, doc_idx, _ = _block_tokens(batch[text_col])
         ids = batch[id_col].to_numpy()
         if len(toks) == 0:
             return pa.table(
                 {"term": pa.array([], pa.string()),
-                 "doc": pa.array([], pa.int64()),
-                 "__tb__": pa.array([], pa.int64())}
+                 "doc": pa.array([], pa.int64())}
             )
         codes, uniq = pd.factorize(toks)
         key = codes.astype(np.int64) * np.int64(len(ids)) + doc_idx
@@ -224,11 +223,8 @@ def inverted_index(
         term_arr = pa.array(uniq.astype(object), pa.string()).take(
             pa.array(t_codes)
         )
-        b = column_hash64(term_arr) % np.uint64(n_buckets)
         return pa.table(
-            {"term": term_arr,
-             "doc": pa.array(ids[d_idx].astype(np.int64)),
-             "__tb__": pa.array(b.astype(np.int64))}
+            {"term": term_arr, "doc": pa.array(ids[d_idx].astype(np.int64))}
         )
 
     def assemble(t: pa.Table) -> pa.Table:
@@ -260,13 +256,9 @@ def inverted_index(
              "postings": postings}
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__tb__")
-        .map_groups(
-            lambda t: assemble(t.drop_columns(["__tb__"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        ds.map_batches(pairs, batch_format="pyarrow"), ["term"], assemble,
+        n_buckets,
     )
 
 
@@ -541,7 +533,6 @@ def tfidf_cosine_pairs(
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if max_df < 2:
         raise ValueError(f"max_df must be >= 2, got {max_df}")
-    from record_matcher_ray.core.hashkernels import column_hash64
 
     N_SENT = "\x00__n_docs__"
 
@@ -654,19 +645,14 @@ def tfidf_cosine_pairs(
     def posting_partial(batch: pa.Table) -> pa.Table:
         dids, gcodes, tf, qv = _doc_postings(batch)
         empty = pa.table(
-            {"__tb__": pa.array([], pa.int64()),
-             "g": pa.array([], pa.int64()),
+            {"g": pa.array([], pa.int64()),
              "doc": pa.array([], pa.int64()),
              "tf": pa.array([], pa.int64())}
         )
         if len(dids) == 0:
             return empty
-        tb = (
-            column_hash64(pa.array(gcodes.astype(np.uint64)))
-            % np.uint64(n_term_buckets)
-        ).astype(np.int64)
         return pa.table(
-            {"__tb__": pa.array(tb), "g": pa.array(gcodes),
+            {"g": pa.array(gcodes),
              "doc": pa.array(dids), "tf": pa.array(tf)}
         )
 
@@ -728,9 +714,10 @@ def tfidf_cosine_pairs(
     pow10 = 10.0 ** int(ndigits)
 
     pairs = (
-        ds.map_batches(posting_partial, batch_format="pyarrow")
-        .groupby("__tb__")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+        bucket_exchange(
+            ds.map_batches(posting_partial, batch_format="pyarrow"), ["g"],
+            bucket_pairs, n_term_buckets,
+        )
         .groupby(["a", "b"])
         .aggregate(Sum("dot", alias_name="dot"))
     )
@@ -806,9 +793,7 @@ def top_terms_by_group(
     )
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        b = (column_hash64(t["grp"]) % np.uint64(n_buckets)).astype(
-            np.int64
-        )
+        b = bucket_ids(column_hash64(t["grp"]), n_buckets)
         return t.append_column("__gb__", pa.array(b))
 
     kk = int(k)

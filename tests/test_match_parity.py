@@ -182,6 +182,64 @@ def test_review_at_equality(reference):
     assert got[0][0]["match_status"] == "REVIEW"
 
 
+# Reference-free pins of the §2.5 quirks: the literal rows and summaries
+# the oracle tests above agree on, so the quirks stay pinned when the
+# reference is not importable.
+
+
+def test_duplicate_tie_poisoning_pinned():
+    x = {0: {"fn": "alice", "ln": "a"}, 1: {"fn": "alice", "ln": "b"}}
+    y = {10: {"fn": "alice", "yid": "Y0"}}
+
+    def setup(c):
+        c.columns_to_match["fn"] = "fn"
+        c.columns_to_get["yid"] = "gotten"
+
+    recs, summary = run_engine(x, y, setup)
+    for i, ln in ((0, "a"), (1, "b")):
+        assert recs[i] == {
+            "fn": "alice", "ln": ln, "gotten": "Y0",
+            "match_status": "DUPLICATE", "row(s)_matched": "10",
+            "match_score": "100.0",
+        }
+    # summary over-count: the first pass's MATCHED is never decremented
+    assert dict(summary) == {"matched": 2, "duplicate": 2}
+
+
+def test_loser_nulling_quirk_pinned():
+    x = {0: {"fn": "alice", "ln": "smith"}, 1: {"fn": "alice", "ln": "smithy"}}
+    y = {10: {"fn": "alice", "ln": "smith", "yid": "Y0"}}
+
+    def setup(c):
+        c.scorers_by_column.default = "difflib_ratio"
+        c.columns_to_match["fn"] = "fn"
+        c.columns_to_match["ln"] = "ln"
+        c.columns_to_get["yid"] = "gotten"
+
+    recs, summary = run_engine(x, y, setup)
+    winner = dict(recs[0])
+    assert float(winner.pop("match_score")) == pytest.approx(100.0, abs=1e-6)
+    assert winner == {"fn": "alice", "ln": "smith", "gotten": "Y0",
+                      "match_status": "MATCHED", "row(s)_matched": "10"}
+    # the loser keeps the copied value and gains a spurious y-column key
+    assert recs[1] == {"fn": "alice", "ln": "smithy", "gotten": "Y0",
+                       "match_status": "UNMATCHED", "row(s)_matched": "",
+                       "match_score": "", "yid": None}
+    assert dict(summary) == {"matched": 2, "unmatched": 1}
+
+
+def test_review_at_equality_pinned():
+    def setup(c):
+        c.columns_to_match["fn"] = "fn"
+        c.thresholds_by_column["fn"] = 100.0
+
+    recs, summary = run_engine({0: {"fn": "alice"}}, {10: {"fn": "alice"}},
+                               setup)
+    assert recs[0] == {"fn": "alice", "match_status": "REVIEW",
+                       "row(s)_matched": "10", "match_score": "100.0"}
+    assert dict(summary) == {"review": 1}
+
+
 def test_grouping_blocks_candidates(reference):
     x = {
         0: {"fn": "alice", "city": "nyc"},

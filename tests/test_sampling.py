@@ -414,3 +414,30 @@ def test_pretrain_assembly_funnel(ray_session):
     sums = p[~p.truncated].groupby(
         ["pack_bucket", "bin_in_bucket"])["seq_len"].sum()
     assert (sums <= 32).all()
+
+
+def test_pretrain_assembly_custom_id_col(ray_session):
+    """A non-default ``id_col`` reaches the packer: the manifest keys on
+    that column and packs the same documents as the default name."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from jobs.pretrain_data_job import assemble_pretraining_data
+
+    rng = np.random.RandomState(5)
+    texts = [" ".join(rng.choice(["ab", "cd", "ef", "gh"], rng.randint(3, 20)))
+             for _ in range(200)]
+    df = pd.DataFrame({"doc_id": np.arange(200, dtype=np.int64),
+                       "text": texts})
+    kw = dict(min_words=3, max_words=50, sample_rate=0.9, capacity=32,
+              bucket_size=40)
+    base, _ = assemble_pretraining_data(rd.from_pandas(df), **kw)
+    custom, _ = assemble_pretraining_data(
+        rd.from_pandas(df.rename(columns={"doc_id": "uid"})), id_col="uid",
+        **kw,
+    )
+    b = base.to_pandas().sort_values("doc_id").reset_index(drop=True)
+    c = custom.to_pandas().sort_values("uid").reset_index(drop=True)
+    assert "uid" in c.columns and "doc_id" not in c.columns
+    pd.testing.assert_frame_equal(c.rename(columns={"uid": "doc_id"}), b)

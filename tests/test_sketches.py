@@ -813,9 +813,10 @@ def test_chi_square_cells(ray_session):
 
 
 def test_chi_square_cross_product_guard(ray_session):
-    """ADVICE r4: sparse observed cells can pass the cell-count guard
-    while the n_rows × n_cols cross product (zero cells included) is
-    astronomically larger — both functions must refuse, not hang."""
+    """ADVICE r4: sparse observed cells vs an astronomically larger
+    n_rows × n_cols cross product (zero cells included). The χ² closed
+    form never enumerates zero cells, so it answers exactly; the per-cell
+    drill-down still refuses, since its OUTPUT is the cross product."""
     import pytest
 
     import ray.data as rd
@@ -830,9 +831,11 @@ def test_chi_square_cross_product_guard(ray_session):
     ids = np.arange(200)
     df = pd.DataFrame({"a": [f"a{i}" for i in ids],
                        "b": [f"b{i}" for i in ids]})
-    with pytest.raises(ValueError, match="cross product"):
-        chi_square_independence(rd.from_pandas(df), "a", "b",
-                                max_cells=500)
+    out = chi_square_independence(rd.from_pandas(df), "a", "b")
+    assert out.iloc[0].to_dict() == {
+        "n": 200, "n_rows": 200, "n_cols": 200, "dof": 39601,
+        "chi2": 39800.0, "cramers_v": 1.0,
+    }
     with pytest.raises(ValueError, match="cross product"):
         chi_square_cells(rd.from_pandas(df), "a", "b", max_cells=500)
 

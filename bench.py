@@ -2,7 +2,8 @@
 
 Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line:
+num_cpus=$RAY_GRAFT_CPUS)`` (default: what ``nproc`` prints, the
+perfbench/host.py rule) and prints ONE JSON line:
 
     {"metric": "...", "value": <total sec>, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N}
@@ -23,8 +24,10 @@ import time
 REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
+from perfbench.host import cpu_count as _host_cpus  # noqa: E402
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or _host_cpus())
 
 def _read(path, columns=None):
     """All bench parquet reads go through the engine reader: it passes a

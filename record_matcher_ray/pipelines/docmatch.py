@@ -39,6 +39,11 @@ import ray
 import ray.data
 
 from record_matcher_ray.core.config import MatchConfig, MatchConfigBuilder
+from record_matcher_ray.core.exchange import (
+    bucket_ids,
+    default_tasks,
+    task_layout,
+)
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
 from record_matcher_ray.pipelines.cluster import connected_components
@@ -83,6 +88,13 @@ def _cached_hasher(num_perm: int, seed: int) -> MinHasher:
     return _HASHER_CACHE[key]
 
 
+def _key_group(keys: np.ndarray, n_buckets: int) -> np.ndarray:
+    """int64 blocking keys → their key-hash group in ``[0, n_buckets)``;
+    the x and y sides of one run must use the same count."""
+    return ((keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+             >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
+
+
 class KeyExpander:
     """Key-expansion stage: emits (key, rid, side, normalized match columns)
     — one output row per (doc, key). Used as a stateless map_batches task
@@ -110,10 +122,8 @@ class KeyExpander:
             t["title"], t["body"], t["media_sig"], hasher
         )
         take = pa.array(idx)
-        buckets = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                   >> np.uint64(33)) % np.uint64(self.n_buckets)
         cols = {
-            "bucket": pa.array(buckets.astype(np.int64)),
+            "bucket": pa.array(_key_group(keys, self.n_buckets)),
             "key": pa.array(keys),
             "rid": pc.take(pa.array(rids), take),
             "side": pa.array(np.full(len(idx), self.side, dtype=np.int8)),
@@ -353,7 +363,15 @@ def match_documents(
     ``ceil(max_block_side / n_shards)`` so a key's admitted pair budget
     stays invariant to resharding — a shard sees ~1/n of each key's x
     width, so an unscaled cap would admit ~n× the pairs the unsharded
-    run caps away."""
+    run caps away.
+
+    ``n_buckets``: the UPPER BOUND on the key-hash groups stage B scores
+    (one ``map_groups`` call each). The run takes its group count from
+    :func:`core.exchange.task_layout` — at least 2 per cluster CPU, one
+    per 16384 docs, rounded up to a power of two — and caps it here.
+    ``shuffle_partitions``: the block count each sort exchange is
+    coalesced to (default: 2 per cluster CPU). Both only decide how the
+    work is cut; results do not depend on them."""
     cfg = cfg or default_doc_config()
     x_cap = int(max_block_side if x_block_cap is None else x_block_cap)
 
@@ -392,10 +410,6 @@ def match_documents(
         # references shared by all workers.
         return _normalize_carry_cols(t, carry)
 
-    if shuffle_partitions is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 32))
-        shuffle_partitions = max(64, 2 * ncpu)
-    n_buckets = int(n_buckets)
     from concurrent.futures import ThreadPoolExecutor
 
     # the two flats materialize concurrently (each blocks its thread on
@@ -413,14 +427,22 @@ def match_documents(
         else:
             y_flat = y_prepared[0]
         x_flat = _fx.result()
+    n_x_total = x_flat.count()
+    n_y_total = y_flat.count()
+    # the task layout follows the cluster and the corpus (core.exchange):
+    # both sort exchanges are fed `tasks` blocks, and the keys are split
+    # into `groups` key-hash groups, one score_bucket call each
+    tasks, groups = task_layout(
+        n_x_total + n_y_total, n_buckets, shuffle_partitions
+    )
     xk = x_flat.map_batches(
-        KeyExpander(0, [], num_perm, seed, n_buckets), batch_format="pyarrow"
+        KeyExpander(0, [], num_perm, seed, groups), batch_format="pyarrow"
     )
     yk = (
         y_prepared[1]
         if y_prepared is not None
         else y_flat.map_batches(
-            KeyExpander(1, [], num_perm, seed, n_buckets),
+            KeyExpander(1, [], num_perm, seed, groups),
             batch_format="pyarrow",
         )
     )
@@ -432,11 +454,14 @@ def match_documents(
         # whose key appears in no surviving x row can't pair either —
         # prune them BEFORE the blocking shuffle. Both sets ride as ONE
         # plasma broadcast each (sorted int64, zero-copy in tasks);
-        # above the cap (50M keys ≈ 400 MB) pruning is skipped — at
+        # above the cap (50M keys ≈ 400 MB) pruning (b) is skipped — at
         # that size the delta is no longer small and a full shuffle is
         # the right shape anyway. Consequence (documented at
         # build_doc_index): `blocks_dropped` counts only x-width
         # overflows on the delta path; assignments are unchanged.
+        # The index stores each key's group at its build-time n_buckets;
+        # the same map regroups it to this run's `groups`, as KeyExpander
+        # did for x, so the stored index stays valid for any layout.
         yset_ref = y_prepared[2] if len(y_prepared) > 2 else None
         if yset_ref is not None:
 
@@ -456,20 +481,24 @@ def match_documents(
             if key_parts
             else np.empty(0, np.int64)
         )
-        if 0 < len(xkeys) <= 50_000_000:
-            xkeys_ref = ray.put(xkeys)
+        xkeys_ref = (ray.put(xkeys) if 0 < len(xkeys) <= 50_000_000
+                     else None)
 
-            def _prune_y_keys(t: pa.Table) -> pa.Table:
+        def _prune_y_keys(t: pa.Table) -> pa.Table:
+            if xkeys_ref is not None:
                 ks = ray.get(xkeys_ref)  # zero-copy plasma numpy
                 k = t["key"].to_numpy()
                 pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
-                return t.filter(pa.array(ks[pos] == k))
+                t = t.filter(pa.array(ks[pos] == k))
+            return t.set_column(
+                t.column_names.index("bucket"), "bucket",
+                pa.array(_key_group(t["key"].to_numpy(), groups)),
+            )
 
-            yk = yk.map_batches(_prune_y_keys, batch_format="pyarrow")
-    keys_mat = xk.union(yk).repartition(shuffle_partitions).materialize()
+        yk = yk.map_batches(_prune_y_keys, batch_format="pyarrow")
+    keys_mat = xk.union(yk).repartition(tasks).materialize()
 
-    n_x_total = x_flat.count()
-    _tick("flatten", {"x_rows": n_x_total, "y_rows": y_flat.count()})
+    _tick("flatten", {"x_rows": n_x_total, "y_rows": n_y_total})
 
     # NO value columns travel through the blocking shuffle at all: only
     # (bucket, key, rid, side) — 25 B/key-row instead of ~120 B with the
@@ -533,8 +562,7 @@ def match_documents(
         dg = np.zeros(nrows, np.int64)
         dg[0] = n_dropped
         cols["dropped_groups"] = pa.array(dg)
-        xv = cols["x_id"].to_numpy()
-        cols["xb"] = pa.array(np.bitwise_and(xv, n_buckets - 1))
+        cols["xb"] = pa.array(bucket_ids(cols["x_id"].to_numpy(), groups))
         return pa.table({f.name: cols[f.name] for f in pair_schema})
 
     # ---- stage B: bucketed pair scoring + local per-x argmax --------------
@@ -699,16 +727,20 @@ def match_documents(
     # stage B output is tiny (tie rows only) — materialize once so the
     # dropped-group counter and stage C both read it without re-executing
     # the scoring pass.
-    # The key stream was COALESCED to `shuffle_partitions` blocks before
-    # this sort: the sort exchange creates (input blocks × output
-    # partitions) intermediate objects and its output partition count
-    # FOLLOWS the input block count — the raw union arrives as ~370 tiny
-    # ~1 MB blocks at bench scale (row-group reads × flatten fan-out),
-    # i.e. ~137k intermediate objects whose driver-side scheduling was a
-    # ~20 s serial floor that didn't scale with CPUs (probed 2026-08-18:
-    # shuffle-only 28.0 s direct vs 3.4 s via repartition(64) at 32 cpus,
-    # 4.6 s at 8 cpus). Grouping granularity (n_buckets) is unchanged —
-    # only the task layout. Default 2 tasks/CPU, min 64.
+    # The key stream was COALESCED to `tasks` blocks before this sort: the
+    # sort exchange creates (input blocks × output partitions)
+    # intermediate objects and its output partition count FOLLOWS the
+    # input block count — the raw union arrives as ~370 tiny ~1 MB blocks
+    # at the 1M-entity corpus (row-group reads × flatten fan-out), i.e.
+    # ~137k intermediate objects whose driver-side scheduling was a ~20 s
+    # serial floor (probed 2026-08-18: shuffle-only 28.0 s direct vs 3.4 s
+    # coalesced to 64 blocks at 32 cpus). Each of the `groups` key groups
+    # is one score_bucket call: too many and the calls' fixed costs and
+    # re-gathered strings dominate (256 groups on a 1-CPU host, ~3k docs:
+    # 7.4 s of pair scoring for 35,795 pairs), too few and a call's
+    # working set grows with the corpus. Both counts come from
+    # core.exchange.task_layout: 2 tasks per CPU, and groups grow with
+    # the corpus (1 per 16384 docs) up to n_buckets.
     pairs = keys_mat.groupby("bucket").map_groups(
         score_bucket, batch_format="pyarrow"
     ).materialize()
@@ -842,11 +874,12 @@ def match_documents(
         )
         scored = ray.data.from_arrow(reduce_bucket(tie_tbl)).materialize()
     else:
-        # coalesce the 256 tiny tie blocks before the xb sort: the sort
-        # emits (input blocks × output partitions) intermediate objects —
-        # 256×256 ≈ 65k tiny object-store ops dominated this stage's wall
+        # coalesce the tiny per-group tie blocks before the xb sort: the
+        # sort emits (input blocks × output partitions) intermediate
+        # objects — 256×256 ≈ 65k tiny object-store ops dominated this
+        # stage's wall before the coalesce
         scored = (
-            pairs_mat.repartition(32)
+            pairs_mat.repartition(tasks)
             .groupby("xb")
             .map_groups(reduce_bucket, batch_format="pyarrow")
         ).materialize()
@@ -1128,7 +1161,14 @@ def match_documents_checkpointed(
     shard pipelines at once from driver threads — the single-driver
     analogue of parallel shard jobs on a cluster; it overlaps each
     shard's fixed stage latencies while the shards share the cluster's
-    CPUs. Set 1 for strictly sequential shards."""
+    CPUs. Set 1 for strictly sequential shards. Each concurrent shard
+    lays its exchanges out over its share of the cluster's tasks
+    (``default_tasks()`` // ``shard_concurrency``, floor 1) unless
+    ``shuffle_partitions`` is passed.
+
+    ``n_buckets`` (in ``**kw``, default 256) is the registry index's
+    build-time key-group count and the upper bound on each shard's
+    groups (see :func:`match_documents`)."""
     from record_matcher_ray.state.checkpoint import StageRunner, hash_partition_ids
 
     cfg = cfg or default_doc_config()
@@ -1146,11 +1186,9 @@ def match_documents_checkpointed(
     conc = (shard_concurrency if shard_concurrency is not None
             else min(n_shards, 4))
     if "shuffle_partitions" not in kw and conc > 1:
-        # each concurrent shard sizes its exchanges for its SHARE of the
-        # cluster, not the whole of it (the 64-partition floor was tuned
-        # for a single pipeline at 32 cpus)
-        ncpu = int(ray.cluster_resources().get("CPU", 32))
-        kw["shuffle_partitions"] = max(32, 2 * ncpu // conc)
+        # each concurrent shard lays its exchanges out over its SHARE of
+        # the cluster's tasks, not the whole of it
+        kw["shuffle_partitions"] = max(1, default_tasks() // conc)
 
     def shard_fn(part: str) -> ray.data.Dataset:
         i = int(part)
@@ -1205,7 +1243,10 @@ def build_doc_index(
     with the same fingerprint skips them entirely, and a killed build
     resumes. The key-derivation parameters are folded into the manifest
     fingerprint so an index built with different ``num_perm``/``seed``/
-    ``n_buckets`` is recomputed, never silently reused."""
+    ``n_buckets`` is recomputed, never silently reused. ``n_buckets`` is
+    the key-group count stored with each key; a run against the index
+    regroups the keys to its own (≤ ``n_buckets``) count, so one index
+    serves every task layout."""
     from record_matcher_ray.state.checkpoint import StageRunner
 
     cfg = cfg or default_doc_config()
@@ -1380,7 +1421,7 @@ def pairs_by_key_tag(
     seed: int = 1,
     n_buckets: int = 256,
     max_block_side: int = 32,
-    shuffle_partitions: int = 64,
+    shuffle_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Diagnostic histogram for skew probes (CLAUDE.md rule: probe
     pairs-by-key-tag before growing a corpus): per blocking-key FAMILY
@@ -1403,7 +1444,7 @@ def pairs_by_key_tag(
 
     keys = (
         expand(0)(x_docs).union(expand(1)(y_docs))
-        .repartition(shuffle_partitions)
+        .repartition(default_tasks(shuffle_partitions))
     )
     hist_schema = pa.schema(
         [("tag", pa.int64()), ("groups", pa.int64()),

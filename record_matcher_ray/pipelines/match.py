@@ -45,7 +45,7 @@ import ray.data
 
 from record_matcher_ray.core.config import MatchConfig
 from record_matcher_ray.core.dup import resolve_duplicates
-from record_matcher_ray.core.exchange import bucket_exchange
+from record_matcher_ray.core.exchange import bucket_exchange, default_tasks
 from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block
 from record_matcher_ray.pipelines import table_ops
 
@@ -499,7 +499,7 @@ def _match_salted(
     sub = (
         xp_hot.map_batches(x_salt, batch_format="pyarrow")
         .union(yp_hot.map_batches(y_salt, batch_format="pyarrow"))
-        .repartition(64)
+        .repartition(default_tasks())
     )
 
     pair_schema = pa.schema(

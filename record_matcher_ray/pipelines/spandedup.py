@@ -42,21 +42,13 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from record_matcher_ray.core.exchange import bucket_exchange
+from record_matcher_ray.core.exchange import bucket_exchange, default_tasks
 from record_matcher_ray.core.hashkernels import (
     normalize_utf8,
     utf8_view,
     window_hashes,
 )
 from record_matcher_ray.pipelines.analysis import _round_half_away6
-
-
-def _shuffle_parts(explicit: int | None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    import ray
-
-    return max(64, 2 * int(ray.cluster_resources().get("CPU", 32)))
 
 
 def _doc_windows(
@@ -146,7 +138,7 @@ def duplicated_window_stats(
             }
         )
 
-    parts = _shuffle_parts(shuffle_partitions)
+    parts = default_tasks(shuffle_partitions)
     partials = bucket_exchange(
         ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
         ["__h__"], bucket_resolve, n_buckets,
@@ -290,7 +282,7 @@ def duplicate_spans(
             }
         )
 
-    parts = _shuffle_parts(shuffle_partitions)
+    parts = default_tasks(shuffle_partitions)
     marked = bucket_exchange(
         ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
         ["__h__"], bucket_mark, n_buckets,

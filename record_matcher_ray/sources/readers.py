@@ -7,6 +7,8 @@ the same schema (SURVEY.md §7.4)."""
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import ray.data
 
@@ -28,6 +30,23 @@ def read_documents(path: str, **kwargs) -> ray.data.Dataset:
     return ray.data.read_parquet(path, **kwargs)
 
 
+def _hive_partitioned(path: str) -> bool:
+    """True when ``path`` is or holds hive-style ``key=value`` directories.
+    Ray adds those keys as string columns that no file footer lists, so a
+    schema read from the footers would drop or mistype them. A false
+    positive (an ``=`` in an ordinary directory name) is harmless: the
+    read then strips the metadata after decoding instead of up front."""
+    if any("=" in seg for seg in path.replace("\\", "/").split("/")):
+        return True
+    return os.path.isdir(path) and any(
+        e.is_dir() and "=" in e.name for e in os.scandir(path)
+    )
+
+
+def _drop_schema_metadata(t: pa.Table) -> pa.Table:
+    return t.replace_schema_metadata(None)
+
+
 def read_table(path: str, columns: list[str] | None = None, **kwargs) -> ray.data.Dataset:
     """Column-pruned table read, format-dispatched by extension:
     parquet (default), ``.lance`` (when pylance importable), ``.csv``,
@@ -44,23 +63,31 @@ def read_table(path: str, columns: list[str] | None = None, **kwargs) -> ray.dat
     if low.endswith((".json", ".jsonl")):
         ds = ray.data.read_json(path, **kwargs)
         return ds.select_columns(columns) if columns else ds
-    if "schema" not in kwargs:
-        # pass an explicit METADATA-FREE schema: parquet files carry a
-        # b'pandas' schema-metadata dict that makes pa.Schema UNHASHABLE,
-        # so every downstream exchange over parquet-born blocks hits
-        # Ray's "Failed to hash the schemas (for deduplication)" slow
-        # path in the reduce workers. One footer read here silences it
-        # at the source. (Ray applies the schema to the PROJECTED batch,
-        # so it must list exactly `columns` when given.)
-        try:
-            import pyarrow.dataset as pds
+    if "schema" in kwargs:
+        return ray.data.read_parquet(path, columns=columns, **kwargs)
+    # strip the schema METADATA: parquet files carry a b'pandas'
+    # schema-metadata dict that makes pa.Schema UNHASHABLE, so every
+    # downstream exchange over parquet-born blocks hits Ray's "Failed to
+    # hash the schemas (for deduplication)" slow path in the reduce
+    # workers.
+    if _hive_partitioned(path):
+        # the partition columns are in no footer: strip after decoding,
+        # in a map fused into the read
+        return ray.data.read_parquet(path, columns=columns, **kwargs).map_batches(
+            _drop_schema_metadata, batch_format="pyarrow", batch_size=None
+        )
+    # otherwise one footer read passes an explicit metadata-free schema.
+    # (Ray applies the schema to the PROJECTED batch, so it must list
+    # exactly `columns` when given.)
+    try:
+        import pyarrow.dataset as pds
 
-            full = pds.dataset(path).schema
-            sch = (pa.schema([full.field(c) for c in columns])
-                   if columns else full)
-            kwargs["schema"] = sch.remove_metadata()
-        except Exception:
-            pass  # odd layouts fall back to Ray's own schema inference
+        full = pds.dataset(path).schema
+        sch = (pa.schema([full.field(c) for c in columns])
+               if columns else full)
+        kwargs["schema"] = sch.remove_metadata()
+    except Exception:
+        pass  # odd layouts fall back to Ray's own schema inference
     return ray.data.read_parquet(path, columns=columns, **kwargs)
 
 

@@ -675,14 +675,24 @@ class _JBitReader:
         return v
 
     def align_restart(self) -> None:
-        """Byte-align and consume one RSTn marker."""
+        """Byte-align and consume one RSTn marker. Unread padding before
+        it is skipped: data bytes, stuffed ``FF 00`` pairs and ``FF``
+        fill bytes (T.81 B.1.1.2, F.1.2.3)."""
         self.acc, self.nbits = 0, 0
         d = self.data
-        while d[self.pos] != 0xFF:
-            self.pos += 1
-        if not (0xD0 <= d[self.pos + 1] <= 0xD7):
-            raise ValueError("JPEG: expected restart marker")
-        self.pos += 2
+        while True:
+            while d[self.pos] != 0xFF:
+                self.pos += 1
+            nxt = d[self.pos + 1]
+            if nxt == 0x00:  # stuffed 0xFF data byte
+                self.pos += 2
+            elif nxt == 0xFF:  # fill byte
+                self.pos += 1
+            elif 0xD0 <= nxt <= 0xD7:
+                self.pos += 2
+                return
+            else:
+                raise ValueError("JPEG: expected restart marker")
 
 
 class _JRestart(Exception):

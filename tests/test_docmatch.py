@@ -493,3 +493,84 @@ def test_stable_relabel_exchange_path_matches_broadcast(ray_session):
     assert a.equals(b)
     per = a.groupby("component")["entity_id"].agg(["nunique", "first"])
     assert (per["nunique"] == 1).all() and per["first"].is_unique
+
+
+def _docmatch_outputs(res):
+    """(assignments by x_id, edges, clusters, counters) in a canonical order."""
+    a = res.assignments.to_pandas().sort_values("x_id").reset_index(drop=True)
+    e = res.edges.to_pandas().sort_values(["u", "v"]).reset_index(drop=True)
+    c = res.clusters.to_pandas().sort_values("node").reset_index(drop=True)
+    return a, e, c, dict(res.counters)
+
+
+def _assert_same_outputs(got, want, label):
+    import pandas as pd
+
+    for g, w, name in zip(got[:3], want[:3], ("assignments", "edges", "clusters")):
+        pd.testing.assert_frame_equal(g, w, obj=f"{label} {name}")
+    assert got[3] == want[3], label
+
+
+def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
+    """The task layout (blocks before each sort, key-hash groups) only
+    decides how the work is cut: every explicit (shuffle_partitions,
+    n_buckets), with the per-x reduce on the driver or through its
+    exchange, gives the default layout's outputs."""
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.docmatch import match_documents
+
+    def run(**kw):
+        x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
+        y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
+        return _docmatch_outputs(match_documents(x, y, **kw))
+
+    want = run()
+    assert want[3]["pairs_scored"] > 0 and want[3]["blocks_dropped"] >= 0
+    for parts in (1, 2, 64):
+        for buckets in (2, 256):
+            # reduce_driver_cap=0 sends the per-x reduce through its
+            # xb exchange instead of the driver
+            for cap in ((0, 500_000) if parts == 2 else (500_000,)):
+                kw = dict(shuffle_partitions=parts, n_buckets=buckets,
+                          reduce_driver_cap=cap)
+                _assert_same_outputs(run(**kw), want, str(kw))
+
+
+def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path):
+    """The registry index keeps the key groups of its build-time
+    n_buckets (256); a delta run regroups them to its own, smaller group
+    count and equals the unsharded run laid out at that count."""
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import task_layout
+    from record_matcher_ray.pipelines.docmatch import (
+        _key_group,
+        match_documents,
+        match_documents_delta,
+    )
+
+    keys = np.random.default_rng(3).integers(-2**63, 2**63 - 1, 5000)
+    for g in (1, 2, 8, 64):
+        np.testing.assert_array_equal(_key_group(keys, 256) % g,
+                                      _key_group(keys, g))
+
+    x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
+    y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
+    n_docs = x.count() + y.count()
+    root = str(tmp_path / "regidx")
+    for parts in (None, 1):
+        _, groups = task_layout(n_docs, 256, parts)
+        assert groups < 256
+        delta = match_documents_delta(
+            x, y, root, fingerprint="layout", n_buckets=256,
+            shuffle_partitions=parts,
+        )
+        full = match_documents(x, y, n_buckets=groups,
+                               shuffle_partitions=parts)
+        got, want = _docmatch_outputs(delta), _docmatch_outputs(full)
+        # the index drops y-overflow keys at build time, so a delta's
+        # blocks_dropped counts x-width overflows only (build_doc_index)
+        for c in (got[3], want[3]):
+            c.pop("blocks_dropped")
+        _assert_same_outputs(got, want, f"parts={parts}")

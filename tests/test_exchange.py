@@ -176,3 +176,89 @@ def test_no_pipeline_computes_its_own_bucket():
         "bucket ids must come from core.exchange (bucket_exchange / "
         f"bucket_ids): {found}"
     )
+
+
+@pytest.mark.parametrize(
+    "n_docs, n_buckets, tasks, want",
+    [
+        (0, 256, 64, (64, 64)),  # 32 CPUs, small corpus
+        (2_300_000, 256, 64, (64, 256)),  # 32 CPUs, 1M-entity corpus
+        (3_000, 256, 2, (2, 2)),  # 1 CPU, small corpus
+        (330_000, 256, 2, (2, 32)),  # groups grow with the corpus
+        (10**9, 256, 2, (2, 256)),  # ... up to n_buckets
+        (0, 7, 64, (64, 7)),  # n_buckets caps a non-power-of-two too
+        (0, 256, 0, (1, 1)),  # floors
+        (0, 256, 3, (3, 4)),  # groups round up to a power of two
+    ],
+)
+def test_task_layout(n_docs, n_buckets, tasks, want):
+    from record_matcher_ray.core.exchange import task_layout
+
+    assert task_layout(n_docs, n_buckets, tasks) == want
+
+
+def test_default_tasks_follows_cluster_cpus(ray_session):
+    import ray
+
+    from record_matcher_ray.core.exchange import default_tasks, task_layout
+
+    assert default_tasks() == 2 * int(ray.cluster_resources()["CPU"])
+    assert (default_tasks(5), default_tasks(0)) == (5, 1)
+    tasks, groups = task_layout(0, 256)
+    assert tasks == default_tasks()
+    assert groups >= tasks and groups & (groups - 1) == 0
+
+
+# task counts laid out for one cluster size: a literal repartition count,
+# a max(64|32, ...) floor over the cluster's CPUs, or a 32-CPU fallback
+def _layout_floors(path: pathlib.Path) -> list[str]:
+    import ast
+
+    src = path.read_text()
+    tree = ast.parse(src)
+    hits = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        sizes_from_cluster = "cluster_resources" in ast.get_source_segment(src, fn)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f, args = node.func, node.args
+            lits = [a.value for a in args if isinstance(a, ast.Constant)]
+            if isinstance(f, ast.Attribute) and f.attr == "repartition" and (
+                args and isinstance(args[0], ast.Constant)
+            ):
+                hits.add(f.end_lineno)  # the line of a chained call
+            elif isinstance(f, ast.Attribute) and f.attr == "get" and (
+                lits == ["CPU", 32]
+            ):
+                hits.add(f.end_lineno)
+            elif isinstance(f, ast.Name) and f.id == "max" and (
+                sizes_from_cluster and {32, 64} & set(lits)
+            ):
+                hits.add(node.lineno)
+    lines = src.splitlines()
+    return [f"{path.name}:{i}: {lines[i - 1].strip()}" for i in sorted(hits)]
+
+
+def test_no_pipeline_hardcodes_a_task_count():
+    found = [h for p in sorted(PIPELINES.glob("*.py")) for h in _layout_floors(p)]
+    assert not found, (
+        "task counts must come from core.exchange.default_tasks / "
+        f"task_layout: {found}"
+    )
+
+
+def test_layout_ratchet_catches_floors(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import ray\n"
+        "def f(ds):\n"
+        "    n = max(64, 2 * int(ray.cluster_resources().get('CPU', 32)))\n"
+        "    return ds.repartition(32).repartition(n)\n"
+        "def g(ds):\n"
+        "    '''ds.repartition(1) in a docstring is fine'''\n"
+        "    return max(64, len(ds))  # no cluster sizing here\n"
+    )
+    assert [h.split(":")[1] for h in _layout_floors(bad)] == ["3", "4"]

@@ -309,6 +309,33 @@ def test_jpeg_decodes_real_encoder_files():
     assert 60 < py16.mean() < 140  # plausible photo content, not garbage
 
 
+def test_jpeg_restart_skips_stuffing_and_fill():
+    """Restart intervals whose entropy data ends in a stuffed ``FF 00``
+    padding byte followed by an ``FF`` fill byte before each RSTn decode
+    like the same blocks without restarts (T.81 B.1.1.2, F.1.2.3). The
+    encoder emits no restarts, so the scan is built block by block."""
+    y, x = np.mgrid[0:8, 0:24]
+    g = ((x * 9 + y * 3) % 256).astype(np.uint8)
+    plain = mc.encode_jpeg(g)
+    sos = plain.index(b"\xff\xda")
+    scan_at = sos + 2 + int.from_bytes(plain[sos + 2:sos + 4], "big")
+    dc = mc._jpeg_huff_codes(*mc._JH_DC_LUM)
+    ac = mc._jpeg_huff_codes(*mc._JH_AC_LUM)
+    scan = bytearray()
+    for i in range(3):  # one MCU per interval: each DC predicts from 0
+        w = mc._JBitWriter()
+        mc._jpeg_encode_block(w, g[:, 8 * i:8 * i + 8], mc._JQ_LUM, dc, ac, 0)
+        w.flush()
+        scan += w.buf
+        if i < 2:
+            scan += b"\xff\x00" + b"\xff" + bytes([0xFF, 0xD0 + i])
+    dri = b"\xff\xdd\x00\x04\x00\x01"  # restart interval: 1 MCU
+    restarted = (plain[:sos] + dri + plain[sos:scan_at] + bytes(scan)
+                 + b"\xff\xd9")
+    np.testing.assert_array_equal(mc.decode_jpeg(restarted),
+                                  mc.decode_jpeg(plain))
+
+
 def test_jpeg_rejects_progressive_and_garbage():
     import pytest
 

@@ -65,3 +65,35 @@ def test_read_table_format_dispatch(ray_session, tmp_path):
         assert sorted(got["k"].astype(int)) == [1, 2, 3], path
     full = read_table(jl_path).to_pandas()
     assert sorted(full.columns) == ["extra", "k", "v"]
+
+
+def test_read_table_keeps_hive_partition_columns(ray_session, tmp_path):
+    """read_table's metadata-free schema comes from the file footers, which
+    do not list hive partition keys: on a write_partitioned directory (or
+    one of its partitions) the key column must still be in the schema and
+    the rows, and the blocks must still carry no schema metadata."""
+    import pandas as pd
+    import ray
+    import ray.data as rd
+
+    from record_matcher_ray.sources.readers import read_table, write_partitioned
+
+    out = str(tmp_path / "byyear")
+    # pandas-born blocks: the files carry b'pandas' schema metadata
+    write_partitioned(
+        rd.from_pandas(pd.DataFrame({"year": [2023] * 6 + [2024] * 4,
+                                     "doc_id": list(range(10))})),
+        out, partition_cols=["year"],
+    )
+    raw = rd.read_parquet(out).to_arrow_refs()
+    assert any(ray.get(r).schema.metadata for r in raw)
+    for path, ids in ((out, list(range(10))), (f"{out}/year=2024", [6, 7, 8, 9])):
+        for cols in (None, ["doc_id", "year"]):
+            ds = read_table(path, columns=cols)
+            assert sorted(ds.schema().names) == ["doc_id", "year"], (path, cols)
+            blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+            assert not any(b.schema.metadata for b in blocks), (path, cols)
+            df = ds.to_pandas().sort_values("doc_id")
+            assert df["doc_id"].tolist() == ids
+            assert [int(v) for v in df["year"]] == [
+                2023 if i < 6 else 2024 for i in ids]

@@ -5,8 +5,10 @@ engine's vectorized kernel.
 A user of the reference can switch imports and run the same dict-table
 workflow; the distributed Dataset pipeline with identical semantics lives in
 :mod:`record_matcher_ray.pipelines.match`. Both share the same
-:func:`score_block` kernel and :func:`resolve_duplicates` reduce, so the
-local path doubles as the executable specification for the Ray path.
+:func:`score_keyed` kernel and :func:`resolve_duplicates` reduce, so the
+local path doubles as the executable specification for the Ray path. Here
+the kernel runs once over all rows, with the blocking-key tuples
+factorized and y in insertion order.
 
 Documented deviations from the reference (SURVEY.md §1.2-1.3, §2.5):
 - null/None values normalize to "" before scoring (the reference feeds
@@ -27,7 +29,7 @@ import numpy as np
 from record_matcher_ray.core import records as rec
 from record_matcher_ray.core.config import MatchConfigBuilder
 from record_matcher_ray.core.dup import resolve_duplicates
-from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, as_string_array, score_block
+from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, as_string_array, score_keyed
 
 
 class RecordMatcher:
@@ -120,57 +122,35 @@ class RecordMatcher:
         x_arr = columns_of(self.__x_records, x_ids, dict.fromkeys(x_need))
         y_arr = columns_of(self.__y_records, y_ids, dict.fromkeys(y_need))
 
-        # blocking: group x and y by the columns_to_group key tuple
-        # (reference records.py:106-132 via matcher.py:179-182; raw values in
-        # the reference, normalized strings here)
+        # blocking key: the columns_to_group value tuple, factorized over
+        # both sides (reference records.py:106-132 via matcher.py:179-182;
+        # raw values in the reference, normalized strings here); y stays
+        # in insertion order, which is the reference's tie order
         group_pairs = cfg.columns_to_group  # (y_col, x_col)
-        if group_pairs:
-            y_keys = list(
-                zip(*[y_arr.get(yc, [""] * len(y_ids)) for yc, _ in group_pairs])
+        key_codes: dict[tuple, int] = {}
+
+        def keys_of(arr, cols, n):
+            tuples = zip(*[arr[c] for c in cols]) if cols else [()] * n
+            return np.fromiter(
+                (key_codes.setdefault(k, len(key_codes)) for k in tuples),
+                dtype=np.int64, count=n,
             )
-            x_keys = list(
-                zip(*[x_arr.get(xc, [""] * len(x_ids)) for _, xc in group_pairs])
-            )
-            x_groups: dict[tuple, list[int]] = defaultdict(list)
-            for pos, key in enumerate(x_keys):
-                x_groups[key].append(pos)
-            y_groups: dict[tuple, list[int]] = defaultdict(list)
-            for pos, key in enumerate(y_keys):
-                y_groups[key].append(pos)
-        else:
-            x_groups = {(): list(range(len(x_ids)))}
-            y_groups = {(): list(range(len(y_ids)))}
 
         nx = len(x_ids)
-        pre_status = np.full(nx, "unmatched", dtype=object)
-        rows_matched = np.full(nx, "", dtype=object)
-        match_score = np.full(nx, "", dtype=object)
-        winner_y = np.full(nx, NO_WINNER, dtype=np.int64)
-        winner_score = np.full(nx, np.nan, dtype=np.float64)
-        copied = {x_col: np.full(nx, None, dtype=object) for _, x_col in cfg.columns_to_get}
-
-        xid_arr = np.arange(nx, dtype=np.int64)  # positions; map back to ids later
-        for key, xpos in x_groups.items():
-            ypos = y_groups.get(key, [])
-            xsel = np.asarray(xpos, dtype=np.int64)
-            ysel = np.asarray(ypos, dtype=np.int64)
-            res, cop = score_block(
-                {c: a[xsel] for c, a in x_arr.items()},
-                {c: a[ysel] for c, a in y_arr.items()},
-                xid_arr[xsel],
-                np.asarray([y_ids[p] for p in ypos], dtype=np.int64)
-                if ypos
-                else np.empty(0, dtype=np.int64),
-                cfg,
-                uniq,
-            )
-            pre_status[xsel] = res["pre_status"]
-            rows_matched[xsel] = res["rows_matched"]
-            match_score[xsel] = res["match_score"]
-            winner_y[xsel] = res["winner_y_id"]
-            winner_score[xsel] = res["winner_score"]
-            for x_col, vals in cop.items():
-                copied[x_col][xsel] = vals
+        res, copied = score_keyed(
+            x_arr, y_arr,
+            keys_of(x_arr, [xc for _, xc in group_pairs], nx),
+            keys_of(y_arr, [yc for yc, _ in group_pairs], len(y_ids)),
+            np.arange(nx, dtype=np.int64),  # positions; map back to ids later
+            np.asarray(y_ids, dtype=np.int64),
+            cfg,
+            uniq,
+        )
+        pre_status = res["pre_status"]
+        rows_matched = res["rows_matched"]
+        match_score = res["match_score"]
+        winner_y = res["winner_y_id"]
+        winner_score = res["winner_score"]
 
         # ---- assemble output rows (insertion order of x_records) ----------
         status_col = self.COLUMNS_TO_ADD["match_status"]

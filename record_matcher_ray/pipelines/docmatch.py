@@ -5,7 +5,7 @@ duplicate pass → transitive clustering.
 
 Differences from the conjunctive `pipelines.match` path: with OR-blocking a
 document's candidates span MANY key groups, so pair scoring emits partial
-(x, y, score) rows per key group (`core.kernel.score_pairs`) and a second
+(x, y, score) rows per key group (`core.kernel.score_pairs_flat`) and a second
 ``groupby(x_id)`` performs the argmax/status reduce after deduplicating
 repeated pairs (the same pair surfaces once per shared key; scores are
 deterministic so dedup is exact). Shuffle inventory (SURVEY.md §4.3):
@@ -576,11 +576,6 @@ def match_documents(
     # float equality is exact) — emitting raw candidates would shuffle the
     # full |pairs| stream into stage C.
     def score_bucket(t: pa.Table) -> pa.Table:
-        import time as _time
-
-        from record_matcher_ray.core.kernel import _PROF_PATH, _prof_write
-
-        _t0 = _time.perf_counter() if _PROF_PATH else 0.0
         n = len(t)
         if n == 0:
             return pair_schema.empty_table()
@@ -688,7 +683,7 @@ def match_documents(
                 dvals = np.asarray(de.dictionary.to_pylist(), dtype=object)
                 idxs = de.indices.to_numpy(zero_copy_only=False)
                 cols_np[c][rows_s] = dvals[idxs]
-        score, cand, optimal = score_pairs_flat(
+        score, cand, optimal, _ = score_pairs_flat(
             cols_np, cols_np, xi, yi, cfg, uniq
         )
         if not cand.any():
@@ -710,9 +705,6 @@ def match_documents(
         firstk = np.concatenate(([True], x_keep[1:] != x_keep[:-1]))
         grp_sizes = np.repeat(cnts, cnts)[keep]
         n_scored = np.where(firstk, grp_sizes, 0).astype(np.int64)
-        if _PROF_PATH:
-            _prof_write("__bucket__", "total", P,
-                        _time.perf_counter() - _t0)
         return _pair_table(
             {
                 "x_id": pa.array(x_of[order2][keep]),

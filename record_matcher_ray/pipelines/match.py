@@ -9,10 +9,14 @@ Dataflow (SURVEY.md §4.3):
    match/group columns to string, fill nulls with "", derive the blocking
    key (the `columns_to_group` value tuple — exact semantics of
    records.group_by at records.py:106-132).
-3. **blocking shuffle** — tag sides, union, `groupby(key).map_groups`:
-   within a group every x-row sees exactly its reference candidate set, so
-   the per-x argmax reduce is group-local (no second wide shuffle). The
-   vectorized `score_block` kernel runs per group.
+3. **blocking exchange** — tag sides and co-group them with
+   `core.exchange.bucket_exchange` on the blocking key, `default_tasks()`
+   hash buckets: every x-row lands with exactly its reference candidate
+   set, so the per-x argmax reduce is bucket-local (no second wide
+   shuffle). One flat `score_keyed` kernel call per bucket enumerates
+   each key's pairs by sort + boundary search, so a bucket's many keys
+   cost one Python call, and a hot key's pairs are scored in bounded
+   chunks of whole x rows.
    With NO group columns the reference scans all of Y per x
    (matcher.py:179-182); here Y is broadcast once via `ray.put` and scored
    against each X batch in a stateless `map_batches` — no shuffle at all.
@@ -46,7 +50,7 @@ import ray.data
 from record_matcher_ray.core.config import MatchConfig
 from record_matcher_ray.core.dup import resolve_duplicates
 from record_matcher_ray.core.exchange import bucket_exchange, default_tasks
-from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block
+from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block, score_keyed
 from record_matcher_ray.pipelines import table_ops
 
 COLUMNS_TO_ADD = {
@@ -217,7 +221,6 @@ def match_datasets(
     *,
     uniqueness: dict[str, float] | None = None,
     batch_size: int = 4096,
-    hot_key_cap: int | None = None,
     max_broadcast_rows: int = 5_000_000,
     progress: "Callable[[str, dict], None] | None" = None,
 ) -> MatchResult:
@@ -227,10 +230,11 @@ def match_datasets(
     reference's dict indices, load-bearing in the output strings —
     matcher.py:393-396).
 
-    ``hot_key_cap``: when set, blocking keys whose y-side exceeds the cap
-    are split into sub-blocks (skew salting) with a per-x merge, instead of
-    landing one giant group on one task. Semantics identical; ambiguous tie
-    strings for hot keys order by y_id (documented deviation).
+    Blocked rows reach their scoring task through one hash-bucket
+    exchange on the blocking key (``core.exchange``, ``default_tasks()``
+    buckets), and each bucket is one ``score_keyed`` call. A hot key costs
+    no special path: its pairs are scored in bounded chunks of whole x
+    rows. Ambiguous tie strings order by (first passing column, y rid).
 
     ``max_broadcast_rows``: guard for the ungrouped path (no blocking
     columns), which broadcasts ALL of Y into the object store. A Y larger
@@ -261,7 +265,6 @@ def match_datasets(
         scored = _match_shuffled(
             x_ds, y_ds, cfg, x_id, y_id, uniqueness,
             x_passthrough, x_match_cols, group_x, group_y, y_needed,
-            hot_key_cap=hot_key_cap,
         )
     else:
         scored = _match_broadcast(
@@ -347,7 +350,6 @@ def match_datasets(
 def _match_shuffled(
     x_ds, y_ds, cfg, x_id, y_id, uniq,
     x_passthrough, x_match_cols, group_x, group_y, y_needed,
-    hot_key_cap=None,
 ):
     # combined wire schema: rid/side/key + original x cols + normalized
     # match cols (x) + normalized/original y cols
@@ -391,278 +393,22 @@ def _match_shuffled(
     xp = x_ds.map_batches(x_prepare, batch_format="pyarrow")
     yp = y_ds.map_batches(y_prepare, batch_format="pyarrow")
 
-    def score_group(t: pa.Table) -> pa.Table:
+    def score_bucket(t: pa.Table) -> pa.Table:
+        # rid order in, so within each key the kernel sees y in rid order:
+        # ambiguous tie strings order by (first passing column, rid) in
+        # every run, whatever order the shuffle delivered the rows in
+        t = t.take(pc.sort_indices(t[_RID]))
         xt = t.filter(pc.equal(t[_SIDE], 0))
         yt = t.filter(pc.equal(t[_SIDE], 1))
-        return _score_tables(xt, yt, cfg, uniq, x_passthrough, x_match_cols)
-
-    hot: dict[str, int] = {}
-    if hot_key_cap:
-        # skew detection consumes yp once for counts and again in the
-        # union below — materialize both prepared sides first or the
-        # prepare lineage executes twice (CLAUDE.md multi-consumer rule);
-        # when hot keys exist, xp/yp are additionally consumed by the
-        # cold/hot filter branches
-        xp = xp.materialize()
-        yp = yp.materialize()
-        # skew detection: y-side per-key counts; only keys above the cap
-        # matter (small result), each mapped to its sub-block fan-out S
-        counts = yp.groupby(_KEY).count().to_pandas()
-        over = counts[counts["count()"] > hot_key_cap]
-        hot = {
-            str(k): int(np.ceil(c / hot_key_cap))
-            for k, c in zip(over[_KEY], over["count()"])
-        }
-
-    if not hot:
-        tagged = xp.union(yp)
-        return tagged.groupby(_KEY).map_groups(score_group, batch_format="pyarrow")
-
-    # ---- skew split: cold keys keep the group-local path; hot keys are
-    # salted into sub-blocks with a per-x merge (SURVEY.md §4.2) ----------
-    hot_keys = pa.array(list(hot), pa.string())
-
-    def cold_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.is_in(t[_KEY], value_set=hot_keys)))
-
-    def hot_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t[_KEY], value_set=hot_keys))
-
-    cold_scored = (
-        xp.map_batches(cold_only, batch_format="pyarrow")
-        .union(yp.map_batches(cold_only, batch_format="pyarrow"))
-        .groupby(_KEY)
-        .map_groups(score_group, batch_format="pyarrow")
-    )
-    hot_scored = _match_salted(
-        xp.map_batches(hot_only, batch_format="pyarrow"),
-        yp.map_batches(hot_only, batch_format="pyarrow"),
-        cfg, uniq, x_passthrough, x_match_cols, hot,
-    )
-    return cold_scored.union(hot_scored)
-
-
-def _match_salted(
-    xp_hot, yp_hot, cfg, uniq, x_passthrough, x_match_cols, hot: dict[str, int]
-):
-    """Hot-key path: a key whose y-side exceeds the cap is split into S
-    sub-blocks — each y row lands in ONE sub-block (hash(y_id) % S), each x
-    row is replicated to ALL S (per-task work is bounded by |x_key| × cap).
-    Sub-blocks emit partial candidate pairs (score_pairs_flat), merged by a
-    hash-bucketed ``groupby(x_id)`` argmax reduce; x passthrough and
-    copy-over columns re-attach via hash joins over the hot subset only.
-
-    Deviation (documented): for hot keys, ambiguous tie strings order by
-    y_id rather than the reference's candidate-insertion order — the same
-    tie SET, different string order (SURVEY.md §2.1 O7 note)."""
-    import ray
-
-    from record_matcher_ray.core.kernel import score_pairs_flat
-    from record_matcher_ray.pipelines.joins import hash_join
-
-    hot_ref = ray.put(hot)
-    y_needed = cfg.y_columns_needed()
-    req = cfg.required_threshold
-
-    # only scoring columns ride the salted shuffle — x passthrough columns
-    # would be replicated S× and are re-attached from x_orig afterwards
-    x_score_cols = ["xn::" + c for c in x_match_cols]
-    y_score_cols = ["yn::" + c for c in y_needed]
-    salt_cols = [_RID, _SIDE, _KEY] + x_score_cols + y_score_cols
-
-    def x_salt(t: pa.Table) -> pa.Table:
-        t = t.select(salt_cols)
-        s_map = ray.get(hot_ref)
-        keys = t[_KEY].to_pylist()
-        reps = np.fromiter((s_map[k] for k in keys), dtype=np.int64, count=len(keys))
-        idx = np.repeat(np.arange(len(t)), reps)
-        salts = np.concatenate([np.arange(r) for r in reps]) if len(reps) else np.empty(0, np.int64)
-        out = t.take(pa.array(idx))
-        newkey = pa.array(
-            [f"{keys[i]}#{s}" for i, s in zip(idx, salts)], pa.string()
+        res, copied = score_keyed(
+            {c: _str_np(xt, "xn::" + c) for c in x_match_cols},
+            {c: _str_np(yt, "yn::" + c) for c in y_needed},
+            _str_np(xt, _KEY), _str_np(yt, _KEY),
+            xt[_RID].to_numpy(), yt[_RID].to_numpy(), cfg, uniq,
         )
-        return out.set_column(out.column_names.index(_KEY), _KEY, newkey)
+        return _result_table(xt, res, copied, cfg, x_passthrough)
 
-    def y_salt(t: pa.Table) -> pa.Table:
-        t = t.select(salt_cols)
-        s_map = ray.get(hot_ref)
-        keys = t[_KEY].to_pylist()
-        rids = t[_RID].to_numpy()
-        newkey = pa.array(
-            [f"{k}#{int(r) % s_map[k]}" for k, r in zip(keys, rids)], pa.string()
-        )
-        return t.set_column(t.column_names.index(_KEY), _KEY, newkey)
-
-    # repartition so the groupby sort fans out: salted rows are narrow and
-    # the input may arrive as few blocks (sort output partitioning follows
-    # input block count)
-    sub = (
-        xp_hot.map_batches(x_salt, batch_format="pyarrow")
-        .union(yp_hot.map_batches(y_salt, batch_format="pyarrow"))
-        .repartition(default_tasks())
-    )
-
-    pair_schema = pa.schema(
-        [("x_id", pa.int64()), ("y_id", pa.int64()),
-         ("score", pa.float64()), ("optimal", pa.float64())]
-    )
-
-    def partial_pairs(t: pa.Table) -> pa.Table:
-        """Score the sub-block cross AND pre-reduce per x locally: only each
-        x's argmax TIE rows leave the task (≈1 row per x per sub-block) —
-        emitting raw candidate pairs would shuffle |x|×|y| rows, since
-        fuzzy scorers pass nearly every pair at score > 0. The global per-x
-        merge then just re-runs argmax over the sub-maxima (scores are
-        deterministic per pair, so cross-sub float equality is exact)."""
-        xt = t.filter(pc.equal(t[_SIDE], 0))
-        yt = t.filter(pc.equal(t[_SIDE], 1))
-        nx, ny = len(xt), len(yt)
-        if nx == 0 or ny == 0:
-            return pair_schema.empty_table()
-        x_cols = {c: _str_np(xt, "xn::" + c) for c in x_match_cols}
-        y_cols = {c: _str_np(yt, "yn::" + c) for c in y_needed}
-        xi = np.repeat(np.arange(nx), ny)
-        yi = np.tile(np.arange(ny), nx)
-        score, cand, optimal = score_pairs_flat(x_cols, y_cols, xi, yi, cfg, uniq)
-        if not cand.any():
-            return pair_schema.empty_table()
-        xi_c, yi_c, sc = xi[cand], yi[cand], score[cand]
-        # per-x local argmax (xi_c is already x-major ordered)
-        bounds = np.nonzero(np.concatenate(([True], xi_c[1:] != xi_c[:-1])))[0]
-        counts = np.diff(np.concatenate((bounds, [len(xi_c)])))
-        maxes = np.maximum.reduceat(sc, bounds)
-        keep = sc == np.repeat(maxes, counts)
-        x_ids = xt[_RID].to_numpy()
-        y_ids = yt[_RID].to_numpy()
-        return pa.table(
-            {
-                "x_id": pa.array(x_ids[xi_c[keep]]),
-                "y_id": pa.array(y_ids[yi_c[keep]]),
-                "score": pa.array(sc[keep]),
-                "optimal": pa.array(optimal[xi_c[keep]]),
-            }
-        )
-
-    pairs = sub.groupby(_KEY).map_groups(partial_pairs, batch_format="pyarrow")
-
-    n_buckets = 64
-    core_schema = pa.schema(
-        [("__px__", pa.int64()), ("pre_status", pa.string()),
-         ("winner_y_id", pa.int64()), ("winner_score", pa.float64()),
-         ("rows_matched", pa.string()), ("match_score_str", pa.string())]
-    )
-
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if n == 0:
-            return core_schema.empty_table()
-        x_id = t["x_id"].to_numpy()
-        y_id = t["y_id"].to_numpy()
-        score = t["score"].to_numpy()
-        optimal = t["optimal"].to_numpy()
-        order = np.lexsort((y_id, x_id))
-        x_s, y_s, sc_s, op_s = x_id[order], y_id[order], score[order], optimal[order]
-        bounds = np.nonzero(np.concatenate(([True], x_s[1:] != x_s[:-1])))[0]
-        ends = np.concatenate((bounds[1:], [n]))
-        out = {k: [] for k in ("xid", "st", "w", "ws", "rm", "ms")}
-        for s, e in zip(bounds, ends):
-            scores = sc_s[s:e]
-            mx = scores.max()
-            ties = y_s[s:e][scores == mx]
-            if mx >= req:
-                if len(ties) == 1:
-                    st = "review" if mx <= op_s[s] else "matched"
-                    w, ws = int(ties[0]), mx
-                else:
-                    st, w, ws = "ambiguous", NO_WINNER, np.nan
-                rm = ", ".join(str(int(y)) for y in ties)
-                ms = ", ".join(str(float(mx)) for _ in ties)
-            else:
-                st, w, ws, rm, ms = "unmatched", NO_WINNER, np.nan, "", ""
-            out["xid"].append(int(x_s[s]))
-            out["st"].append(st)
-            out["w"].append(w)
-            out["ws"].append(ws)
-            out["rm"].append(rm)
-            out["ms"].append(ms)
-        return pa.table(
-            {
-                "__px__": pa.array(out["xid"], pa.int64()),
-                "pre_status": pa.array(out["st"], pa.string()),
-                "winner_y_id": pa.array(out["w"], pa.int64()),
-                "winner_score": pa.array(out["ws"], pa.float64()),
-                "rows_matched": pa.array(out["rm"], pa.string()),
-                "match_score_str": pa.array(out["ms"], pa.string()),
-            }
-        )
-
-    # materialized: tiny (≈1 row per hot x), and the downstream hash joins
-    # probe schemas — on a lazy dataset that would re-execute the expensive
-    # scoring stage once per probe
-    reduced = bucket_exchange(
-        pairs, ["x_id"], reduce_bucket, n_buckets
-    ).materialize()
-
-    # x originals for the hot subset (one row per x)
-    def x_originals(t: pa.Table) -> pa.Table:
-        xt = t.filter(pc.equal(t[_SIDE], 0))
-        cols = {"__x_id__": xt[_RID].combine_chunks()}
-        for c in x_passthrough:
-            cols["x::" + c] = xt["x::" + c].combine_chunks()
-        return pa.table(cols)
-
-    x_orig = xp_hot.map_batches(x_originals, batch_format="pyarrow")
-    # every hot x must appear (x's with zero candidates → unmatched)
-    joined = hash_join(x_orig, reduced, "__x_id__", "__px__", how="left").materialize()
-
-    get_pairs = cfg.columns_to_get
-    if get_pairs:
-        def y_gets(t: pa.Table) -> pa.Table:
-            yt = t.filter(pc.equal(t[_SIDE], 1))
-            cols = {"__py__": yt[_RID].combine_chunks()}
-            for y_col, x_col in get_pairs:
-                cols["get::" + x_col] = yt["yn::" + y_col].combine_chunks()
-            return pa.table(cols)
-
-        joined = hash_join(
-            joined, yp_hot.map_batches(y_gets, batch_format="pyarrow"),
-            "winner_y_id", "__py__", how="left",
-        )
-
-    # assemble the exact scored schema (matching _result_table's output)
-    def assemble(t: pa.Table) -> pa.Table:
-        n = len(t)
-        cols = {"__x_id__": t["__x_id__"].combine_chunks()}
-        for c in x_passthrough:
-            cols["x::" + c] = t["x::" + c].combine_chunks()
-        cols["pre_status"] = pc.fill_null(
-            pc.cast(t["pre_status"], pa.string()), "unmatched"
-        ).combine_chunks()
-        cols["rows_matched"] = pc.fill_null(
-            pc.cast(t["rows_matched"], pa.string()), ""
-        ).combine_chunks()
-        cols["match_score_str"] = pc.fill_null(
-            pc.cast(t["match_score_str"], pa.string()), ""
-        ).combine_chunks()
-        cols["winner_y_id"] = pc.fill_null(
-            pc.cast(t["winner_y_id"], pa.int64()), NO_WINNER
-        ).combine_chunks()
-        cols["winner_score"] = pc.cast(t["winner_score"], pa.float64()).combine_chunks()
-        for _, x_col in get_pairs:
-            name = "get::" + x_col
-            if name in t.column_names:
-                # copy-over only applies to single-survivor rows
-                mask = pc.is_in(
-                    cols["pre_status"], value_set=pa.array(["matched", "review"])
-                )
-                cols[name] = pc.if_else(
-                    mask, pc.cast(t[name], pa.string()), pa.nulls(n, pa.string())
-                )
-            else:
-                cols[name] = pa.nulls(n, pa.string())
-        return pa.table(cols)
-
-    return joined.map_batches(assemble, batch_format="pyarrow")
+    return bucket_exchange([xp, yp], [_KEY], score_bucket, default_tasks())
 
 
 def _str_np(tbl: pa.Table, name: str) -> np.ndarray:
@@ -689,27 +435,6 @@ def _result_table(
     for _, x_col in cfg.columns_to_get:
         cols["get::" + x_col] = pa.array(copied[x_col], pa.string())
     return pa.table(cols)
-
-
-def _score_tables(xt, yt, cfg, uniq, x_passthrough, x_match_cols) -> pa.Table:
-    # Deterministic candidate order (documented deviation, COVERAGE.md
-    # §known-deviations): rows arrive in arbitrary post-shuffle order, so
-    # both sides are sorted by rid before scoring. Ambiguous tie STRINGS
-    # therefore order by ascending id — identical to the reference's
-    # y-insertion order whenever ids ascend at ingest (every fixture and
-    # the common load path); for non-monotone id insertion the tie SET
-    # still matches, only the string order differs. This also makes the
-    # distributed output run-stable, which raw group order is not.
-    if len(xt) > 1:
-        xt = xt.take(pc.sort_indices(xt[_RID]))
-    if len(yt) > 1:
-        yt = yt.take(pc.sort_indices(yt[_RID]))
-    x_ids = xt[_RID].to_numpy()
-    y_ids = yt[_RID].to_numpy() if len(yt) else np.empty(0, dtype=np.int64)
-    x_cols = {c: _str_np(xt, "xn::" + c) for c in x_match_cols}
-    y_cols = {c: _str_np(yt, "yn::" + c) for c in cfg.y_columns_needed()}
-    res, copied = score_block(x_cols, y_cols, x_ids, y_ids, cfg, uniq)
-    return _result_table(xt, res, copied, cfg, x_passthrough)
 
 
 # ---------------------------------------------------------------------------

@@ -258,3 +258,89 @@ def test_match_broadcast_guard_trips(ray_session):
 
     with pytest.raises(ValueError, match="max_broadcast_rows"):
         match_datasets(x, y, cfg, "xid", "yid", max_broadcast_rows=10)
+
+
+# ---------------------------------------------------------------------------
+# Ray ↔ local parity without the reference: the blocked and broadcast
+# pipelines against the dict-table API on the same fixtures
+# ---------------------------------------------------------------------------
+
+
+def _grouped_setup(c):
+    c.scorers_by_column.default = "difflib_ratio"
+    c.columns_to_match["fn"] = "fn"
+    c.columns_to_match["ln"] = "ln"
+    c.columns_to_group["town"] = "city"
+    c.columns_to_get["yid"] = "gotten"
+
+
+def _ungrouped_setup(c):
+    c.scorers_by_column.default = "difflib_ratio"
+    c.columns_to_match["fn"] = "fn"
+    c.columns_to_match["ln"] = "ln"
+    c.columns_to_get["yid"] = "gotten"
+
+
+_PARITY_FIXTURES = {
+    "grouped-3": (lambda: _random_tables(3), _grouped_setup),
+    "grouped-42": (lambda: _random_tables(42), _grouped_setup),
+    "ungrouped-7": (lambda: _random_tables(7, nx=30, ny=25), _ungrouped_setup),
+}
+
+# sha256 of each fixture's canonical Ray output (see _canonical), taken
+# from the matrix block kernel this flat kernel replaced
+_PARITY_SHA256 = {
+    "grouped-3":
+        "ab3820364b97c8f09f49774bc16960da366f48ac048b24f5b9fe760ed3f487b9",
+    "grouped-42":
+        "61c19c065da2bf01b7c236b575f1db6a1ff0b477b27f4629bd5ec300be65f426",
+    "ungrouped-7":
+        "e469d13cbd28cbb187eec3a14ca430fe4f8c2cb88c109362ee8efe5f92d582a3",
+}
+
+
+def _cell(v):
+    if v is None or (isinstance(v, float) and v != v):
+        return None
+    return int(v) if hasattr(v, "dtype") and v.dtype.kind == "i" else v
+
+
+def _canonical(df) -> str:
+    """Rows sorted by x id, columns by name, nulls as None → JSON."""
+    import json
+
+    cols = sorted(df.columns)
+    rows = [[idx] + [_cell(r[c]) for c in cols]
+            for idx, r in df.sort_index().iterrows()]
+    return json.dumps({"columns": cols, "rows": rows}, sort_keys=True)
+
+
+@pytest.mark.parametrize("fixture", sorted(_PARITY_FIXTURES))
+def test_ray_equals_local_api(ray_session, fixture):
+    """match_datasets and RecordMatcher.match give the same rows: status,
+    row(s)_matched and match_score strings, copy-over and the y-column
+    quirk nulls, and the same summary Counter. The canonical Ray output
+    is pinned by hash, so the distributed result cannot drift even
+    where both paths would drift together."""
+    import hashlib
+
+    from record_matcher_ray.api import RecordMatcher
+
+    make, setup = _PARITY_FIXTURES[fixture]
+    x, y = make()
+    got_df, got_summary = _run_ray(x, y, setup)
+
+    m = RecordMatcher()
+    m.x_records = copy.deepcopy(x)
+    m.y_records = copy.deepcopy(y)
+    setup(m.config)
+    want, want_summary = m.match()
+
+    assert sorted(got_df.index) == sorted(want)
+    for idx, wrow in want.items():
+        grow = got_df.loc[idx]
+        for col, wval in wrow.items():
+            assert _cell(grow[col]) == wval, (idx, col, grow[col], wval)
+    assert dict(got_summary) == dict(want_summary)
+    digest = hashlib.sha256(_canonical(got_df).encode()).hexdigest()
+    assert digest == _PARITY_SHA256[fixture]

@@ -1,10 +1,10 @@
-"""Hot-key salting: a skewed blocking key (most of Y in one block) must
-produce identical match results through the salted path as through the
-plain group-local path (and parity with the reference)."""
+"""Skew: a hot blocking key (most of Y in one block) is scored in bounded
+pair chunks and must give the same results however it is chunked, on the
+Ray path and the local API (and parity with the reference); plus the
+docmatch skew tools."""
 
 import numpy as np
 import pandas as pd
-import pytest
 
 
 def _skewed_tables(n_hot=120, n_cold=30, seed=9):
@@ -35,44 +35,68 @@ def _skewed_tables(n_hot=120, n_cold=30, seed=9):
     return pd.DataFrame(x_rows), pd.DataFrame(y_rows)
 
 
-def _run(x_df, y_df, hot_key_cap):
-    import ray.data as rd
-
+def _config(x_columns, y_columns):
     from record_matcher_ray.core.config import MatchConfigBuilder
-    from record_matcher_ray.pipelines.match import match_datasets
 
-    b = MatchConfigBuilder(
-        x_columns=set(x_df.columns), y_columns=set(y_df.columns)
-    )
+    b = MatchConfigBuilder(x_columns=set(x_columns), y_columns=set(y_columns))
     b.match("name", ["name"], scorer="difflib_ratio")
     b.group("city", "city")
     b.get("tag", "matched_tag")
-    cfg = b.build()
+    return b
+
+
+def _run(x_df, y_df):
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.match import match_datasets
+
     res = match_datasets(
-        rd.from_pandas(x_df), rd.from_pandas(y_df), cfg, "xkey", "ykey",
-        hot_key_cap=hot_key_cap,
+        rd.from_pandas(x_df), rd.from_pandas(y_df),
+        _config(x_df.columns, y_df.columns).build(), "xkey", "ykey",
     )
     return res.dataset.to_pandas().sort_values("xkey").reset_index(drop=True), res.summary
 
 
-def test_salted_path_equals_plain_path(ray_session):
+def test_hot_key_chunks_equal_ray_path(ray_session, monkeypatch):
+    """The hot key (one city holds 120 of 150 y rows) scored in many small
+    pair chunks by the local API gives the Ray path's result row for row:
+    status, copy-over, tie strings and scores."""
+    from record_matcher_ray.api import RecordMatcher
+    from record_matcher_ray.core import kernel
+
     x_df, y_df = _skewed_tables()
-    plain, s1 = _run(x_df, y_df, hot_key_cap=None)
-    salted, s2 = _run(x_df, y_df, hot_key_cap=16)  # metropolis → 8 sub-blocks
-    assert dict(s1) == dict(s2)
-    assert list(plain.columns) == list(salted.columns)
-    for col in ["xkey", "match_status", "matched_tag", "row(s)_matched"]:
-        pd.testing.assert_series_equal(
-            plain[col], salted[col], check_names=False, obj=col
-        )
-    # scores parsed as floats (string order identical here: unique winners)
-    for a, b in zip(plain["match_score"], salted["match_score"]):
-        fa = [float(v) for v in a.split(", ")] if a else []
-        fb = [float(v) for v in b.split(", ")] if b else []
-        assert fa == pytest.approx(fb)
+    ray_df, ray_summary = _run(x_df, y_df)
+
+    calls = []
+    flat = kernel.score_pairs_flat
+
+    def spy(x_cols, y_cols, xi, yi, cfg, uniq):
+        calls.append(len(xi))
+        return flat(x_cols, y_cols, xi, yi, cfg, uniq)
+
+    monkeypatch.setattr(kernel, "_PAIR_BUDGET", 240)  # two hot x rows
+    monkeypatch.setattr(kernel, "score_pairs_flat", spy)
+    m = RecordMatcher()
+    m.x_records = {int(r["xkey"]): {"name": r["name"], "city": r["city"]}
+                   for _, r in x_df.iterrows()}
+    m.y_records = {int(r["ykey"]): {"name": r["name"], "city": r["city"],
+                                    "tag": r["tag"]}
+                   for _, r in y_df.iterrows()}
+    m.config = _config(m.config.x_columns, m.config.y_columns)
+    local, local_summary = m.match()
+
+    assert len(calls) >= 40 and max(calls) <= 240
+    assert dict(ray_summary) == dict(local_summary)
+    assert list(ray_df["xkey"]) == sorted(local)
+    for _, row in ray_df.iterrows():
+        want = local[int(row["xkey"])]
+        for col in ["match_status", "row(s)_matched", "match_score"]:
+            assert row[col] == want[col], (row["xkey"], col)
+        got_tag = row["matched_tag"]
+        assert (got_tag if got_tag == got_tag else None) == want["matched_tag"]
 
 
-def test_salted_path_matches_reference(ray_session, reference):
+def test_hot_key_matches_reference(ray_session, reference):
     import copy
 
     from record_matcher_ray.functions.scorers import difflib_ratio
@@ -97,7 +121,7 @@ def test_salted_path_matches_reference(ray_session, reference):
     want, _ = m.match()
 
     x_in = x_df[["xkey", "name", "city"]]
-    got, _ = _run(x_in, y_df, hot_key_cap=8)
+    got, _ = _run(x_in, y_df)
     got = got.set_index("xkey")
     for idx, wrow in want.items():
         assert got.loc[idx, "match_status"] == wrow["match_status"], idx

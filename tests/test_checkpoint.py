@@ -113,6 +113,69 @@ def test_docmatch_checkpointed_resume(ray_session, tmp_path):
     assert res2.counters["matches_accepted"] == n_edges_1
 
 
+_ASSIGN_COLS = ["x_id", "match_status", "winner_y_id", "winner_score",
+                "rows_matched", "match_score", "demoted"]
+
+
+@pytest.fixture(scope="module")
+def docmatch_unsharded(ray_session, tmp_path_factory):
+    """A corpus on which per-shard blocking used to change the winners
+    (1,000 entities, seed 2), with its unsharded assignments and clusters."""
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.docmatch import match_documents
+    from record_matcher_ray.sources.corpus import generate_corpus
+
+    d = str(tmp_path_factory.mktemp("corpus1000"))
+    generate_corpus(d, n_entities=1000, seed=2)
+
+    def read():
+        return (rd.read_parquet(f"{d}/corpus.parquet"),
+                rd.read_parquet(f"{d}/registry.parquet"))
+
+    res = match_documents(*read())
+    return read, _by_x(res.assignments), _components(res.clusters)
+
+
+def _by_x(assignments) -> pd.DataFrame:
+    return (assignments.to_pandas()[_ASSIGN_COLS]
+            .sort_values("x_id").reset_index(drop=True))
+
+
+def _components(clusters) -> set:
+    df = clusters.to_pandas()
+    return {frozenset(g) for g in df.groupby("component")["node"].agg(list)}
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
+def test_docmatch_sharded_equals_unsharded(docmatch_unsharded, tmp_path, n_shards):
+    """The shard count only splits the checkpoint: assignments and cluster
+    membership equal the unsharded match's for every n_shards."""
+    from record_matcher_ray.pipelines.docmatch import match_documents_checkpointed
+
+    read, want, want_clusters = docmatch_unsharded
+    res = match_documents_checkpointed(*read(), str(tmp_path / "ck"),
+                                       n_shards=n_shards)
+    pd.testing.assert_frame_equal(_by_x(res.assignments), want)
+    assert _components(res.clusters) == want_clusters
+
+
+def test_docmatch_reshard_on_one_root(docmatch_unsharded, tmp_path):
+    """A root written with 4 shards, re-run with 7 under the same caller
+    fingerprint, is recomputed under the new layout: every x once, equal
+    to the unsharded match (old manifests are not mixed in)."""
+    from record_matcher_ray.pipelines.docmatch import match_documents_checkpointed
+
+    read, want, _ = docmatch_unsharded
+    root = str(tmp_path / "ck")
+    match_documents_checkpointed(*read(), root, n_shards=4)
+    res = match_documents_checkpointed(*read(), root, n_shards=7)
+    got = _by_x(res.assignments)
+    assert got["x_id"].is_unique and len(got) == len(want)
+    pd.testing.assert_frame_equal(got, want)
+    assert not res.runner.skipped
+
+
 def test_read_partition_no_hive_columns(ray_session, tmp_path):
     """r4 regression: the stage=/part= path segments must NOT be
     hive-parsed into extra string columns that ride every downstream

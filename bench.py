@@ -506,7 +506,8 @@ def run_resume_proof() -> None:
     claim): run the checkpointed flagship job, SIGKILL it mid-stage once
     half the assignment-shard manifests exist, resubmit the identical
     command, and verify (a) the resume run's lineage accounting shows the
-    completed partitions were SKIPPED (read back, not rescored) and (b)
+    completed partitions were SKIPPED (read back, not rewritten; the one
+    global match is recomputed to write the missing partitions) and (b)
     the resumed output is value-identical to an uninterrupted control run
     in a fresh checkpoint root. Prints ONE JSON line with both wall times,
     the skip counts and the output-checksum comparison."""

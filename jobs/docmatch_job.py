@@ -12,10 +12,13 @@ for ``ray job submit`` on a fixed-size multi-node cluster:
 The job owns its Ray session (`ray.init(address="auto")` attaches to the
 cluster the job server placed it on); the library itself never calls
 ray.init (CLAUDE.md hard rule). Output is partitioned parquet; with
-``--checkpoint`` the run goes through ``match_documents_checkpointed``,
-whose per-partition lineage manifests + counters let a killed job resume
-without rescoring completed partitions — kill this job mid-run and
-resubmit with the same arguments to see it skip finished partitions.
+``--checkpoint`` the run goes through ``match_documents_checkpointed``:
+one global match whose assignments are written as ``--shards`` partitions
+with lineage manifests + counters. Kill this job mid-run and resubmit
+with the same arguments: completed partitions are read back, not
+rewritten, and the match itself is one stage, recomputed once if any
+partition is missing. The output equals the unsharded run's for every
+``--shards``.
 
 Locally (this sandbox) the same script runs single-node:
 
@@ -45,10 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--num-cpus", type=int, default=None,
                    help="local-mode CPU cap (ignored on a cluster)")
     p.add_argument("--shards", type=int, default=4,
-                   help="checkpoint shard count (with --checkpoint)")
-    p.add_argument("--shard-concurrency", type=int, default=None,
-                   help="concurrent shard pipelines (default min(shards, 4); "
-                        "1 = strictly sequential)")
+                   help="checkpoint partition count (with --checkpoint)")
     p.add_argument("--fingerprint", default="",
                    help="input fingerprint recorded in manifests; a "
                         "mismatch forces recompute instead of stale reuse")
@@ -78,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         res = match_documents_checkpointed(
             corpus, registry, args.checkpoint,
             n_shards=args.shards, fingerprint=args.fingerprint,
-            shard_concurrency=args.shard_concurrency,
         )
     else:
         res = match_documents(corpus, registry)

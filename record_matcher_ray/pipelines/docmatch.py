@@ -335,14 +335,12 @@ def match_documents(
     num_perm: int = 64,
     seed: int = 1,
     max_block_side: int = 32,
-    concurrency: int | None = None,
     cluster_edges: bool = True,
     progress: "Callable[[str, dict], None] | None" = None,
     n_buckets: int = 256,
     reduce_driver_cap: int = 500_000,
     shuffle_partitions: int | None = None,
     y_prepared: "tuple[ray.data.Dataset, ray.data.Dataset] | None" = None,
-    x_block_cap: int | None = None,
 ) -> DocMatchResult:
     """x_docs / y_docs: (doc_id, spans) tables (corpus schema). Returns
     per-x assignments, accepted-pair edges and entity clusters.
@@ -358,12 +356,9 @@ def match_documents(
     ignored and the y-side flatten + key expansion are skipped entirely —
     the incremental/delta path (:func:`match_documents_delta`).
 
-    ``x_block_cap``: x-side per-key width cap (defaults to
-    ``max_block_side``). The sharded path passes
-    ``ceil(max_block_side / n_shards)`` so a key's admitted pair budget
-    stays invariant to resharding — a shard sees ~1/n of each key's x
-    width, so an unscaled cap would admit ~n× the pairs the unsharded
-    run caps away.
+    ``max_block_side``: a key whose x width or y width exceeds it is
+    dropped (counted in ``blocks_dropped``). Both widths are the key's
+    widths over the whole of this call's input.
 
     ``n_buckets``: the UPPER BOUND on the key-hash groups stage B scores
     (one ``map_groups`` call each). The run takes its group count from
@@ -373,7 +368,6 @@ def match_documents(
     coalesced to (default: 2 per cluster CPU). Both only decide how the
     work is cut; results do not depend on them."""
     cfg = cfg or default_doc_config()
-    x_cap = int(max_block_side if x_block_cap is None else x_block_cap)
 
     def _tick(stage: str, info: dict) -> None:
         if callable(progress):
@@ -595,7 +589,7 @@ def match_documents(
         ny_g = sizes - nx_g
         valid = (
             (nx_g > 0) & (ny_g > 0)
-            & (nx_g <= x_cap) & (ny_g <= max_block_side)
+            & (nx_g <= max_block_side) & (ny_g <= max_block_side)
         )
         # groups with both sides present but over the cap are DROPPED —
         # counted, never silent (docstring contract)
@@ -1131,75 +1125,54 @@ def match_documents_checkpointed(
     root: str,
     *,
     n_shards: int = 4,
-    shard_concurrency: int | None = None,
     fingerprint: str = "",
     cfg: MatchConfig | None = None,
     **kw,
 ) -> DocMatchResult:
-    """Resumable variant: the x-corpus is hash-sharded on doc_id; each
-    shard's assignment stage is an independently checkpointed partition
-    (parquet + lineage manifest, state/checkpoint.py), so a killed run
-    skips completed shards on restart without rescoring them. Clustering
-    runs as a final checkpointed stage over the union of shard outputs.
+    """Resumable variant: ONE match of all of x against the checkpointed
+    registry index (:func:`match_documents_delta` under the same
+    ``root``), whose assignments are written as ``n_shards`` checkpointed
+    partitions (parquet + lineage manifest, state/checkpoint.py; x row
+    ``x_id % n_shards == i`` goes to partition ``i``). Clustering runs as
+    a final checkpointed stage over their union.
 
-    The y side is flattened + key-expanded exactly ONCE, as the
-    checkpointed registry index (:func:`build_doc_index` stages
-    ``y_flat``/``y_keys``/``y_keyset`` under the same ``root``); every
-    shard then matches against the loaded ``y_prepared`` handle — no
-    per-shard y recompute, and a resumed run reuses the index manifests
-    as-is.
+    The shard count only splits the checkpoint: blocking, the per-key
+    width cap and the duplicate pass all see the whole of x, so the
+    assignments equal :func:`match_documents`' for every ``n_shards``.
+    Completed partitions are read back, not rewritten; the match itself
+    is one stage. A run whose partitions are all complete computes
+    nothing (no index load, no match); a run with any partition missing
+    recomputes the one global match and writes only the missing
+    partitions.
 
-    ``shard_concurrency`` (default ``min(n_shards, 4)``) runs that many
-    shard pipelines at once from driver threads — the single-driver
-    analogue of parallel shard jobs on a cluster; it overlaps each
-    shard's fixed stage latencies while the shards share the cluster's
-    CPUs. Set 1 for strictly sequential shards. Each concurrent shard
-    lays its exchanges out over its share of the cluster's tasks
-    (``default_tasks()`` // ``shard_concurrency``, floor 1) unless
-    ``shuffle_partitions`` is passed.
-
-    ``n_buckets`` (in ``**kw``, default 256) is the registry index's
-    build-time key-group count and the upper bound on each shard's
-    groups (see :func:`match_documents`)."""
+    The manifests' fingerprint folds in ``n_shards``, ``max_block_side``,
+    ``num_perm``, ``seed`` and ``n_buckets`` after the caller's
+    ``fingerprint``, so a root written under another shard layout or key
+    derivation is recomputed, never mixed in. ``**kw`` goes to
+    :func:`match_documents_delta`."""
     from record_matcher_ray.state.checkpoint import StageRunner, hash_partition_ids
 
-    cfg = cfg or default_doc_config()
-    runner = StageRunner(root, fingerprint=fingerprint)
-    parts = hash_partition_ids(n_shards)
-    _, y_prepared = _load_y_prepared(
-        y_docs, root, cfg,
-        num_perm=kw.get("num_perm", 64),
-        seed=kw.get("seed", 1),
-        n_buckets=kw.get("n_buckets", 256),
-        max_block_side=kw.get("max_block_side", 32),
-        fingerprint=fingerprint,
-    )
-
-    conc = (shard_concurrency if shard_concurrency is not None
-            else min(n_shards, 4))
-    if "shuffle_partitions" not in kw and conc > 1:
-        # each concurrent shard lays its exchanges out over its SHARE of
-        # the cluster's tasks, not the whole of it
-        kw["shuffle_partitions"] = max(1, default_tasks() // conc)
+    layout = (f"global-shards{n_shards}-cap{kw.get('max_block_side', 32)}"
+              f"-perm{kw.get('num_perm', 64)}-seed{kw.get('seed', 1)}"
+              f"-b{kw.get('n_buckets', 256)}")
+    runner = StageRunner(root, fingerprint=f"{fingerprint}|{layout}")
+    matched: list[ray.data.Dataset] = []  # the global match, on first use
 
     def shard_fn(part: str) -> ray.data.Dataset:
+        if not matched:
+            matched.append(match_documents_delta(
+                x_docs, y_docs, root, cfg=cfg, fingerprint=fingerprint,
+                cluster_edges=False, **kw,
+            ).assignments.materialize())
         i = int(part)
 
         def keep(t: pa.Table) -> pa.Table:
-            rid = pc.cast(pc.utf8_slice_codeunits(t["doc_id"], 1, 99), pa.int64())
-            shard = np.mod(rid.to_numpy(), n_shards)
-            return t.filter(pa.array(shard == i))
+            return t.filter(pa.array(np.mod(t["x_id"].to_numpy(), n_shards) == i))
 
-        x_shard = x_docs.map_batches(keep, batch_format="pyarrow")
-        return match_documents(
-            x_shard, None, cfg, cluster_edges=False,
-            y_prepared=y_prepared,
-            x_block_cap=-(-kw.get("max_block_side", 32) // n_shards),
-            **kw
-        ).assignments
+        return matched[0].map_batches(keep, batch_format="pyarrow")
 
     assignments = runner.run_partitioned(
-        "assignments", parts, shard_fn, max_concurrent=conc,
+        "assignments", hash_partition_ids(n_shards), shard_fn
     )
     edges = edges_from_assignments(assignments).materialize()
     clusters = runner.run(

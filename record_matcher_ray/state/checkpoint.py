@@ -1,6 +1,8 @@
-"""Checkpoint / lineage layer (north_rule: "every stage is checkpointed
-with per-partition lineage manifests and counters so a killed run resumes
-mid-pipeline without rescoring completed partitions").
+"""Checkpoint / lineage layer: every stage is checkpointed with
+per-partition lineage manifests and counters, so a killed run resumes
+mid-pipeline. Completed partitions are read back, not rewritten; the
+match itself is one stage (``match_documents_checkpointed`` recomputes its
+one global match when any of its partitions is missing).
 
 Layout:
 
@@ -75,32 +77,6 @@ def manifest(root: str, stage: str, part: str) -> dict:
         return json.load(f)
 
 
-def _settle_racy_lazy_imports() -> None:
-    """Pre-settle optional imports that Ray Data attempts lazily on EVERY
-    ``read_parquet`` call. A FAILED module import is removed from
-    ``sys.modules``, so when ``aiohttp`` is absent, concurrent dataset
-    construction from driver threads races on the partially-executed
-    ``fsspec.implementations.http`` module and raises
-    ``ImportError: cannot import name 'HTTPFileSystem'`` (observed
-    2026-08-20, shard threads). If the import fails, install a stub
-    module whose ``HTTPFileSystem`` class is never instantiated — every
-    later import then succeeds deterministically and
-    ``_is_http_filesystem`` still (correctly) answers False."""
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-    except Exception:
-        import sys
-        import types
-
-        stub = types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # aiohttp absent — nothing instantiates this
-            pass
-
-        stub.HTTPFileSystem = HTTPFileSystem
-        sys.modules["fsspec.implementations.http"] = stub
-
-
 class StageRunner:
     """Resumable stage executor.
 
@@ -130,20 +106,11 @@ class StageRunner:
         parts: list[str],
         fn: Callable[[str], ray.data.Dataset],
         counters: Callable[[ray.data.Dataset], dict] | None = None,
-        max_concurrent: int = 1,
     ) -> ray.data.Dataset:
-        """Run ``fn(part)`` for every incomplete partition, write each
-        atomically with its manifest, and return the union of ALL partition
-        outputs (completed partitions are read back, never recomputed).
-
-        ``max_concurrent > 1`` executes incomplete partitions from a
-        driver-side thread pool — the single-driver analogue of launching
-        shard jobs in parallel on a cluster. Each partition's Dataset
-        execution is independent (own streaming executor); they share the
-        cluster's CPUs, so concurrency overlaps the per-shard fixed
-        latencies (driver folds, exchange setup) that a sequential loop
-        serializes. Manifest writes stay atomic per partition, so a kill
-        mid-flight still resumes on whatever completed."""
+        """Run ``fn(part)`` for every incomplete partition, in order, write
+        each atomically with its manifest, and return the union of ALL
+        partition outputs (completed partitions are read back, never
+        recomputed)."""
         if not parts:
             raise ValueError(
                 f"run_partitioned('{stage}'): empty partition list — pass at "
@@ -151,16 +118,12 @@ class StageRunner:
             )
         stage_dir = os.path.join(self.root, f"stage={stage}")
         os.makedirs(stage_dir, exist_ok=True)
-        by_part: dict[str, ray.data.Dataset] = {}
-        todo: list[str] = []
+        datasets: list[ray.data.Dataset] = []
         for part in parts:
             if is_complete(self.root, stage, part, self.fingerprint or None):
                 self.skipped.append(f"{stage}/{part}")
-                by_part[part] = read_partition(self.root, stage, part)
-            else:
-                todo.append(part)
-
-        def compute_one(part: str) -> ray.data.Dataset:
+                datasets.append(read_partition(self.root, stage, part))
+                continue
             final_dir = _part_dir(self.root, stage, part)
             mpath = _manifest_path(self.root, stage, part)
             tmp_dir = os.path.join(stage_dir, f"_tmp_{part}")
@@ -172,7 +135,7 @@ class StageRunner:
             ds = fn(part)
             ds.write_parquet(tmp_dir)
             os.rename(tmp_dir, final_dir)
-            done = ray.data.read_parquet(final_dir, partitioning=None)
+            done = read_partition(self.root, stage, part)
             m = {
                 "status": "done",
                 "stage": stage,
@@ -186,22 +149,7 @@ class StageRunner:
                 json.dump(m, f)
             os.rename(mpath + ".tmp", mpath)
             self.computed.append(f"{stage}/{part}")
-            return done
-
-        if max_concurrent > 1 and len(todo) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _settle_racy_lazy_imports()
-            with ThreadPoolExecutor(
-                max_workers=min(max_concurrent, len(todo))
-            ) as pool:
-                futs = {p: pool.submit(compute_one, p) for p in todo}
-                for p, f in futs.items():
-                    by_part[p] = f.result()
-        else:
-            for part in todo:
-                by_part[part] = compute_one(part)
-        datasets = [by_part[p] for p in parts]
+            datasets.append(done)
         out = datasets[0]
         for d in datasets[1:]:
             out = out.union(d)

@@ -200,36 +200,6 @@ def test_read_partition_no_hive_columns(ray_session, tmp_path):
     assert pruned.schema().names == ["k"]
 
 
-def test_run_partitioned_concurrent_matches_sequential(ray_session, tmp_path):
-    """max_concurrent > 1 must produce the same partition outputs and
-    manifests as the sequential path, and still resume."""
-    import pandas as pd
-    import ray.data as rd
-
-    from record_matcher_ray.state.checkpoint import StageRunner
-
-    def fn(part: str) -> rd.Dataset:
-        i = int(part)
-        return rd.from_pandas(
-            pd.DataFrame({"p": [i] * 3, "v": [i * 10 + k for k in range(3)]})
-        )
-
-    parts = [str(i) for i in range(4)]
-    seq = StageRunner(str(tmp_path / "seq"), fingerprint="f").run_partitioned(
-        "s", parts, fn
-    ).to_pandas().sort_values(["p", "v"]).reset_index(drop=True)
-    r2 = StageRunner(str(tmp_path / "conc"), fingerprint="f")
-    conc = r2.run_partitioned("s", parts, fn, max_concurrent=4)
-    got = conc.to_pandas().sort_values(["p", "v"]).reset_index(drop=True)
-    assert got.equals(seq)
-    assert sorted(r2.computed) == [f"s/{p}" for p in parts]
-    # resume skips everything, concurrently too
-    r3 = StageRunner(str(tmp_path / "conc"), fingerprint="f")
-    r3.run_partitioned("s", parts, fn, max_concurrent=4)
-    assert sorted(r3.skipped) == [f"s/{p}" for p in parts]
-    assert r3.computed == []
-
-
 def test_incremental_er_job(ray_session):
     """jobs/incremental_job.py end-to-end on the fixture corpus: day-2
     delta merges into day-1 clusters with stable, collision-free entity

@@ -1,6 +1,7 @@
 """Local mimic of the driver's correctness gate: run every queries() entry
 and its oracle_sql() side-by-side, compare row count / schema / values
-(order-insensitive). Usage:
+(order-insensitive). Each line shows the engine's time and the DuckDB
+oracle's time; the totals of both are printed at the end. Usage:
 
     PYTHONPATH=/root/repo python tools/check_contract.py [sf_dir] [--only name1,name2]
 """
@@ -112,6 +113,7 @@ def main(sf_dir: str, only: set[str] | None = None):
         qs = {k: v for k, v in qs.items() if k in only}
     sqls = entrymod.oracle_sql()
     n_pass = n_fail = 0
+    engine_s = oracle_s = 0.0
     for name, fn in qs.items():
         t0 = time.time()
         try:
@@ -121,19 +123,25 @@ def main(sf_dir: str, only: set[str] | None = None):
             n_fail += 1
             continue
         dt = time.time() - t0
+        engine_s += dt
         if name not in sqls:
             print(f"ok   {name}: rows-only ({len(ours)} rows, {dt:.1f}s)")
             n_pass += 1
             continue
+        t0 = time.time()
         theirs = con.execute(sqls[name]).fetchdf()
+        ot = time.time() - t0
+        oracle_s += ot
+        times = f"engine {dt:.1f}s, oracle {ot:.1f}s"
         problems = compare(name, ours, theirs)
         if problems:
-            print(f"FAIL {name} ({dt:.1f}s): " + "; ".join(problems[:4]))
+            print(f"FAIL {name} ({times}): " + "; ".join(problems[:4]))
             n_fail += 1
         else:
-            print(f"PASS {name}: {len(ours)} rows match oracle ({dt:.1f}s)")
+            print(f"PASS {name}: {len(ours)} rows match oracle ({times})")
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail")
+    print(f"engine total {engine_s:.1f}s, oracle total {oracle_s:.1f}s")
     ray.shutdown()
     sys.exit(1 if n_fail else 0)
 

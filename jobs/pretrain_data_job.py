@@ -55,6 +55,7 @@ def assemble_pretraining_data(
     ``(doc_id, seq_len, pack_bucket, bin_in_bucket, bin_offset,
     truncated)`` and a funnel dict (stage → surviving docs; populated
     when ``audit=True`` — each count materializes its stage)."""
+    from record_matcher_ray.core.hashkernels import normalize_utf8
     from record_matcher_ray.pipelines.dedup import exact_dedup
     from record_matcher_ray.pipelines.sampling import (
         hash_sample,
@@ -62,10 +63,7 @@ def assemble_pretraining_data(
     )
 
     def norm_count(t: pa.Table) -> pa.Table:
-        nt = pc.utf8_trim_whitespace(pc.replace_substring_regex(
-            pc.utf8_lower(pc.fill_null(pc.cast(t[text_col], pa.string()),
-                                       "")),
-            r"[^a-z0-9]+", " "))
+        nt = normalize_utf8(t[text_col])
         n = pc.add(pc.count_substring(nt, " "),
                    pc.if_else(pc.equal(nt, ""), 0, 1))
         return pa.table({

@@ -760,39 +760,34 @@ _LINE_DEDUP_SQL = """
 
 def _q_chunk_passages(sf_dir: str):
     """RAG passage chunking: 16-word windows stepping by 12 (4-word
-    overlap), trailing partial kept — stable (doc, passage_idx) ids,
-    word-slice replay in SQL."""
+    overlap) over the ``[a-z0-9]+`` normalized words — stable (doc,
+    chunk_id) ids, the chunker's window rule replayed in SQL."""
+    import pyarrow as pa
 
-    from record_matcher_ray.pipelines.analysis import chunk_passages
+    from record_matcher_ray.core.hashkernels import normalize_utf8
+    from record_matcher_ray.pipelines.analysis import chunk_documents
 
     ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return chunk_passages(ds, window=16, overlap=4)
 
+    def words(t: pa.Table) -> pa.Table:
+        i = t.schema.get_field_index("text")
+        return t.set_column(i, "text", normalize_utf8(t["text"]))
 
-_CHUNK_SQL = """
-    WITH d AS (
-      SELECT doc_id,
-             list_filter(string_split(trim(regexp_replace(
-               lower(coalesce(text, '')), '[^a-z0-9]+', ' ', 'g')), ' '),
-               x -> x <> '') AS w
-      FROM documents
-    ), p AS (
-      SELECT doc_id, w, i AS passage_idx
-      FROM d, unnest(generate_series(
-        0, CASE WHEN len(w) = 0 THEN -1 ELSE (len(w) - 1) // 12 END
-      )) u(i)
+    return chunk_documents(
+        ds.map_batches(words, batch_format="pyarrow"), size=16, overlap=4
     )
-    SELECT doc_id, passage_idx::BIGINT AS passage_idx,
-           (passage_idx * 12)::BIGINT AS start_word,
-           (least(passage_idx * 12 + 16, len(w))
-            - passage_idx * 12)::BIGINT AS n_words,
-           array_to_string(
-             w[passage_idx * 12 + 1 : least(passage_idx * 12 + 16,
-                                            len(w))], ' ') AS passage
-    FROM p ORDER BY doc_id, passage_idx
-"""
+
+
+def _chunk_sql() -> str:
+    from record_matcher_ray.contract.sampling import sql_chunk_documents
+
+    return sql_chunk_documents(size=16, overlap=4, table="""(
+        SELECT doc_id,
+               trim(regexp_replace(lower(coalesce(text, '')),
+                                   '[^a-z0-9]+', ' ', 'g')) AS text
+        FROM documents) AS d""")
 
 
 def queries():
@@ -849,7 +844,7 @@ def oracles():
     return {
         "luhn_cards_docs": _LUHN_SQL,
         "line_dedup_docs": _LINE_DEDUP_SQL,
-        "chunk_passages_docs": _CHUNK_SQL,
+        "chunk_passages_docs": _chunk_sql(),
         "standardize_docs": f"""
             WITH t AS (
               SELECT doc_id,

@@ -215,9 +215,7 @@ def _q_snm_pairs(sf_dir: str):
     """Sorted-neighborhood blocking over customers ordered by
     (c_name, c_custkey), window 5 → candidate pairs (x_id, y_id, gap)."""
 
-    from record_matcher_ray.pipelines.relational import (
-        sorted_neighborhood_pairs,
-    )
+    from record_matcher_ray.pipelines.linkage import sorted_neighborhood_pairs
 
     ds = read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]

@@ -16,12 +16,39 @@ from record_matcher_ray.contract.shared import (  # noqa: F401
 from record_matcher_ray.sources.readers import read_table
 
 
+def sql_chunk_documents(size: int = 64, overlap: int = 16,
+                        table: str = "documents", text_col: str = "text",
+                        id_col: str = "doc_id") -> str:
+    """DuckDB mirror of ``analysis.chunk_documents``: whitespace tokens,
+    window starts 0, stride, … while start < max(n - overlap, 1)."""
+    stride = size - overlap
+    return f"""
+        WITH t AS (
+          SELECT {id_col},
+                 list_filter(string_split_regex(coalesce({text_col}, ''),
+                                                '\\s+'),
+                             x -> x <> '') AS toks
+          FROM {table}
+        ), c AS (
+          SELECT {id_col}, toks, len(toks) AS n,
+                 unnest(generate_series(
+                   0, greatest(len(toks) - {overlap}, 1) - 1, {stride})) AS s
+          FROM t WHERE len(toks) > 0
+        )
+        SELECT {id_col}, s // {stride} AS chunk_id,
+               least(s + {size}, n) - s AS n_tokens,
+               array_to_string(toks[s + 1 : least(s + {size}, n)], ' ')
+                 AS chunk_text
+        FROM c
+    """
+
+
 def _q_chunks(sf_dir: str):
     """Overlapping token-window chunking (size 64, overlap 16) — the
     retrieval-prep transform; deterministic window starts so the DuckDB
     generate_series mirror matches hash-exactly."""
 
-    from record_matcher_ray.pipelines.chunking import chunk_documents
+    from record_matcher_ray.pipelines.analysis import chunk_documents
 
     ds = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -47,23 +74,28 @@ def _q_split_docs(sf_dir: str):
 
 
 def _q_pack_docs(sf_dir: str):
-    """Sequence packing into 512-token bins, next-fit over doc_id order.
-    The query pins a canonical packing (one block, one batch, sorted
-    ids) so the DuckDB recursive-CTE replay of the next-fit recurrence
-    checks it exactly; at scale packing is partition-local by design."""
-
+    """Sequence packing into 512-token bins, next-fit over doc_id order:
+    ``pack_sequences`` with one pack bucket spanning every id, then a
+    per-bin groupby → (bin_id = first doc id, n_docs, total_tokens,
+    fill_frac, oversize), checked exactly by a recursive-CTE replay of
+    the next-fit recurrence."""
     from record_matcher_ray.pipelines.analysis import token_counts
-    from record_matcher_ray.pipelines.packing import pack_sequences
+    from record_matcher_ray.pipelines.sampling import pack_sequences
 
     ds = read_table(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
-        override_num_blocks=1,
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     tc = token_counts(ds).select_columns(["doc_id", "n_ws_tokens"])
-    return pack_sequences(
-        tc.sort("doc_id").repartition(1), 512,
-        token_col="n_ws_tokens", batch_size=1 << 22,
-    ).drop_columns(["doc_ids"])
+    docs = pack_sequences(
+        tc, "n_ws_tokens", capacity=512, bucket_size=1 << 62
+    ).to_pandas()
+    bins = docs.groupby("bin_in_bucket").agg(
+        bin_id=("doc_id", "min"), n_docs=("doc_id", "size"),
+        total_tokens=("seq_len", "sum"),
+    ).reset_index(drop=True)
+    bins["fill_frac"] = np.minimum(bins["total_tokens"] / 512.0, 1.0)
+    bins["oversize"] = bins["total_tokens"] > 512
+    return bins
 
 
 def _q_shuffle_docs(sf_dir: str):
@@ -158,7 +190,7 @@ def _q_chunk_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from record_matcher_ray.pipelines.chunking import chunk_documents
+    from record_matcher_ray.pipelines.analysis import chunk_documents
     from record_matcher_ray.pipelines.dedup import exact_dup_groups
 
     ds = read_table(
@@ -286,7 +318,7 @@ def _q_pack_sequences(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-
+    from record_matcher_ray.core.hashkernels import normalize_utf8
     from record_matcher_ray.pipelines.sampling import pack_sequences
 
     ds = read_table(
@@ -294,10 +326,7 @@ def _q_pack_sequences(sf_dir: str):
     )
 
     def wc(t: pa.Table) -> pa.Table:
-        nt = pc.utf8_trim_whitespace(pc.replace_substring_regex(
-            pc.utf8_lower(pc.fill_null(pc.cast(t["text"], pa.string()),
-                                       "")),
-            r"[^a-z0-9]+", " "))
+        nt = normalize_utf8(t["text"])
         n = pc.add(pc.count_substring(nt, " "),
                    pc.if_else(pc.equal(nt, ""), 0, 1))
         return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
@@ -307,6 +336,45 @@ def _q_pack_sequences(sf_dir: str):
         ds.map_batches(wc, batch_format="pyarrow"),
         capacity=128, bucket_size=50,
     )
+
+
+# next-fit per pack bucket over d(pb, rn, doc_id, ln), capacity 128.
+# has_doc: the open bin holds a document, even a zero-length one; an
+# oversize doc closes the open bin only then
+_PACK_WALK = """
+walk(pb, rn, doc_id, ln, bin, off, open_after, fill_after,
+            has_doc, trunc) AS (
+      SELECT pb, rn, doc_id, ln,
+             0::BIGINT, 0::BIGINT,
+             CASE WHEN ln > 128 THEN 1 ELSE 0 END::BIGINT,
+             CASE WHEN ln > 128 THEN 0 ELSE ln END::BIGINT,
+             ln <= 128, ln > 128
+      FROM d WHERE rn = 1
+      UNION ALL
+      SELECT d.pb, d.rn, d.doc_id, d.ln,
+             CASE WHEN d.ln > 128 THEN
+                    w.open_after + (CASE WHEN w.has_doc
+                                         THEN 1 ELSE 0 END)
+                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
+                  ELSE w.open_after END,
+             CASE WHEN d.ln > 128 THEN 0
+                  WHEN w.fill_after + d.ln > 128 THEN 0
+                  ELSE w.fill_after END,
+             CASE WHEN d.ln > 128 THEN
+                    w.open_after + (CASE WHEN w.has_doc
+                                         THEN 1 ELSE 0 END) + 1
+                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
+                  ELSE w.open_after END,
+             CASE WHEN d.ln > 128 THEN 0
+                  WHEN w.fill_after + d.ln > 128 THEN d.ln
+                  ELSE w.fill_after + d.ln END,
+             d.ln <= 128, d.ln > 128
+      FROM walk w JOIN d ON d.pb = w.pb AND d.rn = w.rn + 1
+    )
+    SELECT doc_id, ln AS seq_len, pb AS pack_bucket,
+           bin AS bin_in_bucket, off AS bin_offset, trunc AS truncated
+    FROM walk ORDER BY doc_id
+"""
 
 
 _PACK_SQL = """
@@ -326,41 +394,7 @@ _PACK_SQL = """
                      ELSE doc_id // 50 END)::BIGINT AS pb
         FROM d0
       )
-    ), walk(pb, rn, doc_id, ln, bin, off, open_after, fill_after,
-            trunc) AS (
-      SELECT pb, rn, doc_id, ln,
-             0::BIGINT, 0::BIGINT,
-             CASE WHEN ln > 128 THEN 1 ELSE 0 END::BIGINT,
-             CASE WHEN ln > 128 THEN 0 ELSE ln END::BIGINT,
-             ln > 128
-      FROM d WHERE rn = 1
-      UNION ALL
-      SELECT d.pb, d.rn, d.doc_id, d.ln,
-             CASE WHEN d.ln > 128 THEN
-                    w.open_after + (CASE WHEN w.fill_after > 0
-                                         THEN 1 ELSE 0 END)
-                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
-                  ELSE w.open_after END,
-             CASE WHEN d.ln > 128 THEN 0
-                  WHEN w.fill_after + d.ln > 128 THEN 0
-                  ELSE w.fill_after END,
-             CASE WHEN d.ln > 128 THEN
-                    w.open_after + (CASE WHEN w.fill_after > 0
-                                         THEN 1 ELSE 0 END) + 1
-                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
-                  ELSE w.open_after END,
-             CASE WHEN d.ln > 128 THEN 0
-                  WHEN w.fill_after + d.ln > 128 THEN d.ln
-                  ELSE w.fill_after + d.ln END,
-             d.ln > 128
-      FROM walk w JOIN d ON d.pb = w.pb AND d.rn = w.rn + 1
-    )
-    SELECT doc_id, ln AS seq_len, pb AS pack_bucket,
-           bin AS bin_in_bucket, off AS bin_offset, trunc AS truncated
-    FROM walk ORDER BY doc_id
-"""
-
-
+    ), """ + _PACK_WALK
 
 
 def _q_pretrain_pack(sf_dir: str):
@@ -421,39 +455,7 @@ def _pretrain_pack_sql() -> str:
                      ELSE doc_id // 50 END)::BIGINT AS pb
         FROM mx
       )
-    ), walk(pb, rn, doc_id, ln, bin, off, open_after, fill_after,
-            trunc) AS (
-      SELECT pb, rn, doc_id, ln,
-             0::BIGINT, 0::BIGINT,
-             CASE WHEN ln > 128 THEN 1 ELSE 0 END::BIGINT,
-             CASE WHEN ln > 128 THEN 0 ELSE ln END::BIGINT,
-             ln > 128
-      FROM d WHERE rn = 1
-      UNION ALL
-      SELECT d.pb, d.rn, d.doc_id, d.ln,
-             CASE WHEN d.ln > 128 THEN
-                    w.open_after + (CASE WHEN w.fill_after > 0
-                                         THEN 1 ELSE 0 END)
-                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
-                  ELSE w.open_after END,
-             CASE WHEN d.ln > 128 THEN 0
-                  WHEN w.fill_after + d.ln > 128 THEN 0
-                  ELSE w.fill_after END,
-             CASE WHEN d.ln > 128 THEN
-                    w.open_after + (CASE WHEN w.fill_after > 0
-                                         THEN 1 ELSE 0 END) + 1
-                  WHEN w.fill_after + d.ln > 128 THEN w.open_after + 1
-                  ELSE w.open_after END,
-             CASE WHEN d.ln > 128 THEN 0
-                  WHEN w.fill_after + d.ln > 128 THEN d.ln
-                  ELSE w.fill_after + d.ln END,
-             d.ln > 128
-      FROM walk w JOIN d ON d.pb = w.pb AND d.rn = w.rn + 1
-    )
-    SELECT doc_id, ln AS seq_len, pb AS pack_bucket,
-           bin AS bin_in_bucket, off AS bin_offset, trunc AS truncated
-    FROM walk ORDER BY doc_id
-    """
+    ), {_PACK_WALK}"""
 
 
 def queries():
@@ -477,13 +479,9 @@ def oracles():
     return {
         "pretrain_pack_docs": _pretrain_pack_sql(),
         "pack_sequences_docs": _PACK_SQL,
-        "chunk_docs": __import__(
-            "record_matcher_ray.pipelines.chunking", fromlist=["x"]
-        ).sql_chunk_documents(size=64, overlap=16),
+        "chunk_docs": sql_chunk_documents(size=64, overlap=16),
         "chunk_dedup_docs": f"""
-            WITH ch AS ({__import__(
-                "record_matcher_ray.pipelines.chunking", fromlist=["x"]
-            ).sql_chunk_documents(size=32, overlap=0)}),
+            WITH ch AS ({sql_chunk_documents(size=32, overlap=0)}),
             ids AS (
               SELECT ((doc_id)::BIGINT * 1000000 + chunk_id)::BIGINT
                        AS cid,

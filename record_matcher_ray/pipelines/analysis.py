@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from record_matcher_ray.core.exchange import bucket_exchange
+from record_matcher_ray.core.hashkernels import normalize_utf8
 
 # BPE-ish pre-tokenizer: word pieces, numbers, punctuation runs (the GPT-2
 # pre-tokenizer family, simplified to stdlib `re`)
@@ -302,7 +303,6 @@ def repetition_metrics(
     def fn(t: pa.Table) -> pa.Table:
         from record_matcher_ray.core.hashkernels import (
             mix64,
-            normalize_utf8,
             utf8_view,
             whole_hashes,
         )
@@ -884,15 +884,7 @@ def standardize_tokens(
     def fn(t: pa.Table) -> pa.Table:
         import pandas as _pd
 
-        text = pc.fill_null(pc.cast(t[text_col], pa.string()), "")
-        nt = pc.utf8_trim_whitespace(
-            pc.replace_substring_regex(
-                pc.utf8_lower(text), r"[^a-z0-9]+", " "
-            )
-        )
-        pieces = pc.split_pattern(nt, " ")
-        if isinstance(pieces, pa.ChunkedArray):
-            pieces = pieces.combine_chunks()
+        pieces = pc.split_pattern(normalize_utf8(t[text_col]), " ")
         flat = pieces.flatten()
         off = pieces.offsets
         toks = _pd.Series(flat.to_numpy(zero_copy_only=False))
@@ -1023,55 +1015,72 @@ def line_dedup(
     return bucket_exchange(marked, ["doc"], reassemble, n_buckets)
 
 
-def chunk_passages(
+def chunk_documents(
     ds: ray.data.Dataset,
+    size: int = 64,
+    overlap: int = 16,
     text_col: str = "text",
     id_col: str = "doc_id",
-    *,
-    window: int = 64,
-    overlap: int = 16,
 ) -> ray.data.Dataset:
-    """Retrieval passage chunking — split each document into overlapping
-    ``window``-word passages stepping by ``window − overlap`` words (the
-    RAG indexing primitive; the trailing partial window is kept) →
-    (id_col, passage_idx, start_word, n_words, passage).
+    """Document chunking — split each document into overlapping
+    ``size``-token windows, the retrieval / context-window prep step →
+    (id, chunk_id, n_tokens, chunk_text) rows, one per window.
 
-    Zero shuffle, one pass; words come from the repo-standard
-    ``[a-z0-9]+`` normalization so the slicing replays verbatim in SQL.
-    A document with W > 0 words yields ``(W−1)//step + 1`` passages;
-    empty documents yield none. Passage ids ``(doc, passage_idx)`` are
-    stable across runs and partitionings."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not 0 <= overlap < window:
-        raise ValueError(f"need 0 <= overlap < window, got {overlap}")
-    step = window - overlap
+    Tokens are the non-empty whitespace-split pieces (normalize the text
+    first for word-level passages). Window starts are 0, stride,
+    2·stride, … while start < max(n_tokens - overlap, 1) (stride = size
+    - overlap), so the tail never emits a window fully contained in the
+    previous one; empty documents emit no rows. chunk_id is stable
+    across runs and partitionings.
 
-    from record_matcher_ray.pipelines.terms import _block_tokens
+    Scale shape: one zero-shuffle ``map_batches`` pass of Arrow kernels
+    and numpy offset arithmetic over the flattened token array — no
+    per-row Python.
+    """
+    if not 0 <= overlap < size:
+        raise ValueError(f"need 0 <= overlap < size, got {overlap=} {size=}")
+    stride = size - overlap
 
-    def chunk(t: pa.Table) -> pa.Table:
-        toks, doc_idx, n_per_doc = _block_tokens(t[text_col])
-        ids = pc.cast(t[id_col], pa.int64()).to_numpy()
-        starts_per_doc = np.where(
-            n_per_doc > 0, (n_per_doc - 1) // step + 1, 0
-        ).astype(np.int64)
-        doc_of_p = np.repeat(np.arange(len(ids), dtype=np.int64),
-                             starts_per_doc)
-        offs = np.concatenate(([0], np.cumsum(starts_per_doc)[:-1]))
-        pidx = (np.arange(len(doc_of_p), dtype=np.int64)
-                - np.repeat(offs, starts_per_doc))
-        tok_off = np.concatenate(([0], np.cumsum(n_per_doc)[:-1]))
-        s = pidx * step
-        e = np.minimum(s + window, n_per_doc[doc_of_p])
-        base = tok_off[doc_of_p]
-        texts = [" ".join(toks[base[i] + s[i]:base[i] + e[i]])
-                 for i in range(len(doc_of_p))]
-        return pa.table({
-            id_col: pa.array(ids[doc_of_p]),
-            "passage_idx": pa.array(pidx),
-            "start_word": pa.array(s),
-            "n_words": pa.array((e - s).astype(np.int64)),
-            "passage": pa.array(texts, pa.string()),
-        })
+    def chunk(batch: pa.Table) -> pa.Table:
+        text = pc.fill_null(pc.cast(batch[text_col], pa.string()), "")
+        pieces = pc.split_pattern_regex(text, r"\s+").combine_chunks()
+        flat = pieces.flatten()
+        raw_off = pieces.offsets.to_numpy().astype(np.int64)
+        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+        toks = flat.filter(pa.array(keep))
+        kept_cum = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])
+        base = kept_cum[raw_off]  # kept-token offset per doc boundary
+        n = base[1:] - base[:-1]  # kept tokens per doc
+
+        n_chunks = np.where(n > 0, -(-np.maximum(n - overlap, 1) // stride), 0)
+        doc_of = np.repeat(np.arange(len(n), dtype=np.int64), n_chunks)
+        total = int(n_chunks.sum())
+        chunk_id = np.arange(total, dtype=np.int64) - np.repeat(
+            np.concatenate([[0], np.cumsum(n_chunks)[:-1]]), n_chunks
+        )
+        starts = chunk_id * stride
+        ends = np.minimum(starts + size, n[doc_of])
+        lens = ends - starts
+
+        # gather flat token indices for every window in one take
+        goff = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        idx = (
+            np.arange(int(goff[-1]), dtype=np.int64)
+            - np.repeat(goff[:-1], lens)
+            + np.repeat(base[:-1][doc_of] + starts, lens)
+        )
+        gathered = toks.take(pa.array(idx))
+        chunk_text = pc.binary_join(
+            pa.ListArray.from_arrays(pa.array(goff, pa.int32()), gathered), " "
+        )
+        ids = batch[id_col].take(pa.array(doc_of))
+        return pa.table(
+            {
+                id_col: ids,
+                "chunk_id": pa.array(chunk_id),
+                "n_tokens": pa.array(lens.astype(np.int64)),
+                "chunk_text": chunk_text,
+            }
+        )
 
     return ds.map_batches(chunk, batch_format="pyarrow")

@@ -3,9 +3,9 @@
 SURVEY.md §2.4 M6).
 
 Two execution paths:
-- **driver union-find** (default when the edge list is small): stream the
-  two int64 edge columns to the driver, classic union-find with path
-  compression. Exact, one pass.
+- **driver label propagation** (default when the edge list is small):
+  pull the two int64 edge columns to the driver and run the vectorized
+  ``connected_components_arrays``. Exact.
 - **BSP min-label propagation** (scale path): iterate
   ``labels(v) = min(labels(v), min over neighbors labels(u))`` as a
   hash_join + groupby-min per round until the label sum reaches a fixpoint.
@@ -25,15 +25,6 @@ from ray.data.aggregate import Min, Sum
 
 from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.pipelines.joins import hash_join
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    root = x
-    while parent.get(root, root) != root:
-        root = parent[root]
-    while parent.get(x, x) != x:  # path compression
-        parent[x], x = root, parent[x]
-    return root
 
 
 def connected_components_arrays(
@@ -105,22 +96,6 @@ def connected_components_star(
     comps = np.concatenate([np.repeat(comp_g, sizes), comp_g])
     no = np.argsort(nodes, kind="stable")
     return nodes[no], comps[no]
-
-
-def connected_components_local(edges) -> dict[int, int]:
-    """Union-find over an iterable of (u, v); returns node → component root
-    (the minimum node id in the component)."""
-    parent: dict[int, int] = {}
-    seen: set[int] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        seen.add(u)
-        seen.add(v)
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            lo, hi = (ru, rv) if ru < rv else (rv, ru)
-            parent[hi] = lo
-    return {n: _find(parent, n) for n in seen}
 
 
 def connected_components(

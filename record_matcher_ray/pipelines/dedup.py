@@ -1472,10 +1472,10 @@ def capture_recapture_dup_estimate(
 
     import pandas as pd
 
-    from record_matcher_ray.pipelines.terms import _normalize
+    from record_matcher_ray.core.hashkernels import normalize_utf8
 
     def partial(t: pa.Table) -> pa.Table:
-        nt = _normalize(t[text_col])
+        nt = normalize_utf8(t[text_col])
         pre = pc.utf8_slice_codeunits(nt, 0, affix_len)
         # suffix key as prefix-of-reversed: equality of the reversed
         # prefix == equality of the suffix (slice bounds must be scalars)

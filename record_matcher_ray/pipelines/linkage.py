@@ -40,6 +40,7 @@ from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 from record_matcher_ray.core.hashkernels import (
     column_hash64,
     mix64,
+    normalize_utf8,
     unique_per_doc,
     utf8_view,
     whole_hashes,
@@ -1743,7 +1744,7 @@ def monge_elkan_join(
     ("J. Smith & Sons" vs "Smith J Sons").
 
     Replay semantics (all mirrored by the SQL oracle): tokens come from
-    the `_normalize` regex (lower, non-alnum → space), truncated to the
+    the `normalize_utf8` regex (lower, non-alnum → space), truncated to the
     first ``max_tokens``; each token-pair JW is rounded to 6 decimals
     BEFORE aggregation (the definitional pin that makes the fold exact
     both sides — round-6 doubles are identical in numpy and DuckDB);
@@ -1762,7 +1763,6 @@ def monge_elkan_join(
     from record_matcher_ray.functions.scorers import (
         jaro_winkler_elementwise,
     )
-    from record_matcher_ray.pipelines.terms import _normalize
 
     proj = ds.select_columns([id_col, block_col, text_col])
 
@@ -1783,10 +1783,8 @@ def monge_elkan_join(
         if len(pa_) == 0:
             return empty
         # tokenize once per row, truncate to cap
-        nt = _normalize(t[text_col])
+        nt = normalize_utf8(t[text_col])
         pieces = pc.split_pattern(nt, " ")
-        if isinstance(pieces, pa.ChunkedArray):
-            pieces = pieces.combine_chunks()
         flat = pieces.flatten()
         off = pieces.offsets.to_numpy().astype(np.int64)
         keepm = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
@@ -2201,7 +2199,7 @@ def soft_tfidf_join(
     the rare surname dominates, "inc"/"ltd" barely move the score.
 
     Replay pins (all mirrored by the SQL oracle): tokens are the
-    `_normalize` regex split, DISTINCT, SORTED ascending, capped at
+    `normalize_utf8` regex split, DISTINCT, SORTED ascending, capped at
     ``max_tokens`` (DuckDB ``list_sort(list_distinct(...))[1:cap]``);
     df counts those capped sets; each token-pair JW rounds to 6dp
     BEFORE the argmax (ties → smaller partner token); norms and scores
@@ -2221,7 +2219,6 @@ def soft_tfidf_join(
     from record_matcher_ray.functions.scorers import (
         jaro_winkler_elementwise,
     )
-    from record_matcher_ray.pipelines.terms import _normalize
 
     cap = int(max_tokens)
     th = float(theta)
@@ -2262,10 +2259,8 @@ def soft_tfidf_join(
     def _row_tokens(txt: pa.Array):
         """Per-row sorted-distinct capped tokens → (flat object array,
         per-row start, per-row count)."""
-        nt = _normalize(txt)
+        nt = normalize_utf8(txt)
         pieces = pc.split_pattern(nt, " ")
-        if isinstance(pieces, pa.ChunkedArray):
-            pieces = pieces.combine_chunks()
         flat = pieces.flatten()
         off = pieces.offsets.to_numpy().astype(np.int64)
         keepm = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
@@ -2421,7 +2416,9 @@ def sorted_neighborhood_pairs(
     the classic merge/purge method): sort all records by ``sort_cols``
     and emit every candidate pair within a sliding ``window`` of the
     sort order → rows (x_id, y_id, gap) with gap = rank distance
-    (1..window-1), ordered-pair ids by rank; ``carry_cols`` additionally
+    (1..window-1), ordered-pair ids by rank. ``id_col`` breaks sort ties
+    (appended to ``sort_cols`` unless it is already their last column);
+    an empty input gives a typed empty output. ``carry_cols`` additionally
     emit both sides' values as x_<col>/y_<col> (they ride the range
     groups anyway — no extra join to use them in a pair filter, e.g. the
     simhash-neighborhood Hamming dedupe). The complement to key-equality
@@ -2440,9 +2437,11 @@ def sorted_neighborhood_pairs(
     carry = list(carry_cols or [])
     from record_matcher_ray.pipelines.relational import global_row_number
 
+    keys = list(sort_cols)
+    if keys[-1:] != [id_col]:
+        keys.append(id_col)
     rn = global_row_number(
-        ds.select_columns(sorted(set(sort_cols + [id_col] + carry))),
-        sort_cols + [id_col], rn_col="__rn__",
+        ds.select_columns(sorted(set(keys + carry))), keys, rn_col="__rn__"
     )
     w = int(window)
 
@@ -2518,6 +2517,14 @@ def sorted_neighborhood_pairs(
             cols[f"y_{c}"] = pc.take(cv, pa.array(yi))
         return pa.table(cols)
 
+    if rn.limit(1).count() == 0:
+        # no bucket ever calls emit on an empty input: type the empty
+        # output here (int64 where the input schema is unknown)
+        sch = ds.schema(fetch_if_missing=False)
+        known = dict(zip(sch.names, sch.types)) if sch is not None else {}
+        return ray.data.from_arrow(emit(pa.schema(
+            [(c, known.get(c, pa.int64())) for c in [id_col, *carry]]
+        ).empty_table()))
     return bucket_exchange(
         rn.map_batches(to_groups, batch_format="pyarrow"), ["__g__"], emit,
         n_buckets,

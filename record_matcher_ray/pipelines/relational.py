@@ -1573,149 +1573,6 @@ def sequence_pattern_counts(
     )
 
 
-def sorted_neighborhood_pairs(
-    ds: ray.data.Dataset,
-    order_cols: list[str],
-    id_col: str,
-    window: int,
-    n_buckets: int = 256,
-) -> ray.data.Dataset:
-    """Sorted-neighborhood blocking (Hernandez & Stolfo's SNM — the
-    classic entity-resolution candidate generator the reference's
-    ``columns_to_group`` equi-blocking cannot express): sort every row
-    by ``order_cols`` (MUST be unique per row — append ``id_col`` last),
-    slide a ``window``-row frame down the sorted order, and emit every
-    ordered candidate pair inside a frame → columns ``x_id``/``y_id``
-    (the ``id_col`` values, x earlier in sort order) + ``gap`` (rank
-    distance, 1..window-1). SQL equivalent: a row_number self-join on
-    ``0 < b.rn - a.rn < window``.
-
-    Scale shape: ONE sort exchange (the same two-pass offset assignment
-    as ``global_row_number`` — block heads to the driver, broadcast
-    offsets, no data pull), then rows shrink to (id, rn) and take ONE
-    range exchange on ``rn // B`` with ≤``window-1`` boundary rows
-    replicated into the preceding bucket, so every frame is complete in
-    exactly one bucket and each pair is emitted exactly once. Pair
-    construction inside a bucket is one repeat/arange expansion — no
-    per-row Python. Output size is ≈ ``(window-1) × n_rows`` regardless
-    of key skew (SNM's defining advantage over equi-blocking on hot
-    keys).
-    """
-    if window < 2:
-        raise ValueError("window must be >= 2 (window-1 neighbors)")
-    if not order_cols:
-        raise ValueError("order_cols must be non-empty")
-
-    m = ds.sort(order_cols).materialize()  # consumed by both passes
-
-    def head(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t.slice(0, 0).append_column(
-                "__n__", pa.array([], pa.int64())
-            )
-        return t.slice(0, 1).append_column(
-            "__n__", pa.array([len(t)], pa.int64())
-        )
-
-    heads = m.map_batches(head, batch_size=None,
-                          batch_format="pyarrow").to_pandas()
-    sch = m.schema()
-    base = getattr(sch, "base_schema", None)
-    id_type = (
-        base.field(id_col).type
-        if base is not None and id_col in base.names
-        else pa.int64()  # empty input with no recoverable schema
-    )
-
-    def _empty() -> pa.Table:
-        return pa.table({
-            "x_id": pa.array([], id_type),
-            "y_id": pa.array([], id_type),
-            "gap": pa.array([], pa.int64()),
-        })
-
-    if heads.empty:
-        return ray.data.from_arrow(_empty())
-    heads = heads.sort_values(order_cols).reset_index(drop=True)
-    if heads.duplicated(subset=order_cols).any():
-        raise ValueError(
-            "sorted_neighborhood_pairs: two sorted blocks share a "
-            "first-row key — order_cols is not unique per row; append "
-            "the id column."
-        )
-    counts = heads["__n__"].to_numpy(dtype=np.int64)
-    n_rows = int(counts.sum())
-    offsets = {
-        tuple(row): off
-        for row, off in zip(
-            heads[order_cols].itertuples(index=False, name=None),
-            (np.cumsum(counts) - counts).astype(np.int64),
-        )
-    }
-    # bucket width ≥ window so a frame spans at most TWO buckets (one
-    # replication hop); ≤ n_buckets buckets total
-    bucket_w = max(window, -(-n_rows // n_buckets))
-
-    def route(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({
-                id_col: pa.array([], id_type),
-                "__rn__": pa.array([], pa.int64()),
-                "__sb__": pa.array([], pa.int64()),
-            })
-        key = tuple(t[c][0].as_py() for c in order_cols)
-        r0 = offsets[key] + np.arange(len(t), dtype=np.int64)  # 0-based
-        bucket = r0 // bucket_w
-        ids = t[id_col].combine_chunks() if isinstance(
-            t[id_col], pa.ChunkedArray) else t[id_col]
-        base = pa.table({
-            id_col: ids,
-            "__rn__": pa.array(r0),
-            "__sb__": pa.array(bucket),
-        })
-        # boundary rows double as RIGHT neighbors for the previous bucket
-        extra = np.flatnonzero((r0 % bucket_w <= window - 2) & (bucket > 0))
-        if len(extra):
-            rep = pa.table({
-                id_col: ids.take(pa.array(extra)),
-                "__rn__": pa.array(r0[extra]),
-                "__sb__": pa.array(bucket[extra] - 1),
-            })
-            base = pa.concat_tables([base, rep])
-        return base
-
-    def pairs(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _empty()
-        b = int(t["__sb__"][0].as_py())
-        rn = t["__rn__"].to_numpy()
-        order = np.argsort(rn, kind="stable")
-        rn_s = rn[order]
-        ids = t[id_col].take(pa.array(order))
-        owned = np.flatnonzero(rn_s // bucket_w == b)
-        n = len(rn_s)
-        cnt = np.minimum(window - 1, n - 1 - owned)
-        cnt = np.maximum(cnt, 0)
-        total = int(cnt.sum())
-        if total == 0:
-            return _empty()
-        left = np.repeat(owned, cnt)
-        starts = np.cumsum(cnt) - cnt
-        right = left + (np.arange(total, dtype=np.int64)
-                        - np.repeat(starts, cnt)) + 1
-        return pa.table({
-            "x_id": ids.take(pa.array(left)),
-            "y_id": ids.take(pa.array(right)),
-            "gap": pa.array(rn_s[right] - rn_s[left]),
-        })
-
-    return (
-        m.map_batches(route, batch_size=None, batch_format="pyarrow")
-        .groupby("__sb__")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
-
-
 def cube_aggregate(
     ds: ray.data.Dataset,
     dims: list[str],

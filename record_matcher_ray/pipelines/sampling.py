@@ -350,6 +350,28 @@ def weighted_topk(
     return parts.reset_index(drop=True)
 
 
+def _next_fit_bins(tokens: np.ndarray, capacity: int) -> np.ndarray:
+    """→ bin index per doc, next-fit in arrival order: a doc that would
+    overflow the open bin opens the next one, and a doc longer than
+    ``capacity`` gets a bin of its own. Each Python step is one
+    ``searchsorted`` over the token cumsum and closes one bin, so the
+    loop runs once per bin, not once per doc."""
+    n = len(tokens)
+    bins = np.empty(n, np.int64)
+    c = np.cumsum(tokens, dtype=np.int64)
+    # first doc of the open bin, the bin's index, the cumsum before it
+    start = b = base = 0
+    while start < n:
+        # last doc that still fits: cumsum - base <= capacity
+        end = max(int(np.searchsorted(c, base + capacity, side="right")),
+                  start + 1)
+        bins[start:end] = b
+        b += 1
+        base = c[end - 1]
+        start = end
+    return bins
+
+
 def pack_sequences(
     ds: ray.data.Dataset,
     len_col: str = "n_tokens",
@@ -380,8 +402,9 @@ def pack_sequences(
     → rows ``(id_col, seq_len, pack_bucket, bin_in_bucket, bin_offset,
     truncated)`` where ``bin_offset`` is the document's token start
     within its bin.
-    Next-fit's sequential scan runs per bucket over ≤``bucket_size``
-    rows — the Python loop is bounded by the bucket, never the corpus.
+    Next-fit runs once per bucket as one ``searchsorted`` step per bin
+    (:func:`_next_fit_bins`), never one Python step per document.
+    Negative lengths raise.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -391,6 +414,8 @@ def pack_sequences(
     def tag(t: pa.Table) -> pa.Table:
         ids = pa.compute.cast(t[id_col], pa.int64()).to_numpy()
         ln = pa.compute.cast(t[len_col], pa.int64()).to_numpy()
+        if (ln < 0).any():
+            raise ValueError(f"negative lengths in {len_col!r}")
         return pa.table({
             "id": pa.array(ids), "len": pa.array(ln),
             "pb": pa.array(ids // bucket_size),
@@ -403,33 +428,22 @@ def pack_sequences(
         order = np.lexsort((ids, pb))
         ids, ln, pb = ids[order], ln[order], pb[order]
         n = len(ids)
+        new_pb = np.diff(pb, prepend=pb[:1] - 1) != 0
+        heads = np.flatnonzero(new_pb)
         bin_no = np.empty(n, np.int64)
-        off = np.empty(n, np.int64)
-        trunc = np.empty(n, bool)
-        cur_pb, cur_bin, fill = None, 0, 0
-        for i in range(n):
-            if pb[i] != cur_pb:
-                cur_pb, cur_bin, fill = pb[i], 0, 0
-            v = int(ln[i])
-            if v > capacity:
-                # oversize doc: its own bin, truncated at capacity
-                if fill > 0:
-                    cur_bin += 1
-                bin_no[i], off[i], trunc[i] = cur_bin, 0, True
-                cur_bin += 1
-                fill = 0
-                continue
-            if fill + v > capacity:
-                cur_bin += 1
-                fill = 0
-            bin_no[i], off[i], trunc[i] = cur_bin, fill, False
-            fill += v
+        for s, e in zip(heads.tolist(), heads[1:].tolist() + [n]):
+            bin_no[s:e] = _next_fit_bins(ln[s:e], capacity)
+        # offset = tokens before the doc minus tokens before its bin's
+        # first doc (bin numbers restart at 0 in every bucket)
+        excl = np.cumsum(ln) - ln
+        opens = new_pb | (np.diff(bin_no, prepend=-1) != 0)
+        first = np.maximum.accumulate(np.where(opens, np.arange(n), 0))
         return pa.table({
             id_col: pa.array(ids), "seq_len": pa.array(ln),
             "pack_bucket": pa.array(pb),
             "bin_in_bucket": pa.array(bin_no),
-            "bin_offset": pa.array(off),
-            "truncated": pa.array(trunc),
+            "bin_offset": pa.array(excl - excl[first]),
+            "truncated": pa.array(ln > capacity),
         })
 
     return bucket_exchange(

@@ -20,24 +20,14 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
-
-
-def _normalize(text: pa.Array) -> pa.Array:
-    """lower + collapse non-alphanumeric runs to single spaces (same
-    normalization as analysis.repetition_metrics / its SQL oracle)."""
-    t = pc.utf8_lower(pc.fill_null(pc.cast(text, pa.string()), ""))
-    return pc.utf8_trim_whitespace(
-        pc.replace_substring_regex(t, r"[^a-z0-9]+", " ")
-    )
+from record_matcher_ray.core.hashkernels import normalize_utf8
 
 
 def _block_tokens(text: pa.ChunkedArray | pa.Array):
     """Vectorized whitespace tokenization of one block's text column →
     (tokens object-array, doc index per token, tokens per doc)."""
-    nt = _normalize(text)
+    nt = normalize_utf8(text)
     pieces = pc.split_pattern(nt, " ")
-    if isinstance(pieces, pa.ChunkedArray):
-        pieces = pieces.combine_chunks()
     flat = pieces.flatten()
     off = pieces.offsets.to_numpy().astype(np.int64)
     keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
@@ -1194,7 +1184,7 @@ def ndcg_at_k(
 
     import pandas as pd
 
-    terms = sorted(set(_normalize(pa.array([query]))[0].as_py().split()))
+    terms = sorted(set(normalize_utf8(pa.array([query]))[0].as_py().split()))
     top = bm25_topk(ds, query, k, text_col=text_col, id_col=id_col)
     top_ids = [r[id_col] for r in top.take(k)]
     id_set = set(top_ids)
@@ -1279,7 +1269,7 @@ def search_eval_at_k(
 
     import pandas as pd
 
-    terms = sorted(set(_normalize(pa.array([query]))[0].as_py().split()))
+    terms = sorted(set(normalize_utf8(pa.array([query]))[0].as_py().split()))
     top = bm25_topk(ds, query, k, text_col=text_col, id_col=id_col)
     top_ids = [r[id_col] for r in top.take(k)]
     id_arr = np.array(sorted(int(i) for i in top_ids), np.int64)
@@ -1430,11 +1420,7 @@ def bpe_encode(
         pairs = list(merges)
 
     def encode(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.pipelines.terms import _normalize
-
-        nt = _normalize(t[text_col])
-        if isinstance(nt, pa.ChunkedArray):
-            nt = nt.combine_chunks()
+        nt = normalize_utf8(t[text_col])
         n_words = pc.add(
             pc.count_substring(nt, " "),
             pc.if_else(pc.equal(nt, ""), 0, 1),

@@ -145,9 +145,32 @@ def test_docmatch_unmatched_backfill(ray_session, corpus_dir):
     assert len(set(adf["x_id"])) == len(adf)
 
 
-def test_connected_components_local():
-    from record_matcher_ray.pipelines.cluster import connected_components_local
+def _find(parent: dict[int, int], x: int) -> int:
+    root = x
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while parent.get(x, x) != x:  # path compression
+        parent[x], x = root, parent[x]
+    return root
 
+
+def connected_components_local(edges) -> dict[int, int]:
+    """Union-find oracle over an iterable of (u, v) → node → component
+    root (the minimum node id in the component)."""
+    parent: dict[int, int] = {}
+    seen: set[int] = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        seen.add(u)
+        seen.add(v)
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            lo, hi = (ru, rv) if ru < rv else (rv, ru)
+            parent[hi] = lo
+    return {n: _find(parent, n) for n in seen}
+
+
+def test_connected_components_local():
     comp = connected_components_local([(1, 2), (2, 3), (10, 11), (5, 5)])
     assert comp[1] == comp[2] == comp[3] == 1
     assert comp[10] == comp[11] == 10
@@ -178,10 +201,7 @@ def test_connected_components_bsp_matches_local(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from record_matcher_ray.pipelines.cluster import (
-        connected_components,
-        connected_components_local,
-    )
+    from record_matcher_ray.pipelines.cluster import connected_components
 
     rng = np.random.RandomState(3)
     edges = [(int(rng.randint(0, 60)), int(rng.randint(0, 60))) for _ in range(80)]

@@ -262,3 +262,40 @@ def test_layout_ratchet_catches_floors(tmp_path):
         "    return max(64, len(ds))  # no cluster sizing here\n"
     )
     assert [h.split(":")[1] for h in _layout_floors(bad)] == ["3", "4"]
+
+
+# one job, one operator: two pipelines/ modules that define the same
+# public function or class are two operators for one job
+def _duplicate_public_names(paths) -> dict[str, list[str]]:
+    import ast
+
+    where: dict[str, list[str]] = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                where.setdefault(node.name, []).append(path.name)
+    return {name: mods for name, mods in where.items() if len(mods) > 1}
+
+
+def test_no_two_pipelines_define_one_public_name():
+    dups = _duplicate_public_names(sorted(PIPELINES.glob("*.py")))
+    assert not dups, f"one operator per job; delete the copy: {dups}"
+
+
+def test_duplicate_name_ratchet_catches_a_copy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def pack(ds):\n    pass\n"
+        "def _helper():\n    pass\n"
+        "class Packer:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def pack(ds, n):\n    pass\n"
+        "def _helper():\n    pass\n"
+        "def other():\n    '''def Packer(): in a docstring is fine'''\n"
+        "    def pack():  # a nested helper is not public\n        pass\n"
+    )
+    assert _duplicate_public_names(sorted(tmp_path.glob("*.py"))) == {
+        "pack": ["a.py", "b.py"]
+    }

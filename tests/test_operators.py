@@ -2181,10 +2181,13 @@ class TestSortedNeighborhoodPairs:
                 out.add((srt[i]["id"], srt[j]["id"], j - i))
         return out
 
-    def test_matches_brute_force_and_partition_invariant(self, ray_session):
+    def test_matches_brute_force_and_partition_invariant(
+        self, ray_session, monkeypatch
+    ):
         import ray.data
 
-        from record_matcher_ray.pipelines.relational import (
+        import record_matcher_ray.pipelines.relational as rel
+        from record_matcher_ray.pipelines.linkage import (
             sorted_neighborhood_pairs,
         )
 
@@ -2193,6 +2196,15 @@ class TestSortedNeighborhoodPairs:
             {"id": i, "v": float(rng.randint(0, 30))} for i in range(300)
         ]
         want = self._brute(rows, 6)
+        # sort_cols already ending with id_col are not sorted on twice
+        sorts = []
+
+        def spy(ds, order_cols, **kw):
+            sorts.append(list(order_cols))
+            return grn(ds, order_cols, **kw)
+
+        grn = rel.global_row_number
+        monkeypatch.setattr(rel, "global_row_number", spy)
         for blocks in (1, 16):
             out = sorted_neighborhood_pairs(
                 ray.data.from_items(rows, override_num_blocks=blocks),
@@ -2203,11 +2215,12 @@ class TestSortedNeighborhoodPairs:
             )
             assert got == want
             assert len(out) == len(want)  # each pair exactly once
+        assert sorts == [["v", "id"]] * 2
 
     def test_window_larger_than_input(self, ray_session):
         import ray.data
 
-        from record_matcher_ray.pipelines.relational import (
+        from record_matcher_ray.pipelines.linkage import (
             sorted_neighborhood_pairs,
         )
 
@@ -2223,7 +2236,7 @@ class TestSortedNeighborhoodPairs:
 
         import ray.data
 
-        from record_matcher_ray.pipelines.relational import (
+        from record_matcher_ray.pipelines.linkage import (
             sorted_neighborhood_pairs,
         )
 

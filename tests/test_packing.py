@@ -1,4 +1,4 @@
-"""Sequence packing: next-fit token bins, partition-local, exact accounting."""
+"""Sequence packing: next-fit token bins per pack bucket, exact accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from record_matcher_ray.pipelines.packing import (
+from record_matcher_ray.pipelines.sampling import (
     _next_fit_bins,
     pack_sequences,
     packing_stats,
@@ -46,11 +46,12 @@ class TestNextFitBins:
         assert _next_fit_bins(toks, 10).tolist() == [0, 0, 1]
 
     def test_zero_token_docs(self):
-        toks = np.array([0, 0, 10, 0, 11, 0], np.int64)
-        # zeros ride along; a zero AFTER an oversize bin opens a new bin
-        assert _next_fit_bins(toks, 10).tolist() == _ref_next_fit(
-            toks.tolist(), 10
-        )
+        # zeros ride along; a zero AFTER an oversize bin opens a new bin,
+        # and an oversize doc after leading zeros does not join their bin
+        for toks in ([0, 0, 10, 0, 11, 0], [0, 0, 11, 3]):
+            assert _next_fit_bins(np.array(toks, np.int64), 10).tolist() == (
+                _ref_next_fit(toks, 10)
+            )
 
 
 class TestPackSequences:
@@ -65,41 +66,59 @@ class TestPackSequences:
             )
         )
 
-    def test_basic_bins(self, ray_session):
-        out = (
-            pack_sequences(self._ds([4, 4, 4, 9, 20, 1]), 10)
+    def _packed(self, toks, capacity, **kw):
+        return (
+            pack_sequences(self._ds(toks), capacity=capacity, **kw)
             .to_pandas()
-            .sort_values("bin_id")
+            .sort_values("doc_id")
             .reset_index(drop=True)
         )
-        # budget 10 → bins [4,4] [4] [9] [20 oversize] [1]
-        assert out["bin_id"].tolist() == [100, 102, 103, 104, 105]
-        assert out["n_docs"].tolist() == [2, 1, 1, 1, 1]
-        assert out["total_tokens"].tolist() == [8, 4, 9, 20, 1]
-        assert out["oversize"].tolist() == [False, False, False, True, False]
-        assert out["doc_ids"].iloc[0].tolist() == [100, 101]
-        np.testing.assert_allclose(
-            out["fill_frac"], [0.8, 0.4, 0.9, 1.0, 0.1]
-        )
+
+    def test_basic_bins(self, ray_session):
+        out = self._packed([4, 4, 4, 9, 20, 1], 10, bucket_size=1000)
+        # capacity 10 → bins [4,4] [4] [9] [20 oversize] [1]
+        assert out["bin_in_bucket"].tolist() == [0, 0, 1, 2, 3, 4]
+        assert out["bin_offset"].tolist() == [0, 4, 0, 0, 0, 0]
+        assert out["truncated"].tolist() == [
+            False, False, False, False, True, False,
+        ]
+        assert out["seq_len"].tolist() == [4, 4, 4, 9, 20, 1]
+
+    def test_oversize_after_empty_docs(self, ray_session):
+        # a doc longer than capacity gets a bin to itself, even when the
+        # open bin holds only zero-length docs
+        out = self._packed([0, 200, 5], 128)
+        assert out["bin_in_bucket"].tolist() == [0, 1, 2]
+        assert out["bin_offset"].tolist() == [0, 0, 0]
+        assert out["truncated"].tolist() == [False, True, False]
 
     def test_accounting_exact(self, ray_session):
         rng = np.random.default_rng(3)
-        toks = rng.integers(1, 900, 5_000).astype(np.int64)
+        toks = rng.integers(0, 900, 5_000).astype(np.int64)
+        toks[:3] = 0  # leading zero-length docs
         ds = self._ds(toks)
-        packed = pack_sequences(ds, 512, batch_size=1000)
-        stats = packing_stats(packed, 512)
-        # every doc lands in exactly one bin, tokens conserved
-        assert stats["n_docs"] == 5_000
-        assert stats["total_tokens"] == int(toks.sum())
-        df = packed.to_pandas()
-        all_ids = np.sort(np.concatenate(df["doc_ids"].to_numpy()))
-        assert all_ids.tolist() == list(range(100, 5_100))
-        # bin_id = first doc id → unique
-        assert df["bin_id"].is_unique
+        packed = pack_sequences(ds.repartition(5), capacity=512)
+        df = packed.to_pandas().sort_values("doc_id").reset_index(drop=True)
+        # every doc lands in exactly one bin, in its id's bucket
+        assert df["doc_id"].tolist() == list(range(100, 5_100))
+        assert (df["pack_bucket"] == df["doc_id"] // 64).all()
+        for pb, g in df.groupby("pack_bucket"):
+            assert g["bin_in_bucket"].tolist() == _ref_next_fit(
+                g["seq_len"].tolist(), 512
+            ), pb
+        stats = packing_stats(packed, capacity=512)
+        assert int(stats.n_docs.iloc[0]) == 5_000
+        assert int(stats.n_bins.iloc[0]) == int(
+            df.groupby("pack_bucket")["bin_in_bucket"].max().add(1).sum()
+        )
+        assert int(stats.n_truncated.iloc[0]) == int((toks > 512).sum())
+        assert int(stats.token_sum.iloc[0]) == int(
+            np.minimum(toks, 512).sum()
+        )
 
     def test_validation(self, ray_session):
         with pytest.raises(ValueError):
-            pack_sequences(self._ds([1]), 0)
-        bad = pack_sequences(self._ds([-1, 2]), 10)
-        with pytest.raises(Exception):
+            pack_sequences(self._ds([1]), capacity=0)
+        bad = pack_sequences(self._ds([-1, 2]), capacity=128)
+        with pytest.raises(Exception, match="negative lengths"):
             bad.materialize()

@@ -320,21 +320,21 @@ def test_pack_sequences_mirror(ray_session):
 
     rows = []
     for pb, grp in df.assign(pb=df.doc_id // bsz).groupby("pb"):
-        cur, fill = 0, 0
+        cur, fill, has_doc = 0, 0, False
         for _, r in grp.sort_values("doc_id").iterrows():
             v = int(r.n_tokens)
             if v > cap:
-                if fill > 0:
+                if has_doc:
                     cur += 1
                 rows.append((r.doc_id, v, pb, cur, 0, True))
                 cur += 1
-                fill = 0
+                fill, has_doc = 0, False
                 continue
             if fill + v > cap:
                 cur += 1
                 fill = 0
             rows.append((r.doc_id, v, pb, cur, fill, False))
-            fill += v
+            fill, has_doc = fill + v, True
     mir = pd.DataFrame(rows, columns=[
         "doc_id", "seq_len", "pack_bucket", "bin_in_bucket",
         "bin_offset", "truncated",

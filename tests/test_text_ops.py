@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from record_matcher_ray.pipelines.chunking import chunk_documents
+from record_matcher_ray.pipelines.analysis import chunk_documents
 from record_matcher_ray.pipelines.pii import PII_PATTERNS, pii_counts, redact_pii
 from record_matcher_ray.pipelines.terms import top_terms
 
@@ -1034,21 +1034,28 @@ def test_line_dedup(ray_session):
 
 
 def test_chunk_passages(ray_session):
+    """Word-level passages: normalized text through chunk_documents. The
+    tail rule drops a last window that lies inside the one before it, so
+    7 words at size 3 / overlap 1 give 3 windows, not 4 ("g" alone)."""
     import pandas as pd
     import pytest
     import ray.data as rd
 
-    from record_matcher_ray.pipelines.analysis import chunk_passages
+    from record_matcher_ray.core.hashkernels import normalize_utf8
 
     df = pd.DataFrame({"doc_id": [1, 2, 3],
-                       "text": ["a b c d e f g", "x", ""]})
-    out = (chunk_passages(rd.from_pandas(df), window=3, overlap=1)
-           .to_pandas())
-    got = out[out.doc_id == 1]
-    assert list(got.passage) == ["a b c", "c d e", "e f g", "g"]
-    assert list(got.start_word) == [0, 2, 4, 6]
-    assert list(got.n_words) == [3, 3, 3, 1]
-    assert list(out[out.doc_id == 2].passage) == ["x"]
+                       "text": ["A b, c-d e f g!", "x", ""]})
+
+    def words(t: pa.Table) -> pa.Table:
+        return t.set_column(1, "text", normalize_utf8(t["text"]))
+
+    ds = rd.from_pandas(df).map_batches(words, batch_format="pyarrow")
+    out = chunk_documents(ds, size=3, overlap=1).to_pandas()
+    got = out[out.doc_id == 1].sort_values("chunk_id")
+    assert list(got.chunk_text) == ["a b c", "c d e", "e f g"]
+    assert list(got.chunk_id) == [0, 1, 2]
+    assert list(got.n_tokens) == [3, 3, 3]
+    assert list(out[out.doc_id == 2].chunk_text) == ["x"]
     assert (out.doc_id == 3).sum() == 0  # empty doc: no passages
     with pytest.raises(ValueError):
-        chunk_passages(rd.from_pandas(df), window=4, overlap=4)
+        chunk_documents(ds, size=4, overlap=4)

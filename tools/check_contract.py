@@ -3,11 +3,14 @@ and its oracle_sql() side-by-side, compare row count / schema / values
 (order-insensitive). Each line shows the engine's time and the DuckDB
 oracle's time; the totals of both are printed at the end. Usage:
 
-    PYTHONPATH=/root/repo python tools/check_contract.py [sf_dir] [--only name1,name2]
+    PYTHONPATH=. python tools/check_contract.py [sf_dir] [--only name1,name2]
+
+run from the repository root, so Ray workers import the same checkout.
 """
 
 from __future__ import annotations
 
+import pathlib
 import sys
 import time
 
@@ -90,7 +93,7 @@ def main(sf_dir: str, only: set[str] | None = None):
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

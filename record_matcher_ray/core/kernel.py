@@ -93,10 +93,11 @@ def _score_column(scorer, xcol, xi, ycol, yi) -> np.ndarray:
     A block, where every row takes part in many pairs, factorizes each
     column once per row: a unique value cross no larger than the pairs
     goes to the scorer's matrix kernel, otherwise each unique value pair
-    is scored once through its elementwise kernel. With more rows than
-    pairs (docmatch's key rows repeat each doc once per shared key, and
-    most rows pair with nothing) the elementwise kernel gets the pairs'
-    values directly and dedupes them itself."""
+    is scored once through its elementwise kernel. docmatch passes one
+    row per doc of a key group and each distinct doc pair once, so every
+    row takes part in a pair. With more rows than pairs (most rows pair
+    with nothing) the elementwise kernel gets the pairs' values directly
+    and dedupes them itself."""
     if len(xcol) > len(xi) or len(ycol) > len(yi):
         return scorer.elementwise(xcol[xi], ycol[yi])
     ux, xc = _factorize(xcol)

@@ -557,6 +557,86 @@ def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
                 _assert_same_outputs(run(**kw), want, str(kw))
 
 
+def _match_fixture(corpus_dir, **kw):
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.docmatch import match_documents
+
+    return match_documents(rd.read_parquet(f"{corpus_dir}/corpus.parquet"),
+                           rd.read_parquet(f"{corpus_dir}/registry.parquet"),
+                           **kw)
+
+
+@pytest.mark.parametrize("cap", [500_000, 0])
+def test_docmatch_counters_pinned(ray_session, corpus_dir, cap):
+    """The fixture's counters, recorded when stage B still scored one
+    row per shared key: scoring each doc pair once per key group must
+    keep counting it once per shared key (pairs_scored), and the driver
+    tail below reduce_driver_cap must count what the exchange path does.
+    max_block_side=4 makes blocks_dropped non-zero."""
+    for kw, want in (
+        ({}, dict(pairs_scored=2570, blocks_dropped=0,
+                  matches_accepted=231, x_without_candidates=34)),
+        ({"max_block_side": 4}, dict(pairs_scored=829, blocks_dropped=38,
+                                     matches_accepted=231,
+                                     x_without_candidates=34)),
+    ):
+        res = _match_fixture(corpus_dir, reduce_driver_cap=cap,
+                             cluster_edges=False, **kw)
+        assert dict(res.counters) == want, kw
+
+
+def test_docmatch_barrier_budget(ray_session, corpus_dir, monkeypatch):
+    """Below reduce_driver_cap one match_documents call runs at most three
+    Ray Data executions: the x flats, the y flats, and one key expansion
+    → blocking exchange → score_bucket execution. Everything after it
+    (per-x reduce, duplicate pass, finalize, unmatched backfill, edges,
+    star clustering) runs on the driver's tie table. Each execution costs
+    ~0.13 s of fixed latency on a 1-CPU host, more than all the scoring
+    of a few thousand docs."""
+    import ray.data
+
+    calls = []
+    materialize = ray.data.Dataset.materialize
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return materialize(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", counted)
+    res = _match_fixture(corpus_dir)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 3, len(calls)
+    assert res.counters["matches_accepted"] > 0
+
+
+def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):
+    """The stage-B exchange cuts the key rows at the group boundaries, so
+    at 2 groups fed 8 blocks both reduce partitions hold keys and no
+    operator emits a column-less block: Ray logs each such block as a
+    schema change ("... new schema: ."). A sort sampled on the group
+    column made a partition per input block, most of them empty."""
+    import logging
+
+    class Grab(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    grab = Grab()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(grab)
+    try:
+        _match_fixture(corpus_dir, shuffle_partitions=8, n_buckets=2,
+                       cluster_edges=False)
+    finally:
+        logger.removeHandler(grab)
+    assert not [m for m in grab.messages if "different schema" in m]
+
+
 def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path):
     """The registry index keeps the key groups of its build-time
     n_buckets (256); a delta run regroups them to its own, smaller group

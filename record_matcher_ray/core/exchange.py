@@ -37,7 +37,8 @@ _DOCS_PER_GROUP = 16384
 
 def default_tasks(tasks: int | None = None) -> int:
     """The block count an exchange's input is coalesced to before its
-    sort: ``tasks`` when the caller passes one, else 2 per cluster CPU;
+    sort, and the most partitions ``bucket_exchange`` cuts its buckets
+    into: ``tasks`` when the caller passes one, else 2 per cluster CPU;
     floor 1. A sort exchange makes (input blocks × output partitions)
     objects, so a count sized for a bigger cluster is pure overhead on a
     small one."""
@@ -99,13 +100,20 @@ def bucket_exchange(
     are unioned only then, so the bucketing fuses into each side's own
     map stage instead of adding a pass over the union.
 
-    ``fn`` receives one pyarrow table per bucket: every row whose key
-    tuple hashes to that bucket (null keys all land together), with the
-    input's columns and no schema metadata. A bucket mixes many keys, so
-    ``fn`` separates them itself (sort + boundary diff). Schema metadata
-    is stripped on both sides of ``fn``: a ``pa.Schema`` carrying parquet
-    or pandas metadata is unhashable, and Ray then warns "Failed to hash
-    the schemas" and unifies block schemas on a slow path."""
+    ``fn`` is called once per non-empty bucket with one pyarrow table:
+    every row whose key tuple hashes to that bucket (null keys all land
+    together), with the input's columns and no schema metadata. A bucket
+    mixes many keys, so ``fn`` separates them itself (sort + boundary
+    diff). Schema metadata is stripped on both sides of ``fn``: a
+    ``pa.Schema`` carrying parquet or pandas metadata is unhashable, and
+    Ray then warns "Failed to hash the schemas" and unifies block schemas
+    on a slow path.
+
+    The exchange is a sort on the bucket id cut at explicit boundaries
+    into ``min(n_buckets, default_tasks())`` partitions of whole buckets.
+    A sort sampled on the bucket column would make one partition per
+    input block, most of them empty, each costing a reduce task and
+    emitting a column-less block."""
 
     def add_bucket(t: pa.Table) -> pa.Table:
         b = bucket_ids(_key_hash(t, keys), n_buckets)
@@ -113,9 +121,20 @@ def bucket_exchange(
             _BUCKET, pa.array(b)
         )
 
-    def call(t: pa.Table) -> pa.Table:
-        out = fn(t.drop_columns([_BUCKET]))
-        return out.replace_schema_metadata(None)
+    def call_buckets(t: pa.Table):
+        # one partition of whole buckets: cut it where the bucket changes
+        if len(t) == 0:
+            return
+        b = t[_BUCKET].to_numpy()
+        # repartition(1) does not sort: with n_buckets > 1 that happens
+        # when default_tasks() is 1 (a cluster that reports no CPU yet)
+        if (b[1:] < b[:-1]).any():
+            order = np.argsort(b, kind="stable")
+            t, b = t.take(order), b[order]
+        cuts = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(t)]
+        body = t.drop_columns([_BUCKET])
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            yield fn(body.slice(lo, hi - lo)).replace_schema_metadata(None)
 
     tagged, *rest = [
         d.map_batches(add_bucket, batch_format="pyarrow")
@@ -123,4 +142,15 @@ def bucket_exchange(
     ]
     if rest:
         tagged = tagged.union(*rest)
-    return tagged.groupby(_BUCKET).map_groups(call, batch_format="pyarrow")
+    parts = min(int(n_buckets), default_tasks())
+    exchanged = (
+        tagged.sort(
+            _BUCKET,
+            boundaries=[i * n_buckets // parts for i in range(1, parts)],
+        )
+        if parts > 1  # boundaries=[] would sample instead
+        else tagged.repartition(1)
+    )
+    return exchanged.map_batches(
+        call_buckets, batch_size=None, batch_format="pyarrow"
+    )

@@ -37,8 +37,11 @@ Semantics reproduced exactly (SURVEY.md §2.1 O6/O7/O8, §2.5):
   position — matcher.py:390-401).
 
 ``score_pairs_flat`` is also docmatch's OR-blocked pair scorer. The
-duplicate pass (matcher.py:408-447) is inherently global per winner-y and
-lives in :func:`record_matcher_ray.pipelines.match.compute_flips`.
+duplicate pass (matcher.py:408-447) is global per winner-y, so it runs
+on whole winner-y groups: inside each blocking bucket of the blocked
+match (a y is won only by x rows of its key), and through
+:func:`record_matcher_ray.pipelines.match.compute_flips` where the
+scored rows are not grouped by key.
 """
 
 from __future__ import annotations

@@ -49,7 +49,12 @@ from record_matcher_ray.core.exchange import (
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
 from record_matcher_ray.pipelines.cluster import connected_components
-from record_matcher_ray.pipelines.match import compute_flips, resolve_winner_arrays
+from record_matcher_ray.pipelines.match import (
+    FLIP_DEMOTE,
+    FLIP_DUPLICATE,
+    compute_flips,
+    resolve_winner_arrays,
+)
 from record_matcher_ray.stages.blocking import MinHasher, batch_doc_keys
 from record_matcher_ray.stages.flatten import add_int_ids, flatten_spans
 
@@ -962,12 +967,10 @@ def match_documents(
         counters["pairs_scored"] = pairs_sum
         _tick("reduce", {"x_with_candidates": n_scored_rows,
                          "pairs_scored": pairs_sum})
-        flip_x, flip_v = resolve_winner_arrays(
-            x_w, y_w, s_w, cfg.duplicate_threshold
-        )
-        dup_ids = np.sort(flip_x[flip_v == "duplicate"])
-        dem_ids = np.sort(flip_x[flip_v == "demote"])
-        _tick("flips", {"n_flips": int(len(flip_x))})
+        flips = resolve_winner_arrays(y_w, s_w, cfg.duplicate_threshold)
+        dup_ids = np.sort(x_w[flips == FLIP_DUPLICATE])
+        dem_ids = np.sort(x_w[flips == FLIP_DEMOTE])
+        _tick("flips", {"n_flips": len(dup_ids) + len(dem_ids)})
     else:
         counters["pairs_scored"] = int(sum(ray.get(
             [_sum_col_partial.remote(r, "n_candidates")
@@ -975,12 +978,8 @@ def match_documents(
         )))
         _tick("reduce", {"x_with_candidates": n_scored_rows,
                          "pairs_scored": counters["pairs_scored"]})
-        flips = compute_flips(scored, cfg.duplicate_threshold)
-        _tick("flips", {"n_flips": len(flips)})
-        dup_ids = np.sort(np.fromiter(
-            (k for k, v in flips.items() if v == "duplicate"), np.int64))
-        dem_ids = np.sort(np.fromiter(
-            (k for k, v in flips.items() if v == "demote"), np.int64))
+        dup_ids, dem_ids = compute_flips(scored, cfg.duplicate_threshold)
+        _tick("flips", {"n_flips": len(dup_ids) + len(dem_ids)})
 
     # ---- stage D: duplicate pass + finalize, D2: UNMATCHED backfill -------
     if driver_tail:

@@ -9,29 +9,35 @@ Dataflow (SURVEY.md §4.3):
    match/group columns to string, fill nulls with "", derive the blocking
    key (the `columns_to_group` value tuple — exact semantics of
    records.group_by at records.py:106-132).
-3. **blocking exchange** — tag sides and co-group them with
-   `core.exchange.bucket_exchange` on the blocking key, `default_tasks()`
-   hash buckets: every x-row lands with exactly its reference candidate
-   set, so the per-x argmax reduce is bucket-local (no second wide
-   shuffle). One flat `score_keyed` kernel call per bucket enumerates
-   each key's pairs by sort + boundary search, so a bucket's many keys
-   cost one Python call, and a hot key's pairs are scored in bounded
-   chunks of whole x rows.
+3. **blocking exchange + scoring + duplicate pass** — tag sides and
+   co-group them with `core.exchange.bucket_exchange` on the blocking
+   key, `default_tasks()` hash buckets: every x-row lands with exactly
+   its reference candidate set, so the per-x argmax reduce is
+   bucket-local (no second wide shuffle). One flat `score_keyed` kernel
+   call per bucket enumerates each key's pairs by sort + boundary
+   search, so a bucket's many keys cost one Python call, and a hot key's
+   pairs are scored in bounded chunks of whole x rows. The duplicate
+   pass (matcher.py:408-447) is bucket-local too: an x can only win a y
+   of its own key, so every winner-y group is whole inside the bucket
+   that scored it, and `resolve_winner_arrays` writes each row's verdict
+   into an int8 flip column of the scored table.
    With NO group columns the reference scans all of Y per x
    (matcher.py:179-182); here Y is broadcast once via `ray.put` and scored
    against each X batch in a stateless `map_batches` — no shuffle at all.
-4. **duplicate pass** — project winners to 3 columns, `groupby(winner_y_id)`
-   (a shuffle over winner triples only, not the data), resolve with the
-   shared `resolve_duplicates`, collect the (typically tiny) flip set and
-   broadcast it into the finalize stage. Flips are bounded by y-rows winning
-   multiple x's; they are NOT O(|X|) under sane blocking.
-5. **finalize** — `map_batches`: status display-mapping, flip application,
-   strict-mode quirk columns, output column assembly.
+   Those batches are not winner-complete, so `compute_flips` resolves
+   the winners of the materialized scored table and broadcasts the
+   flipped x ids.
+4. **summary** — one default-resource task per scored block counts its
+   pre-flip statuses and its flips (the reference's over-count quirk);
+   no shuffle over the ~4-valued status column.
+5. **finalize** — `map_batches`: status display-mapping, vectorized flip
+   application, strict-mode quirk columns, output column assembly.
 
-The scored intermediate is consumed twice (winners projection + finalize) —
-it is materialized; at 100 TB route it through the checkpoint layer
-(state/checkpoint.py) instead, which writes stage output as partitioned
-parquet with lineage manifests.
+The scored intermediate is read twice (summary partials + finalize), so
+it is materialized: the blocked path runs three Ray Data executions
+(uniqueness, scoring, the caller's consumption of finalize). At 100 TB
+route it through the checkpoint layer (state/checkpoint.py) instead,
+which writes stage output as partitioned parquet with lineage manifests.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ _KEY = "__key__"
 _SIDE = "__side__"
 _RID = "__rid__"
 _SEP = "\x1f"
+_FLIP = "__flip__"
+# duplicate-pass verdict per scored row (matcher.py:408-447)
+FLIP_NONE, FLIP_DUPLICATE, FLIP_DEMOTE = 0, 1, 2
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
@@ -106,23 +115,23 @@ class MatchResult:
 
 
 def resolve_winner_arrays(
-    xid: np.ndarray,
     yid: np.ndarray,
     sc: np.ndarray,
     duplicate_threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Vectorized twin of core.dup.resolve_duplicates across ALL y-groups
-    of (x_id, winner_y_id, winner_score) rows at once (the per-group
-    Python call was ~0.04 ms × |groups| — at a corpus where most entities
-    have several mentions nearly every winner group is multi, so the loop
-    dominated). → (flip x_ids int64, verdicts object: "duplicate"/"demote").
-    Callers must pass whole y-groups (any superset partitioning works)."""
-    n = len(xid)
+    of (winner_y_id, winner_score) rows at once (the per-group Python
+    call was ~0.04 ms × |groups| — at a corpus where most entities have
+    several mentions nearly every winner group is multi, so the loop
+    dominated). → one int8 verdict per row: ``FLIP_NONE``,
+    ``FLIP_DUPLICATE`` or ``FLIP_DEMOTE``. Callers must pass whole
+    y-groups (any superset partitioning works)."""
+    n = len(yid)
+    flips = np.zeros(n, np.int8)
     if n == 0:
-        return np.empty(0, np.int64), np.empty(0, object)
+        return flips
     order = np.argsort(yid, kind="stable")
-    y_s = yid[order]
-    x_s, sc_s = xid[order], sc[order]
+    y_s, sc_s = yid[order], sc[order]
     bounds = np.nonzero(np.concatenate(([True], y_s[1:] != y_s[:-1])))[0]
     sizes = np.diff(np.concatenate((bounds, [n])))
     mx = np.maximum.reduceat(sc_s, bounds)
@@ -132,84 +141,92 @@ def resolve_winner_arrays(
     multi = sizes > 1
     dup_g = multi & ((n_max > 1) | (np.abs(mx - mn) < duplicate_threshold))
     dem_g = multi & ~dup_g
-    grp = np.repeat(np.arange(len(bounds)), sizes)
-    dup_rows = dup_g[grp]
-    dem_rows = dem_g[grp] & ~is_max
-    verdict = np.empty(int(dup_rows.sum()) + int(dem_rows.sum()), object)
-    verdict[: dup_rows.sum()] = "duplicate"
-    verdict[dup_rows.sum():] = "demote"
-    return (
-        np.concatenate([x_s[dup_rows], x_s[dem_rows]]).astype(np.int64),
-        verdict,
-    )
+    flips[order[np.repeat(dup_g, sizes)]] = FLIP_DUPLICATE
+    flips[order[np.repeat(dem_g, sizes) & ~is_max]] = FLIP_DEMOTE
+    return flips
+
+
+def _flip_codes(xids: np.ndarray, dup_ids: np.ndarray,
+                dem_ids: np.ndarray) -> np.ndarray:
+    """int8 verdict per row of ``xids`` from the flipped x id sets."""
+    flips = np.zeros(len(xids), np.int8)
+    flips[np.isin(xids, dup_ids)] = FLIP_DUPLICATE
+    flips[np.isin(xids, dem_ids)] = FLIP_DEMOTE
+    return flips
 
 
 def compute_flips(
     scored: ray.data.Dataset,
     duplicate_threshold: float,
     x_id_col: str = "__x_id__",
-    n_buckets: int = 64,
     driver_cap: int = 5_000_000,
-) -> dict[int, str]:
-    """Duplicate pass (matcher.py:408-447): project winners to 3 narrow
-    columns and resolve each winner_y_id group with the shared rule;
-    returns the x_id → verdict flip map (which is driver-resident by
-    contract — callers broadcast it). Under ``driver_cap`` winner rows the
+) -> tuple[np.ndarray, np.ndarray]:
+    """Duplicate pass (matcher.py:408-447) over a scored dataset whose
+    blocks are not winner-complete (the broadcast match, docmatch above
+    its driver cap): project winners to 3 narrow columns and resolve each
+    winner_y_id group with the shared rule. → sorted int64 arrays of the
+    x ids flipped to DUPLICATE and of those demoted to UNMATCHED, small
+    enough to broadcast by contract. Under ``driver_cap`` winner rows the
     narrow (24 B/row) projection is pulled to the driver and resolved in
-    ONE vectorized pass — no shuffle round. Above the cap, winners are
-    hash-bucketed by winner_y_id (one vectorized call per bucket, not one
-    Python call per y group) through the sort shuffle.
-    ``scored`` needs x_id_col / winner_y_id / winner_score."""
+    ONE vectorized pass — no shuffle round. Above the cap, winners go
+    through ``bucket_exchange`` on winner_y_id over ``default_tasks()``
+    buckets (one vectorized call per bucket, not one Python call per y
+    group). ``scored`` needs x_id_col / winner_y_id / winner_score."""
+    triples = pa.schema(
+        [(x_id_col, pa.int64()), ("winner_y_id", pa.int64()),
+         ("winner_score", pa.float64())]
+    )
 
     def winners(batch: pa.Table) -> pa.Table:
         mask = pc.not_equal(batch["winner_y_id"], NO_WINNER)
         t = batch.filter(mask)
-        return t.select([x_id_col, "winner_y_id", "winner_score"])
+        return t.select(triples.names)
+
+    flip_schema = pa.schema([("x_id", pa.int64()), ("flip", pa.int8())])
 
     def resolve_bucket(t: pa.Table) -> pa.Table:
-        n = len(t)
-        empty = pa.schema([("x_id", pa.int64()), ("verdict", pa.string())])
-        if n == 0:
-            return empty.empty_table()
-        flip_x, flip_v = resolve_winner_arrays(
-            t[x_id_col].to_numpy(),
-            t["winner_y_id"].to_numpy(),
-            t["winner_score"].to_numpy(),
+        flips = resolve_winner_arrays(
+            t["winner_y_id"].to_numpy(), t["winner_score"].to_numpy(),
             duplicate_threshold,
         )
-        return pa.table(
-            {"x_id": pa.array(flip_x, pa.int64()),
-             "verdict": pa.array(flip_v, pa.string())}
-        )
+        keep = flips != FLIP_NONE
+        return pa.table([t[x_id_col].to_numpy()[keep], flips[keep]],
+                        schema=flip_schema)
+
+    def gather(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
+        # concat the block refs, never iter_batches on the driver
+        # (CLAUDE.md: driver batch loops are fault-bound)
+        parts = [p for p in ray.get(ds.to_arrow_refs()) if len(p)]
+        return pa.concat_tables(parts) if parts else schema.empty_table()
 
     w = scored.map_batches(winners, batch_format="pyarrow").materialize()
     if w.count() <= driver_cap:
-        # narrow int64/float64 triples — concat refs, never iter_batches
-        # on the driver (CLAUDE.md: driver batch loops fault-bound)
-        parts = [p for p in ray.get(w.to_arrow_refs()) if len(p)]
-        tbl = (
-            pa.concat_tables(parts).combine_chunks()
-            if parts
-            else pa.schema(
-                [(x_id_col, pa.int64()), ("winner_y_id", pa.int64()),
-                 ("winner_score", pa.float64())]
-            ).empty_table()
-        )
-        flips_tbl = resolve_bucket(tbl)
-        if len(flips_tbl):
-            return dict(
-                zip(
-                    flips_tbl["x_id"].to_numpy().tolist(),
-                    flips_tbl["verdict"].to_pylist(),
-                )
-            )
-        return {}
-    flips_df = bucket_exchange(
-        w, ["winner_y_id"], resolve_bucket, n_buckets
-    ).to_pandas()
-    if len(flips_df) and "x_id" in flips_df.columns:
-        return dict(zip(flips_df["x_id"].astype(np.int64), flips_df["verdict"]))
-    return {}
+        flips_tbl = resolve_bucket(gather(w, triples))
+    else:
+        flips_tbl = gather(bucket_exchange(
+            w, ["winner_y_id"], resolve_bucket, default_tasks()
+        ), flip_schema)
+    xids = flips_tbl["x_id"].to_numpy()
+    flips = flips_tbl["flip"].to_numpy()
+    return (np.sort(xids[flips == FLIP_DUPLICATE]),
+            np.sort(xids[flips == FLIP_DEMOTE]))
+
+
+@ray.remote
+def _summary_partial(t: pa.Table) -> Counter:
+    """The reference's summary over one scored block (over-count quirk,
+    SURVEY.md §2.5.3): every row counts its pre-flip status, and each
+    bucket-local flip counts once more as "duplicate" or "unmatched"."""
+    c = Counter()
+    if len(t) == 0:
+        return c
+    for vc in pc.value_counts(t["pre_status"]).to_pylist():
+        c[vc["values"]] += vc["counts"]
+    if _FLIP in t.column_names:
+        flips = t[_FLIP].to_numpy()
+        c["duplicate"] += int((flips == FLIP_DUPLICATE).sum())
+        c["unmatched"] += int((flips == FLIP_DEMOTE).sum())
+    return c
 
 
 def match_datasets(
@@ -246,6 +263,8 @@ def match_datasets(
     — the Ray-path analogue of the reference's ``update_func``
     (matcher.py:320-332); fired on the driver at stage boundaries
     (uniqueness → scored → duplicate_pass → summary → finalize_scheduled).
+    The blocked path's duplicate pass runs inside scoring, so its
+    ``duplicate_pass`` stage does no work.
     """
     def _tick(stage: str, info: dict) -> None:
         if callable(progress):
@@ -275,17 +294,25 @@ def match_datasets(
 
     scored = scored.materialize()
     _tick("scored", {"rows": scored.count()})
-    flips = compute_flips(scored, cfg.duplicate_threshold)
-    flips_ref = ray.put(flips)
-    _tick("duplicate_pass", {"flips": len(flips)})
+    if cfg.columns_to_group:
+        # resolved inside each blocking bucket: an x wins only a y of its
+        # own key, so every winner group was scored in one bucket
+        flips_ref = None
+        _tick("duplicate_pass", {})
+    else:
+        dup_ids, dem_ids = compute_flips(scored, cfg.duplicate_threshold)
+        flips_ref = ray.put((dup_ids, dem_ids))
+        _tick("duplicate_pass", {"flips": len(dup_ids) + len(dem_ids)})
 
     # ---- summary (reference over-count quirk, SURVEY.md §2.5.3) ----------
-    summary = Counter()
-    pre_counts = scored.groupby("pre_status").count().to_pandas()
-    for _, row in pre_counts.iterrows():
-        summary[row["pre_status"]] += int(row["count()"])
-    for v in flips.values():
-        summary["duplicate" if v == "duplicate" else "unmatched"] += 1
+    # per-block partials at default resources: num_cpus=0 tasks submitted
+    # right after the exchange start an extra worker process (CLAUDE.md)
+    summary = sum(
+        ray.get([_summary_partial.remote(r) for r in scored.to_arrow_refs()]),
+        Counter(),
+    )
+    if flips_ref is not None:
+        summary += Counter(duplicate=len(dup_ids), unmatched=len(dem_ids))
 
     # ---- finalize --------------------------------------------------------
     get_pairs = cfg.columns_to_get
@@ -295,33 +322,23 @@ def match_datasets(
     score_col = COLUMNS_TO_ADD["match_score"]
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        fl = ray.get(flips_ref)
         n = len(df)
-        xids = df["__x_id__"].to_numpy()
-        pre = df["pre_status"].to_numpy(dtype=object)
-        final = np.array([MATCH_STATUS[s] for s in pre], dtype=object)
-        rows_s = df["rows_matched"].to_numpy(dtype=object)
-        score_s = df["match_score_str"].to_numpy(dtype=object)
+        flips = (
+            df[_FLIP].to_numpy()
+            if flips_ref is None
+            else _flip_codes(df["__x_id__"].to_numpy(), *ray.get(flips_ref))
+        )
+        demoted = flips == FLIP_DEMOTE
+        final = df["pre_status"].map(MATCH_STATUS).to_numpy(dtype=object)
+        final[flips == FLIP_DUPLICATE] = MATCH_STATUS["duplicate"]
+        final[demoted] = MATCH_STATUS["unmatched"]
         out = pd.DataFrame()
         for c in x_passthrough:
             out[c] = df["x::" + c].values
-        copied = {x_col: df["get::" + x_col].to_numpy(dtype=object) for _, x_col in get_pairs}
-        demoted = np.zeros(n, dtype=bool)
-        if fl:
-            for i, xid in enumerate(xids):
-                v = fl.get(int(xid))
-                if v == "duplicate":
-                    final[i] = MATCH_STATUS["duplicate"]
-                elif v == "demote":
-                    final[i] = MATCH_STATUS["unmatched"]
-                    rows_s[i] = ""
-                    score_s[i] = ""
-                    demoted[i] = True
         for _, x_col in get_pairs:
-            vals = copied[x_col]
+            vals = df["get::" + x_col].to_numpy(dtype=object)
             if not strict and demoted.any():
-                vals = vals.copy()
-                vals[demoted] = None
+                vals = np.where(demoted, None, vals)
             out[x_col] = vals
         if strict and demoted.any():
             # quirk §2.5.2: loser-nulling writes the *y*-column name
@@ -332,8 +349,8 @@ def match_datasets(
                     out[y_col] = out[y_col].astype(object)
                 out.loc[demoted, y_col] = None
         out[status_col] = final
-        out[rows_col] = rows_s
-        out[score_col] = score_s
+        for col, src in ((rows_col, "rows_matched"), (score_col, "match_score_str")):
+            out[col] = np.where(demoted, "", df[src].to_numpy(dtype=object))
         return out
 
     _tick("summary", dict(summary))
@@ -406,7 +423,17 @@ def _match_shuffled(
             _str_np(xt, _KEY), _str_np(yt, _KEY),
             xt[_RID].to_numpy(), yt[_RID].to_numpy(), cfg, uniq,
         )
-        return _result_table(xt, res, copied, cfg, x_passthrough)
+        # the duplicate pass, bucket-local: the key's rows are all here
+        wy = np.asarray(res["winner_y_id"], np.int64)
+        won = wy != NO_WINNER
+        flips = np.zeros(len(wy), np.int8)
+        flips[won] = resolve_winner_arrays(
+            wy[won], np.asarray(res["winner_score"], np.float64)[won],
+            cfg.duplicate_threshold,
+        )
+        return _result_table(xt, res, copied, cfg, x_passthrough).append_column(
+            _FLIP, pa.array(flips)
+        )
 
     return bucket_exchange([xp, yp], [_KEY], score_bucket, default_tasks())
 

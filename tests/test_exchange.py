@@ -1,11 +1,13 @@
 """core.exchange: the one hash-bucket exchange every blocked stage uses."""
 
+import logging
 import pathlib
 import re
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 PIPELINES = pathlib.Path(__file__).resolve().parent.parent / (
@@ -116,6 +118,69 @@ def test_empty_input_gives_empty_output(ray_session):
         rd.from_pandas(df), ["k"], _per_key_sums(["k"]), 7
     ).to_pandas()
     assert len(got) == 0
+
+
+class _GrabWarnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def test_partitions_are_whole_buckets(ray_session):
+    """4 input blocks over 2 buckets give 2 partitions, one bucket each:
+    no empty partition, so no column-less block for Ray to log as a
+    schema change ("... new schema: ."). A sort sampled on the bucket
+    column made one partition per input block, two of them empty."""
+    import ray
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+
+    ds = rd.from_pandas(_frame(200)).repartition(4)
+    grab = _GrabWarnings()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(grab)
+    try:
+        out = bucket_exchange(ds, ["k"], _per_key_sums(["k"]), 2).materialize()
+    finally:
+        logger.removeHandler(grab)
+    sizes = [len(t) for t in ray.get(out.to_arrow_refs())]
+    assert len(sizes) == 2 and min(sizes) > 0, sizes
+    assert not [m for m in grab.messages if "different schema" in m]
+
+
+def test_fn_called_once_per_bucket(ray_session, monkeypatch):
+    """16 buckets over 2 partitions: each partition holds many buckets,
+    and fn still sees each non-empty bucket once, with all its rows."""
+    import ray.data as rd
+
+    from record_matcher_ray.core import exchange
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda tasks=None: 2)
+    df = _frame()
+
+    def probe(b: pa.Table) -> pa.Table:
+        ids = np.unique(
+            exchange.bucket_ids(exchange._key_hash(b, ["k"]), 16)
+        )
+        return pa.table({"bucket": pa.array(ids[:1]),
+                         "n_ids": pa.array([len(ids)]),
+                         "rows": pa.array([len(b)]),
+                         "v": pa.array([int(pc.sum(b["v"]).as_py())])})
+
+    got = exchange.bucket_exchange(
+        rd.from_pandas(df).repartition(4), ["k"], probe, 16
+    ).to_pandas().sort_values("bucket").reset_index(drop=True)
+    want = df.assign(bucket=exchange.bucket_ids(
+        exchange._key_hash(pa.Table.from_pandas(df), ["k"]), 16
+    )).groupby("bucket").agg(rows=("v", "size"), v=("v", "sum")).reset_index()
+    assert (got["n_ids"] == 1).all()
+    assert got["bucket"].tolist() == want["bucket"].tolist()
+    assert got["rows"].tolist() == want["rows"].tolist()
+    assert got["v"].tolist() == want["v"].tolist()
 
 
 def test_fn_sees_input_columns_without_metadata(ray_session):

@@ -344,3 +344,105 @@ def test_ray_equals_local_api(ray_session, fixture):
     assert dict(got_summary) == dict(want_summary)
     digest = hashlib.sha256(_canonical(got_df).encode()).hexdigest()
     assert digest == _PARITY_SHA256[fixture]
+
+
+def test_blocked_match_independent_of_bucket_count(ray_session, monkeypatch):
+    """The blocked match resolves its duplicate pass inside each blocking
+    bucket, so its rows and summary must not depend on how many buckets
+    the exchange makes. The fixture flips rows both to DUPLICATE and
+    (demoted) to UNMATCHED in at least two buckets of the 8-bucket run;
+    strict semantics keeps a demoted row's copied value, which tells it
+    apart from a row that never matched."""
+    import pyarrow as pa
+
+    from record_matcher_ray.core.exchange import _key_hash, bucket_ids
+    from record_matcher_ray.pipelines import match
+
+    x, y = _random_tables(42, nx=400, ny=60)
+    runs = {}
+    for n in (1, 2, 8):
+        monkeypatch.setattr(match, "default_tasks", lambda tasks=None, n=n: n)
+        df, summary = _run_ray(x, y, _grouped_setup, strict_semantics=True)
+        runs[n] = (df, _canonical(df), dict(summary))
+    monkeypatch.undo()
+    assert runs[1][1:] == runs[2][1:] == runs[8][1:]
+
+    df = runs[8][0]
+    bucket = bucket_ids(_key_hash(pa.table({"k": df["city"].tolist()}), ["k"]), 8)
+    dup = df["match_status"].to_numpy() == "DUPLICATE"
+    dem = (df["match_status"].to_numpy() == "UNMATCHED") & df["gotten"].notna().to_numpy()
+    both = set(bucket[dup]) & set(bucket[dem])
+    assert len(both) >= 2, (set(bucket[dup]), set(bucket[dem]))
+
+
+def test_blocked_match_execution_budget(ray_session, monkeypatch):
+    """One blocked match_datasets call plus consuming its dataset runs at
+    most three Ray Data executions (uniqueness, the scoring exchange, the
+    finalize map) and no aggregate: the duplicate pass runs inside the
+    scoring buckets and the summary is counted from the scored blocks.
+    Each execution costs ~0.13 s of fixed latency on a 1-CPU host. The
+    inputs are Arrow-backed, as in perfbench; a pandas-backed x adds one
+    limit(1) read for its Arrow schema."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from record_matcher_ray.pipelines.match import match_datasets
+
+    x, y = _random_tables(42)
+
+    def arrow_ds(records, id_col):
+        return rd.from_arrow(pa.Table.from_pylist(
+            [dict(r, **{id_col: i}) for i, r in records.items()]
+        ))
+
+    b = MatchConfigBuilder(x_columns={"fn", "ln", "city"},
+                           y_columns={"fn", "ln", "town", "yid"})
+    _grouped_setup(b)
+    cfg = b.build()
+    x_ds, y_ds = arrow_ds(x, "__xid__"), arrow_ds(y, "__yid__")
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *a, **k):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(ops)
+        return execute(self, dag, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = match_datasets(x_ds, y_ds, cfg, "__xid__", "__yid__")
+    n = len(res.dataset.to_pandas())
+    monkeypatch.undo()
+    assert n == len(x)
+    assert 0 < len(plans) <= 3, plans
+    assert not [p for p in plans if any("Aggregate" in o for o in p)], plans
+
+
+def test_compute_flips_exchange_equals_driver_resolve(ray_session):
+    """compute_flips above its driver cap (winners exchanged on
+    winner_y_id) flips the same x ids as the one driver-side pass."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from record_matcher_ray.core.kernel import NO_WINNER
+    from record_matcher_ray.pipelines.match import compute_flips
+
+    rng = np.random.default_rng(5)
+    n = 600
+    wy = rng.integers(0, 90, n)
+    wy[rng.random(n) < 0.1] = NO_WINNER
+    t = pa.table({"__x_id__": np.arange(n, dtype=np.int64) * 3,
+                  "winner_y_id": wy.astype(np.int64),
+                  "winner_score": rng.choice([70.0, 80.0, 90.0, 95.0], n)})
+    scored = rd.from_arrow([t.slice(i, 100) for i in range(0, n, 100)])
+    driver = compute_flips(scored, 10.0)
+    exchanged = compute_flips(scored, 10.0, driver_cap=0)
+    assert len(driver[0]) and len(driver[1])
+    for a, b in zip(driver, exchanged):
+        np.testing.assert_array_equal(a, b)

@@ -20,6 +20,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from record_matcher_ray.core.hashkernels import column_hash64, mix64
 
@@ -36,12 +37,11 @@ _DOCS_PER_GROUP = 16384
 
 
 def default_tasks(tasks: int | None = None) -> int:
-    """The block count an exchange's input is coalesced to before its
-    sort, and the most partitions ``bucket_exchange`` cuts its buckets
-    into: ``tasks`` when the caller passes one, else 2 per cluster CPU;
-    floor 1. A sort exchange makes (input blocks × output partitions)
-    objects, so a count sized for a bigger cluster is pure overhead on a
-    small one."""
+    """The most map-side tasks per input of ``bucket_exchange`` and the
+    most partitions it cuts its buckets into: ``tasks`` when the caller
+    passes one, else 2 per cluster CPU; floor 1. An exchange makes (map
+    tasks × partitions) objects, so a count sized for a bigger cluster
+    is pure overhead on a small one."""
     if tasks is None:
         tasks = 2 * int(ray.cluster_resources().get("CPU", 1))
     return max(1, int(tasks))
@@ -86,71 +86,149 @@ def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
     return h
 
 
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """One table from same-schema or sibling tables: a column missing from
+    some of them reads as null there, and types promote (null → string,
+    int32 → int64)."""
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables, promote_options="permissive")
+
+
+@ray.remote
+def _exchange_map(
+    prepare: Callable[[pa.Table], pa.Table] | None,
+    keys: list[str],
+    n_buckets: int,
+    parts: int,
+    *blocks,
+) -> pa.Table | list[pa.Table]:
+    """Map side of :func:`bucket_exchange` over one contiguous run of
+    input blocks: ``prepare`` each non-empty block, hash ``keys`` to a
+    bucket, and return one slice per partition, sorted by bucket, the
+    bucket id riding in ``_BUCKET``."""
+    from ray.data.block import BlockAccessor
+
+    tables = []
+    for b in blocks:
+        t = BlockAccessor.for_block(b).to_arrow()
+        if t.num_rows and t.num_columns:  # skip empty and column-less blocks
+            t = prepare(t) if prepare is not None else t
+            if t.num_rows:
+                tables.append(t)
+    if not tables:
+        return pa.table({}) if parts == 1 else [pa.table({})] * parts
+    t = _concat(tables).replace_schema_metadata(None)
+    b = bucket_ids(_key_hash(t, keys), n_buckets)
+    order = np.argsort(b, kind="stable")
+    t = t.append_column(_BUCKET, pa.array(b)).take(order)
+    # partition p holds the whole buckets [p*n_buckets//parts, ...)
+    cuts = np.searchsorted(
+        b[order], [i * n_buckets // parts for i in range(parts + 1)]
+    )
+    out = [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return out[0] if parts == 1 else out  # one return is not a list
+
+
+@ray.remote(num_returns=2)
+def _exchange_reduce(
+    fn: Callable[[pa.Table], pa.Table], *slices: pa.Table
+) -> tuple[pa.Table, tuple[int, int]]:
+    """Reduce side of :func:`bucket_exchange` for one partition: cut its
+    slices at bucket changes and call ``fn`` once per non-empty bucket.
+    → the concatenated outputs and their ``(rows, columns)``."""
+    slices = [s for s in slices if s.num_rows]
+    if not slices:
+        return pa.table({}), (0, 0)
+    t = _concat(slices)
+    b = t[_BUCKET].to_numpy()
+    if (b[1:] < b[:-1]).any():  # each slice is sorted, their concat is not
+        order = np.argsort(b, kind="stable")
+        t, b = t.take(order), b[order]
+    cuts = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(t)]
+    body = t.drop_columns([_BUCKET])
+    outs = [
+        fn(body.slice(lo, hi - lo)).replace_schema_metadata(None)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    full = [o for o in outs if o.num_rows]
+    # an all-empty partition keeps fn's (typed) empty output
+    out = _concat(full) if full else outs[0]
+    return out, (out.num_rows, out.num_columns)
+
+
+def _runs(refs: list, rows: list[int], n: int) -> list[list]:
+    """Split block ``refs`` (with their ``rows``) into at most ``n``
+    contiguous runs of about equal row counts: run i ends at the first
+    block where the running total reaches (i+1)/n of all rows."""
+    total = np.cumsum(rows)
+    ends = np.searchsorted(total, total[-1] * np.arange(1, n + 1) / n) + 1
+    cuts = np.unique(np.concatenate(([0], ends)))
+    return [refs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
 def bucket_exchange(
     ds: ray.data.Dataset | list[ray.data.Dataset],
     keys: list[str],
     fn: Callable[[pa.Table], pa.Table],
     n_buckets: int,
-) -> ray.data.Dataset:
+    prepare: "Callable[[pa.Table], pa.Table] | list | None" = None,
+) -> MaterializedDataset:
     """Co-locate the rows of ``ds`` that share the value tuple of ``keys``
-    and return the union of ``fn`` over each bucket.
+    and return the union of ``fn`` over each bucket, EAGERLY: the call
+    runs the exchange and returns a ``MaterializedDataset``.
 
-    A list of datasets with a common schema is co-grouped (the sides of
-    a join): each input is bucketed by this one function and the inputs
-    are unioned only then, so the bucketing fuses into each side's own
-    map stage instead of adding a pass over the union.
+    A list of datasets is co-grouped (the sides of a join). ``prepare``
+    (one callable, or one per input, ``None`` for none) maps each input
+    block to the rows that are bucketed, inside the exchange's map-side
+    task, so a per-side projection or key expansion costs no Ray Data
+    execution of its own. The inputs' prepared schemas may differ: a
+    bucket holds the union of their columns, null where a side lacks one.
 
     ``fn`` is called once per non-empty bucket with one pyarrow table:
     every row whose key tuple hashes to that bucket (null keys all land
-    together), with the input's columns and no schema metadata. A bucket
-    mixes many keys, so ``fn`` separates them itself (sort + boundary
-    diff). Schema metadata is stripped on both sides of ``fn``: a
-    ``pa.Schema`` carrying parquet or pandas metadata is unhashable, and
-    Ray then warns "Failed to hash the schemas" and unifies block schemas
-    on a slow path.
+    together), in input order, without schema metadata. A bucket mixes
+    many keys, so ``fn`` separates them itself (sort + boundary diff).
+    Schema metadata is stripped on both sides of ``fn``: a ``pa.Schema``
+    carrying parquet or pandas metadata is unhashable, and Ray then warns
+    "Failed to hash the schemas" and unifies block schemas on a slow path.
 
-    The exchange is a sort on the bucket id cut at explicit boundaries
-    into ``min(n_buckets, default_tasks())`` partitions of whole buckets.
-    A sort sampled on the bucket column would make one partition per
-    input block, most of them empty, each costing a reduce task and
-    emitting a column-less block."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = bucket_ids(_key_hash(t, keys), n_buckets)
-        return t.replace_schema_metadata(None).append_column(
-            _BUCKET, pa.array(b)
-        )
-
-    def call_buckets(t: pa.Table):
-        # one partition of whole buckets: cut it where the bucket changes
-        if len(t) == 0:
-            return
-        b = t[_BUCKET].to_numpy()
-        # repartition(1) does not sort: with n_buckets > 1 that happens
-        # when default_tasks() is 1 (a cluster that reports no CPU yet)
-        if (b[1:] < b[:-1]).any():
-            order = np.argsort(b, kind="stable")
-            t, b = t.take(order), b[order]
-        cuts = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(t)]
-        body = t.drop_columns([_BUCKET])
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            yield fn(body.slice(lo, hi - lo)).replace_schema_metadata(None)
-
-    tagged, *rest = [
-        d.map_batches(add_bucket, batch_format="pyarrow")
-        for d in (ds if isinstance(ds, list) else [ds])
-    ]
-    if rest:
-        tagged = tagged.union(*rest)
+    The exchange is plain Ray tasks over the inputs' block refs (an input
+    that is not materialized yet is materialized once): at most
+    ``default_tasks()`` map tasks per input, each over a contiguous run
+    of blocks, split every row to one of ``min(n_buckets,
+    default_tasks())`` partitions of whole buckets, and one reduce task
+    per partition calls ``fn`` on its buckets. A partition that ends with
+    no rows is dropped, so the result never holds an empty block unless
+    every partition is empty."""
+    inputs = ds if isinstance(ds, list) else [ds]
+    preps = prepare if isinstance(prepare, list) else [prepare] * len(inputs)
     parts = min(int(n_buckets), default_tasks())
-    exchanged = (
-        tagged.sort(
-            _BUCKET,
-            boundaries=[i * n_buckets // parts for i in range(1, parts)],
-        )
-        if parts > 1  # boundaries=[] would sample instead
-        else tagged.repartition(1)
-    )
-    return exchanged.map_batches(
-        call_buckets, batch_size=None, batch_format="pyarrow"
-    )
+    slices = []  # per map task: its `parts` slice refs
+    for d, prep in zip(inputs, preps):
+        if not isinstance(d, MaterializedDataset):
+            d = d.materialize()
+        # the plan's snapshot: iter_internal_ref_bundles() would start a
+        # streaming executor for an in-memory source such as from_arrow
+        blocks = [(ref, md.num_rows) for ref, md in d._plan.execute().blocks
+                  if md.num_rows > 0]
+        if not blocks:
+            continue
+        refs, rows = zip(*blocks)
+        for run in _runs(list(refs), list(rows), default_tasks()):
+            task = _exchange_map.options(num_returns=parts).remote(
+                prep, keys, n_buckets, parts, *run
+            )
+            slices.append([task] if parts == 1 else task)
+    reduced = [
+        _exchange_reduce.remote(fn, *[s[p] for s in slices])
+        for p in range(parts if slices else 0)
+    ]
+    shapes = ray.get([shape for _, shape in reduced])
+    keep = [out for (out, _), (rows, _) in zip(reduced, shapes) if rows]
+    if not keep:  # every partition empty: one typed empty block if any
+        typed = [out for (out, _), (_, cols) in zip(reduced, shapes) if cols]
+        keep = typed[:1] or [ray.put(pa.table({}))]
+    out = ray.data.from_arrow_refs(keep)
+    out._plan.execute()  # mark it executed, as materialize() does
+    return out

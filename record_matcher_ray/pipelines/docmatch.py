@@ -41,11 +41,7 @@ import ray
 import ray.data
 
 from record_matcher_ray.core.config import MatchConfig, MatchConfigBuilder
-from record_matcher_ray.core.exchange import (
-    bucket_ids,
-    default_tasks,
-    task_layout,
-)
+from record_matcher_ray.core.exchange import bucket_exchange, task_layout
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
 from record_matcher_ray.pipelines.cluster import connected_components
@@ -95,27 +91,19 @@ def _cached_hasher(num_perm: int, seed: int) -> MinHasher:
     return _HASHER_CACHE[key]
 
 
-def _key_group(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    """int64 blocking keys → their key-hash group in ``[0, n_buckets)``;
-    the x and y sides of one run must use the same count."""
-    return ((keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-
-
 class KeyExpander:
-    """Key-expansion stage: emits (bucket, key, rid, side) — one output
-    row per (doc, key). Used as a stateless map_batches task
-    (deterministic keys ⇒ idempotent retries). No value column rides
-    along: the long ``body`` text is consumed here for minhash keys, and
-    score_bucket gathers the scorer columns from the materialized flats
-    (a carried column would be replicated once per key)."""
+    """Key-expansion stage: emits (key, rid, side) — one output row per
+    (doc, key). Used as a stateless per-block ``prepare`` of
+    ``bucket_exchange`` or a map_batches task (deterministic keys ⇒
+    idempotent retries). No value column rides along: the long ``body``
+    text is consumed here for minhash keys, and score_bucket gathers the
+    scorer columns from the materialized flats (a carried column would
+    be replicated once per key)."""
 
-    def __init__(self, side: int, num_perm: int = 64, seed: int = 1,
-                 n_buckets: int = 64):
+    def __init__(self, side: int, num_perm: int = 64, seed: int = 1):
         self.side = side
         self.num_perm = num_perm
         self.seed = seed
-        self.n_buckets = n_buckets
 
     def __call__(self, t: pa.Table) -> pa.Table:
         hasher = _cached_hasher(self.num_perm, self.seed)
@@ -127,7 +115,6 @@ class KeyExpander:
             t["title"], t["body"], t["media_sig"], hasher
         )
         return pa.table({
-            "bucket": pa.array(_key_group(keys, self.n_buckets)),
             "key": pa.array(keys),
             "rid": pc.take(pa.array(rids), pa.array(idx)),
             "side": pa.array(np.full(len(idx), self.side, dtype=np.int8)),
@@ -382,22 +369,22 @@ def match_documents(
     widths over the whole of this call's input.
 
     ``n_buckets``: the UPPER BOUND on the key-hash groups stage B scores
-    (one exchange partition and one ``score_bucket`` call each). The run
-    takes its group count from :func:`core.exchange.task_layout` — at
-    least 2 per cluster CPU, one per 16384 docs, rounded up to a power
-    of two — and caps it here. ``shuffle_partitions``: the block count
-    each sort exchange is coalesced to (default: 2 per cluster CPU).
-    Both only decide how the work is cut; results do not depend on them.
+    (one ``score_bucket`` call each). The run takes its group count from
+    :func:`core.exchange.task_layout` — at least ``shuffle_partitions``
+    (default: 2 per cluster CPU), one per 16384 docs, rounded up to a
+    power of two — and caps it here. Both only decide how the work is
+    cut; results do not depend on them.
 
     ``reduce_driver_cap``: when stage B emits at most this many tie rows
     they are pulled to the driver once, and the per-x reduce, the winner
     triples and ``pairs_scored``, the duplicate pass, finalize, the
     unmatched backfill, the edges and (with ``cluster_edges``) the star
-    clustering all run there on that one table: the call then runs three
-    Ray Data executions (the x flats, the y flats, and key expansion →
-    blocking exchange → pair scoring). Above the cap the per-x reduce
-    runs through an ``xb`` exchange and finalize and the backfill as
-    dataset passes."""
+    clustering all run there on that one table: the call then runs two
+    Ray Data executions (the x flats and the y flats); key expansion,
+    the blocking exchange and pair scoring are Ray core tasks of
+    ``core.exchange.bucket_exchange`` over the flats' blocks. Above the
+    cap the per-x reduce runs through a ``bucket_exchange`` on x_id and
+    finalize and the backfill as dataset passes."""
     cfg = cfg or default_doc_config()
 
     def _tick(stage: str, info: dict) -> None:
@@ -438,7 +425,7 @@ def match_documents(
     from concurrent.futures import ThreadPoolExecutor
 
     # the two flats materialize concurrently (each blocks its thread on
-    # its own streaming executor); key expansion then streams over the
+    # its own streaming executor); key expansion then reads the
     # materialized blocks zero-copy — no second decode+flatten
     with ThreadPoolExecutor(max_workers=2) as _ex:
         _fx = _ex.submit(
@@ -454,23 +441,15 @@ def match_documents(
         x_flat = _fx.result()
     n_x_total = x_flat.count()
     n_y_total = y_flat.count()
-    # the task layout follows the cluster and the corpus (core.exchange):
-    # both sort exchanges are fed `tasks` blocks, and the keys are split
-    # into `groups` key-hash groups, one score_bucket call each
-    tasks, groups = task_layout(
+    # the key-hash group count follows the cluster and the corpus
+    # (core.exchange.task_layout); each group is one score_bucket call
+    _, groups = task_layout(
         n_x_total + n_y_total, n_buckets, shuffle_partitions
     )
-    xk = x_flat.map_batches(
-        KeyExpander(0, num_perm, seed, groups), batch_format="pyarrow"
-    )
-    yk = (
-        y_prepared[1]
-        if y_prepared is not None
-        else y_flat.map_batches(
-            KeyExpander(1, num_perm, seed, groups),
-            batch_format="pyarrow",
-        )
-    )
+    # key expansion runs inside the stage-B exchange's map tasks, over the
+    # materialized flats (no Ray Data execution of its own)
+    key_inputs = [x_flat, y_flat]
+    key_prepare = [KeyExpander(0, num_perm, seed), KeyExpander(1, num_perm, seed)]
     if y_prepared is not None:
         # DELTA semi-join pruning, both directions. (a) x keys absent
         # from the registry's scoreable-key set (y_keyset: keys with
@@ -484,9 +463,7 @@ def match_documents(
         # the right shape anyway. Consequence (documented at
         # build_doc_index): `blocks_dropped` counts only x-width
         # overflows on the delta path; assignments are unchanged.
-        # The index stores each key's group at its build-time n_buckets;
-        # the same map regroups it to this run's `groups`, as KeyExpander
-        # did for x, so the stored index stays valid for any layout.
+        xk = x_flat.map_batches(key_prepare[0], batch_format="pyarrow")
         yset_ref = y_prepared[2] if len(y_prepared) > 2 else None
         if yset_ref is not None:
 
@@ -510,25 +487,22 @@ def match_documents(
                      else None)
 
         def _prune_y_keys(t: pa.Table) -> pa.Table:
+            # an index written with a key-group column: it is ignored
+            t = t.select(["key", "rid", "side"])
             if xkeys_ref is not None:
                 ks = ray.get(xkeys_ref)  # zero-copy plasma numpy
                 k = t["key"].to_numpy()
                 pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
                 t = t.filter(pa.array(ks[pos] == k))
-            return t.set_column(
-                t.column_names.index("bucket"), "bucket",
-                pa.array(_key_group(t["key"].to_numpy(), groups)),
-            )
+            return t
 
-        yk = yk.map_batches(_prune_y_keys, batch_format="pyarrow")
-    # lazy: key expansion streams into the stage-B exchange (no barrier);
-    # the coalesce to `tasks` blocks stays (see the stage-B comment)
-    key_rows = xk.union(yk).repartition(tasks)
+        key_inputs = [xk, y_prepared[1]]
+        key_prepare = [None, _prune_y_keys]
 
     _tick("flatten", {"x_rows": n_x_total, "y_rows": n_y_total})
 
     # NO value columns travel through the blocking shuffle at all: only
-    # (bucket, key, rid, side) — 25 B/key-row instead of ~120 B with the
+    # (key, rid, side) — 17 B/key-row instead of ~120 B with the
     # ~20×/doc carry-string replication (the shuffle, not the scorers, was
     # 55 s of the 75 s stage-B wall at 690 k docs). score_bucket gathers
     # the scorer columns zero-copy from the materialized flats via a
@@ -559,14 +533,10 @@ def match_documents(
     )
 
     counters = Counter()
-    # xb (the stage-C per-x reduce bucket) is emitted directly by stage B —
-    # a separate add_xbucket map pass over the tie rows was ~2-4 s of task
-    # scheduling at every parallelism level
     pair_schema = pa.schema(
         [("x_id", pa.int64()), ("y_id", pa.int64()),
          ("score", pa.float64()), ("optimal", pa.float64()),
-         ("n_scored", pa.int64()), ("dropped_groups", pa.int64()),
-         ("xb", pa.int64())]
+         ("n_scored", pa.int64()), ("dropped_groups", pa.int64())]
     )
 
     def _pair_table(cols: dict, n_dropped: int) -> pa.Table:
@@ -583,13 +553,11 @@ def match_documents(
                  "score": pa.array([float("nan")], pa.float64()),
                  "optimal": pa.array([float("nan")], pa.float64()),
                  "n_scored": pa.array([0], pa.int64()),
-                 "dropped_groups": pa.array([n_dropped], pa.int64()),
-                 "xb": pa.array([0], pa.int64())}
+                 "dropped_groups": pa.array([n_dropped], pa.int64())}
             )
         dg = np.zeros(nrows, np.int64)
         dg[0] = n_dropped
         cols["dropped_groups"] = pa.array(dg)
-        cols["xb"] = pa.array(bucket_ids(cols["x_id"].to_numpy(), groups))
         return pa.table({f.name: cols[f.name] for f in pair_schema})
 
     # ---- stage B: bucketed pair scoring + local per-x argmax --------------
@@ -710,31 +678,18 @@ def match_documents(
             n_dropped,
         )
 
-    # The key stream is COALESCED to `tasks` blocks before the exchange
-    # (a sort makes input blocks × partitions intermediate objects: the
-    # raw union arrives as ~370 tiny blocks at the 1M-entity corpus, and
-    # ~137k objects were a ~20 s serial driver floor; probed 2026-08-18),
-    # and dropping the coalesce made the pair stage slower on small
-    # corpora too (0.45-0.67 s vs 0.31 s at 1 CPU). The sort's boundaries make
-    # its reduce partitions exactly the `groups` key-hash groups, one
-    # score_bucket call each (a sampled sort on the group column put two
-    # groups into one reduce task and left an empty partition, whose
-    # column-less block Ray logs as a schema change). Too many groups and
-    # the calls' fixed costs dominate (256 groups on a 1-CPU host, ~3k
-    # docs: 7.4 s of pair scoring for 35,795 pairs), too few and a call's
-    # working set grows with the corpus. Both counts come from
-    # core.exchange.task_layout: 2 tasks per CPU, and groups grow with
-    # the corpus (1 per 16384 docs) up to n_buckets. Key expansion
-    # streams into this exchange: the stage-B output (tie rows only) is
-    # the one barrier after the flats.
-    exchanged = (
-        key_rows.sort("bucket", boundaries=list(range(1, groups)))
-        if groups > 1  # boundaries=[] would sample instead
-        else key_rows.repartition(groups)  # the one group in one block
+    # One score_bucket call per key-hash group: bucket_exchange's map
+    # tasks expand each flat block's keys and hash them to `groups`
+    # buckets, and its reduce tasks (2 per CPU) call score_bucket once per
+    # non-empty group. Too many groups and the calls' fixed costs dominate
+    # (256 groups on a 1-CPU host, ~3k docs: 7.4 s of pair scoring for
+    # 35,795 pairs), too few and a call's working set grows with the
+    # corpus; core.exchange.task_layout grows groups with the corpus (1
+    # per 16384 docs) up to n_buckets. The stage-B output (tie rows only)
+    # comes back materialized: the one barrier after the flats.
+    pairs = bucket_exchange(
+        key_inputs, ["key"], score_bucket, groups, prepare=key_prepare
     )
-    pairs = exchanged.map_batches(
-        score_bucket, batch_size=None, batch_format="pyarrow"
-    ).materialize()
     n_tie_rows = pairs.count()
     driver_tail = n_tie_rows <= reduce_driver_cap
     if driver_tail:
@@ -931,15 +886,9 @@ def match_documents(
         driver_d = True
         pairs_sum, (x_w, y_w, s_w) = _winners(scored_tbl)
     else:
-        # coalesce the tiny per-group tie blocks before the xb sort: the
-        # sort emits (input blocks × output partitions) intermediate
-        # objects — 256×256 ≈ 65k tiny object-store ops dominated this
-        # stage's wall before the coalesce
-        scored = (
-            pairs.repartition(tasks)
-            .groupby("xb")
-            .map_groups(reduce_bucket, batch_format="pyarrow")
-        ).materialize()
+        # the per-x reduce over x_id buckets: each x's tie rows from
+        # every key group meet in one reduce_bucket call
+        scored = bucket_exchange(pairs, ["x_id"], reduce_bucket, groups)
         # ONE zero-copy driver pass over the materialized scored blocks
         # reads everything stage D needs from them: the pairs_scored
         # counter, the winner triples for the duplicate pass AND the
@@ -1229,10 +1178,10 @@ def build_doc_index(
     with the same fingerprint skips them entirely, and a killed build
     resumes. The key-derivation parameters are folded into the manifest
     fingerprint so an index built with different ``num_perm``/``seed``/
-    ``n_buckets`` is recomputed, never silently reused. ``n_buckets`` is
-    the key-group count stored with each key; a run against the index
-    regroups the keys to its own (≤ ``n_buckets``) count, so one index
-    serves every task layout."""
+    ``n_buckets`` is recomputed, never silently reused. ``n_buckets``
+    only cuts the build's exchange: the stored keys carry no key group,
+    so one index serves every task layout (an index whose keys still
+    carry a ``bucket`` column loads, and the column is ignored)."""
     from record_matcher_ray.state.checkpoint import StageRunner
 
     cfg = cfg or default_doc_config()
@@ -1254,11 +1203,6 @@ def build_doc_index(
     def keys_fn() -> ray.data.Dataset:
         from record_matcher_ray.state.checkpoint import read_partition
 
-        ks = read_partition(root, "y_flat", "all").map_batches(
-            KeyExpander(1, num_perm, seed, n_buckets),
-            batch_format="pyarrow",
-        )
-
         # drop keys whose Y-side width exceeds the scoring cap AT BUILD
         # TIME: score_bucket drops any group with ny > max_block_side
         # (non-discriminative fat band buckets), so their y rows can
@@ -1279,8 +1223,9 @@ def build_doc_index(
             keep = np.repeat(sizes <= max_block_side, sizes)
             return t.take(pa.array(order[keep]))
 
-        return ks.groupby("bucket").map_groups(
-            drop_fat, batch_format="pyarrow"
+        return bucket_exchange(
+            read_partition(root, "y_flat", "all"), ["key"], drop_fat,
+            n_buckets, prepare=KeyExpander(1, num_perm, seed),
         )
 
     runner.run("y_keys", keys_fn)
@@ -1407,7 +1352,6 @@ def pairs_by_key_tag(
     seed: int = 1,
     n_buckets: int = 256,
     max_block_side: int = 32,
-    shuffle_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Diagnostic histogram for skew probes (CLAUDE.md rule: probe
     pairs-by-key-tag before growing a corpus): per blocking-key FAMILY
@@ -1417,21 +1361,11 @@ def pairs_by_key_tag(
     holding a skewed corpus's quadratic blocks in check. Same key
     derivation as :func:`match_documents`; one bounded exchange."""
 
-    def expand(side: int):
-        def pipe(docs: ray.data.Dataset) -> ray.data.Dataset:
-            return (
-                docs.map_batches(flatten_spans, batch_format="pyarrow")
-                .map_batches(add_int_ids, batch_format="pyarrow")
-                .map_batches(KeyExpander(side, num_perm, seed, n_buckets),
-                             batch_format="pyarrow")
-            )
+    def flats(docs: ray.data.Dataset) -> ray.data.Dataset:
+        return docs.map_batches(flatten_spans, batch_format="pyarrow").map_batches(
+            add_int_ids, batch_format="pyarrow"
+        )
 
-        return pipe
-
-    keys = (
-        expand(0)(x_docs).union(expand(1)(y_docs))
-        .repartition(default_tasks(shuffle_partitions))
-    )
     hist_schema = pa.schema(
         [("tag", pa.int64()), ("groups", pa.int64()),
          ("dropped_groups", pa.int64()), ("admitted_pairs", pa.int64()),
@@ -1468,11 +1402,10 @@ def pairs_by_key_tag(
             )
         return pa.table(out, schema=hist_schema)
 
-    parts = (
-        keys.groupby("bucket")
-        .map_groups(hist, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = bucket_exchange(
+        [flats(x_docs), flats(y_docs)], ["key"], hist, n_buckets,
+        prepare=[KeyExpander(0, num_perm, seed), KeyExpander(1, num_perm, seed)],
+    ).to_pandas()
     if parts.empty:
         return parts
     agg = parts.groupby("tag").agg(

@@ -22,6 +22,18 @@ from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
 _J_SIDE = "__jside__"
 
 
+def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
+    """Arrow schema of a Dataset regardless of its block format (pandas
+    blocks report numpy dtypes through ds.schema())."""
+    sch = ds.schema()
+    base = getattr(sch, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    for b in ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow"):
+        return b.schema
+    return pa.schema([(n, pa.string()) for n in sch.names])
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -42,8 +54,6 @@ def hash_join(
     Acero ``pa.Table.join`` call. Null join keys follow SQL semantics: they
     match nothing (inner drops them; left keeps the row null-padded).
     """
-    from record_matcher_ray.pipelines.match import _arrow_schema
-
     lschema = _arrow_schema(left)
     rschema = _arrow_schema(right)
     lcols = list(lschema.names)
@@ -77,9 +87,6 @@ def hash_join(
         for c in rcols:
             cols[c] = t[c].combine_chunks()
         return pa.table({f.name: cols[f.name] for f in wire})
-
-    tagged = [left.map_batches(prep_l, batch_format="pyarrow"),
-              right.map_batches(prep_r, batch_format="pyarrow")]
 
     out_schema = pa.schema(
         [(c, lschema.field(c).type) for c in lcols]
@@ -123,7 +130,8 @@ def hash_join(
             cols[left_on] = pc.cast(j["__jkey__"].combine_chunks(), key_type)
         return pa.table({c: cols[c] for c in out_names}).cast(out_schema)
 
-    return bucket_exchange(tagged, ["__jkey__"], bucket_join, n_buckets)
+    return bucket_exchange([left, right], ["__jkey__"], bucket_join, n_buckets,
+                           prepare=[prep_l, prep_r])
 
 
 def range_join(
@@ -168,8 +176,6 @@ def range_join(
         raise ValueError("closed must be 'left' or 'both'")
     if (left_on is None) != (right_on is None):
         raise ValueError("left_on and right_on must be given together")
-    from record_matcher_ray.pipelines.match import _arrow_schema
-
     lschema = _arrow_schema(left)
     rschema = _arrow_schema(right)
     lcols = list(lschema.names)
@@ -207,13 +213,6 @@ def range_join(
 
             return fn
 
-        tagged = [
-            left.map_batches(prep(0, left_on, lcols, rcols),
-                             batch_format="pyarrow"),
-            right.map_batches(prep(1, right_on, rcols, lcols),
-                              batch_format="pyarrow"),
-        ]
-
         def bucket_join(t: pa.Table) -> pa.Table:
             lmask = pc.equal(t[_J_SIDE], 0)
             lt = t.filter(lmask).select(["__jkey__"] + lcols)
@@ -228,7 +227,11 @@ def range_join(
             out = j.filter(pc.fill_null(mask, False))
             return out.select(out_names).cast(out_schema)
 
-        return bucket_exchange(tagged, ["__jkey__"], bucket_join, n_buckets)
+        return bucket_exchange(
+            [left, right], ["__jkey__"], bucket_join, n_buckets,
+            prepare=[prep(0, left_on, lcols, rcols),
+                     prep(1, right_on, rcols, lcols)],
+        )
 
     # ---- pure range: domain bucketing with interval replication ---------
     if bucket_width is None:
@@ -337,8 +340,6 @@ def asof_join(
     ``pd.merge_asof`` per bucket over the sorted bucket (the Ray-portable
     pattern for range/as-of joins). Non-key column names must be disjoint."""
     from record_matcher_ray.core.hashkernels import column_hash64
-    from record_matcher_ray.pipelines.match import _arrow_schema
-
     lschema = _arrow_schema(left)
     rschema = _arrow_schema(right)
     lcols = list(lschema.names)

@@ -5,13 +5,16 @@ Dataflow (SURVEY.md §4.3):
 
 1. **uniqueness aggregate** (one streaming pass over X + two tiny shuffles
    of deduplicated partials) → small dict, broadcast into stage closures.
-2. **normalize + key-derive** — `map_batches` over zero-copy Arrow: cast
-   match/group columns to string, fill nulls with "", derive the blocking
-   key (the `columns_to_group` value tuple — exact semantics of
-   records.group_by at records.py:106-132).
-3. **blocking exchange + scoring + duplicate pass** — tag sides and
-   co-group them with `core.exchange.bucket_exchange` on the blocking
-   key, `default_tasks()` hash buckets: every x-row lands with exactly
+2. **normalize + key-derive** — `x_prepare` / `y_prepare`, run inside
+   the exchange's map-side tasks (no Ray Data execution of their own):
+   cast match/group columns to string, fill nulls with "", derive the
+   blocking key (the `columns_to_group` value tuple — exact semantics of
+   records.group_by at records.py:106-132). Each side emits only its own
+   columns; a bucket reads the other side's as null.
+3. **blocking exchange + scoring + duplicate pass** — co-group the two
+   sides with `core.exchange.bucket_exchange` (Ray core tasks over the
+   inputs' block refs, no sort) on the blocking key, `default_tasks()`
+   hash buckets: every x-row lands with exactly
    its reference candidate set, so the per-x argmax reduce is
    bucket-local (no second wide shuffle). One flat `score_keyed` kernel
    call per bucket enumerates each key's pairs by sort + boundary
@@ -34,8 +37,10 @@ Dataflow (SURVEY.md §4.3):
    application, strict-mode quirk columns, output column assembly.
 
 The scored intermediate is read twice (summary partials + finalize), so
-it is materialized: the blocked path runs three Ray Data executions
-(uniqueness, scoring, the caller's consumption of finalize). At 100 TB
+it is materialized: the exchange returns it eagerly. The blocked path
+runs two Ray Data executions (uniqueness, the caller's consumption of
+finalize) when x and y are materialized or in-memory sources (a lazy
+side is executed once more, by the exchange). At 100 TB
 route it through the checkpoint layer (state/checkpoint.py) instead,
 which writes stage output as partitioned parquet with lineage manifests.
 """
@@ -72,18 +77,6 @@ _SEP = "\x1f"
 _FLIP = "__flip__"
 # duplicate-pass verdict per scored row (matcher.py:408-447)
 FLIP_NONE, FLIP_DUPLICATE, FLIP_DEMOTE = 0, 1, 2
-
-
-def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
-    """Arrow schema of a Dataset regardless of its block format (pandas
-    blocks report numpy dtypes through ds.schema())."""
-    sch = ds.schema()
-    base = getattr(sch, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    for b in ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow"):
-        return b.schema
-    return pa.schema([(n, pa.string()) for n in sch.names])
 
 
 def _norm(batch: pa.Table, col: str) -> pa.Array:
@@ -280,7 +273,7 @@ def match_datasets(
         uniqueness = table_ops.uniqueness(x_ds, x_match_cols)
     _tick("uniqueness", dict(uniqueness))
 
-    if cfg.columns_to_group:
+    if cfg.columns_to_group:  # the exchange returns materialized blocks
         scored = _match_shuffled(
             x_ds, y_ds, cfg, x_id, y_id, uniqueness,
             x_passthrough, x_match_cols, group_x, group_y, y_needed,
@@ -290,9 +283,7 @@ def match_datasets(
             x_ds, y_ds, cfg, x_id, y_id, uniqueness,
             x_match_cols, y_needed, batch_size,
             max_broadcast_rows=max_broadcast_rows,
-        )
-
-    scored = scored.materialize()
+        ).materialize()
     _tick("scored", {"rows": scored.count()})
     if cfg.columns_to_group:
         # resolved inside each blocking bucket: an x wins only a y of its
@@ -368,47 +359,29 @@ def _match_shuffled(
     x_ds, y_ds, cfg, x_id, y_id, uniq,
     x_passthrough, x_match_cols, group_x, group_y, y_needed,
 ):
-    # combined wire schema: rid/side/key + original x cols + normalized
-    # match cols (x) + normalized/original y cols
-    arrow_schema = _arrow_schema(x_ds)
-    x_fields = [("x::" + c, arrow_schema.field(c).type) for c in x_passthrough]
-    xn_fields = [("xn::" + c, pa.string()) for c in x_match_cols]
-    # y_needed already includes the columns_to_get y-columns
-    yn_fields = [("yn::" + c, pa.string()) for c in y_needed]
-    all_fields = (
-        [(_RID, pa.int64()), (_SIDE, pa.int8()), (_KEY, pa.string())]
-        + x_fields + xn_fields + yn_fields
-    )
-    wire_schema = pa.schema(all_fields)
-
+    # each side carries only its own columns; a bucket holding both reads
+    # the other side's columns as null
     def x_prepare(batch: pa.Table) -> pa.Table:
-        cols: dict[str, pa.Array] = {}
-        n = len(batch)
-        cols[_RID] = pc.cast(batch[x_id], pa.int64()).combine_chunks()
-        cols[_SIDE] = pa.array(np.zeros(n, dtype=np.int8))
-        cols[_KEY] = _key_expr(batch, group_x)
+        cols = {
+            _RID: pc.cast(batch[x_id], pa.int64()),
+            _SIDE: pa.array(np.zeros(len(batch), dtype=np.int8)),
+            _KEY: _key_expr(batch, group_x),
+        }
         for c in x_passthrough:
-            cols["x::" + c] = batch[c].combine_chunks()
+            cols["x::" + c] = batch[c]
         for c in x_match_cols:
             cols["xn::" + c] = _norm(batch, c)
-        for name, typ in yn_fields:
-            cols[name] = pa.nulls(n, typ)
-        return pa.table({f.name: cols[f.name] for f in wire_schema})
+        return pa.table(cols)
 
     def y_prepare(batch: pa.Table) -> pa.Table:
-        cols = {}
-        n = len(batch)
-        cols[_RID] = pc.cast(batch[y_id], pa.int64()).combine_chunks()
-        cols[_SIDE] = pa.array(np.ones(n, dtype=np.int8))
-        cols[_KEY] = _key_expr(batch, group_y)
-        for name, typ in x_fields + xn_fields:
-            cols[name] = pa.nulls(n, typ)
+        cols = {
+            _RID: pc.cast(batch[y_id], pa.int64()),
+            _SIDE: pa.array(np.ones(len(batch), dtype=np.int8)),
+            _KEY: _key_expr(batch, group_y),
+        }
         for c in y_needed:
             cols["yn::" + c] = _norm(batch, c)
-        return pa.table({f.name: cols[f.name] for f in wire_schema})
-
-    xp = x_ds.map_batches(x_prepare, batch_format="pyarrow")
-    yp = y_ds.map_batches(y_prepare, batch_format="pyarrow")
+        return pa.table(cols)
 
     def score_bucket(t: pa.Table) -> pa.Table:
         # rid order in, so within each key the kernel sees y in rid order:
@@ -416,6 +389,8 @@ def _match_shuffled(
         # every run, whatever order the shuffle delivered the rows in
         t = t.take(pc.sort_indices(t[_RID]))
         xt = t.filter(pc.equal(t[_SIDE], 0))
+        if not len(xt):  # nothing to score; x's columns may be absent
+            return pa.table({})
         yt = t.filter(pc.equal(t[_SIDE], 1))
         res, copied = score_keyed(
             {c: _str_np(xt, "xn::" + c) for c in x_match_cols},
@@ -435,10 +410,15 @@ def _match_shuffled(
             _FLIP, pa.array(flips)
         )
 
-    return bucket_exchange([xp, yp], [_KEY], score_bucket, default_tasks())
+    return bucket_exchange(
+        [x_ds, y_ds], [_KEY], score_bucket, default_tasks(),
+        prepare=[x_prepare, y_prepare],
+    )
 
 
 def _str_np(tbl: pa.Table, name: str) -> np.ndarray:
+    if name not in tbl.column_names:  # a side with no rows in the bucket
+        return np.empty(0, dtype=object)
     col = tbl[name]
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     return np.asarray(arr.to_pylist(), dtype=object)

@@ -587,26 +587,43 @@ def test_docmatch_counters_pinned(ray_session, corpus_dir, cap):
 
 
 def test_docmatch_barrier_budget(ray_session, corpus_dir, monkeypatch):
-    """Below reduce_driver_cap one match_documents call runs at most three
-    Ray Data executions: the x flats, the y flats, and one key expansion
-    → blocking exchange → score_bucket execution. Everything after it
-    (per-x reduce, duplicate pass, finalize, unmatched backfill, edges,
-    star clustering) runs on the driver's tie table. Each execution costs
-    ~0.13 s of fixed latency on a 1-CPU host, more than all the scoring
-    of a few thousand docs."""
+    """Below reduce_driver_cap one match_documents call materializes only
+    its two flats, and no Ray Data execution holds a Sort, Repartition
+    or Aggregate operator: key expansion, the blocking exchange and pair
+    scoring are Ray core tasks over the flats' blocks, and everything
+    after them (per-x reduce, duplicate pass, finalize, unmatched
+    backfill, edges, star clustering) runs on the driver's tie table.
+    Each execution costs ~0.1 s of fixed latency on a 1-CPU host, more
+    than all the scoring of a few thousand docs."""
     import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    calls = []
+    calls, plans = [], []
     materialize = ray.data.Dataset.materialize
+    execute = StreamingExecutor.execute
 
     def counted(self, *a, **k):
         calls.append(1)
         return materialize(self, *a, **k)
 
+    def executed(self, dag, *a, **k):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(ops)
+        return execute(self, dag, *a, **k)
+
     monkeypatch.setattr(ray.data.Dataset, "materialize", counted)
+    monkeypatch.setattr(StreamingExecutor, "execute", executed)
     res = _match_fixture(corpus_dir)
     monkeypatch.undo()
-    assert 0 < len(calls) <= 3, len(calls)
+    assert 0 < len(calls) <= 2, len(calls)
+    assert not [
+        p for p in plans
+        if any(w in o for o in p for w in ("Sort", "Repartition", "Aggregate"))
+    ], plans
     assert res.counters["matches_accepted"] > 0
 
 
@@ -638,22 +655,16 @@ def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):
 
 
 def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path):
-    """The registry index keeps the key groups of its build-time
-    n_buckets (256); a delta run regroups them to its own, smaller group
+    """The registry index is built at n_buckets=256 and its keys carry
+    no key group; a delta run groups them to its own, smaller group
     count and equals the unsharded run laid out at that count."""
     import ray.data as rd
 
     from record_matcher_ray.core.exchange import task_layout
     from record_matcher_ray.pipelines.docmatch import (
-        _key_group,
         match_documents,
         match_documents_delta,
     )
-
-    keys = np.random.default_rng(3).integers(-2**63, 2**63 - 1, 5000)
-    for g in (1, 2, 8, 64):
-        np.testing.assert_array_equal(_key_group(keys, 256) % g,
-                                      _key_group(keys, g))
 
     x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
     y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
@@ -674,3 +685,36 @@ def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path)
         for c in (got[3], want[3]):
             c.pop("blocks_dropped")
         _assert_same_outputs(got, want, f"parts={parts}")
+
+
+def test_docmatch_delta_ignores_stored_key_group(ray_session, corpus_dir, tmp_path):
+    """A registry key table written when keys still carried their key
+    group (a leading int64 ``bucket`` column) matches like one without."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.docmatch import (
+        _load_y_prepared,
+        default_doc_config,
+        match_documents,
+    )
+
+    x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
+    y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
+    _, (y_flat, yk, yset_ref) = _load_y_prepared(
+        y, str(tmp_path / "regidx"), default_doc_config(), num_perm=64,
+        seed=1, n_buckets=256, max_block_side=32, fingerprint="old-index",
+    )
+
+    def with_group(t: pa.Table) -> pa.Table:
+        g = np.arange(len(t), dtype=np.int64) % 7
+        return t.add_column(0, "bucket", pa.array(g))
+
+    old = yk.map_batches(with_group, batch_format="pyarrow").materialize()
+    assert old.schema().names == ["bucket", "key", "rid", "side"]
+    got, want = (
+        _docmatch_outputs(match_documents(x, None, y_prepared=(y_flat, k, yset_ref)))
+        for k in (old, yk)
+    )
+    assert want[3]["matches_accepted"] > 0
+    _assert_same_outputs(got, want, "stored key group")

@@ -183,6 +183,113 @@ def test_fn_called_once_per_bucket(ray_session, monkeypatch):
     assert got["v"].tolist() == want["v"].tolist()
 
 
+def _exchange_warnings(run):
+    """→ (run(), the "different schema" warnings Ray logged meanwhile)."""
+    grab = _GrabWarnings()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(grab)
+    try:
+        out = run()
+    finally:
+        logger.removeHandler(grab)
+    return out, [m for m in grab.messages if "different schema" in m]
+
+
+def test_one_populated_bucket_gives_one_block(ray_session):
+    """8 input blocks whose rows all share one key, 16 buckets: the
+    partitions that receive no rows are dropped, so the result is one
+    block and Ray logs no schema change for a column-less block."""
+    import ray
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+
+    df = _frame(160).assign(k=3)
+    ds = rd.from_arrow([
+        pa.Table.from_pandas(df.iloc[i:i + 20], preserve_index=False)
+        for i in range(0, 160, 20)
+    ])
+    out, warned = _exchange_warnings(lambda: bucket_exchange(
+        ds, ["k"], _per_key_sums(["k"]), 16
+    ).map_batches(lambda t: t, batch_format="pyarrow").materialize())
+    sizes = [len(t) for t in ray.get(out.to_arrow_refs())]
+    assert sizes == [1], sizes
+    assert out.to_pandas()["v"].tolist() == [int(df["v"].sum())]
+    assert not warned, warned
+
+
+def test_empty_and_columnless_blocks_are_skipped(ray_session):
+    """Zero-row and column-less input blocks reach neither ``prepare``
+    nor ``fn``: a prepare that reads a column would raise on them."""
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+
+    df = _frame(90)
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    ds = rd.from_arrow([t.slice(0, 30), pa.table({}), t.slice(30, 0),
+                        t.slice(30, 60)])
+
+    def prepare(b: pa.Table) -> pa.Table:
+        return b.append_column("k2", pc.multiply(b["k"], 2))
+
+    got = bucket_exchange(
+        ds, ["k2"], _per_key_sums(["k2"]), 7, prepare=prepare
+    ).to_pandas()
+    want = df.assign(k2=df["k"] * 2).groupby("k2")["v"].sum().reset_index()
+    pd.testing.assert_frame_equal(_canon(got, ["k2"]), _canon(want, ["k2"]))
+
+
+def test_map_tasks_per_input_follow_default_tasks(ray_session, monkeypatch):
+    """300 one-row blocks per input run in at most ``default_tasks()``
+    map tasks per input, each over a contiguous run of blocks."""
+    import ray.data as rd
+
+    from record_matcher_ray.core import exchange
+
+    runs = []
+    real = exchange._exchange_map
+
+    class Counted:
+        def options(self, **kw):
+            submit = real.options(**kw)
+
+            class One:
+                def remote(self, prepare, keys, n_buckets, parts, *blocks):
+                    runs.append(len(blocks))
+                    return submit.remote(prepare, keys, n_buckets, parts,
+                                         *blocks)
+
+            return One()
+
+    monkeypatch.setattr(exchange, "_exchange_map", Counted())
+    t = pa.Table.from_pandas(_frame(300), preserve_index=False)
+    left = rd.from_arrow([t.slice(i, 1) for i in range(300)])
+    right = rd.from_arrow([t.slice(i, 1) for i in range(300)])
+    got = exchange.bucket_exchange(
+        [left, right], ["k"], _per_key_sums(["k"]), 16
+    ).to_pandas()
+    assert sum(runs) == 600
+    assert len(runs) <= 2 * exchange.default_tasks(), runs
+    assert int(got["v"].sum()) == 2 * int(t["v"].to_numpy().sum())
+
+
+def test_empty_inputs_give_an_empty_materialized_result(ray_session):
+    """No rows on any side, lazy or materialized, lists or not: the call
+    still returns a materialized dataset, with no rows."""
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+
+    empty = _frame().iloc[:0]
+    for ds in (rd.from_pandas(empty),
+               [rd.from_pandas(empty), rd.from_pandas(empty).repartition(2)]):
+        out = bucket_exchange(ds, ["k"], _per_key_sums(["k"]), 7)
+        assert isinstance(out, MaterializedDataset)
+        assert out.count() == 0
+
+
 def test_fn_sees_input_columns_without_metadata(ray_session):
     import ray.data as rd
 
@@ -222,9 +329,7 @@ _BUCKET_MATH = re.compile(
     r"|%\s*np\.uint64\(\s*\d+\s*\)"
     r"|np\.mod\([^)]*n_\w*buckets"
 )
-# docmatch's KeyExpander fuses its key bucket into key derivation; the
-# sharded-exchange rework moves it (left out of the shared primitive)
-_ALLOWED = {"docmatch.py": 1}
+_ALLOWED = {}
 
 
 def test_no_pipeline_computes_its_own_bucket():

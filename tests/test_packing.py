@@ -119,6 +119,5 @@ class TestPackSequences:
     def test_validation(self, ray_session):
         with pytest.raises(ValueError):
             pack_sequences(self._ds([1]), capacity=0)
-        bad = pack_sequences(self._ds([-1, 2]), capacity=128)
         with pytest.raises(Exception, match="negative lengths"):
-            bad.materialize()
+            pack_sequences(self._ds([-1, 2]), capacity=128).materialize()

@@ -166,7 +166,7 @@ def test_zipf_corpus_and_pairs_by_key_tag(ray_session, tmp_path):
 
     def keys_of(path, side):
         t = add_int_ids(flatten_spans(pq.read_table(path)))
-        return KeyExpander(side, 64, 1, 256)(t)
+        return KeyExpander(side, 64, 1)(t)
 
     kx = keys_of(f"{a}/corpus.parquet", 0)
     ky = keys_of(f"{a}/registry.parquet", 1)

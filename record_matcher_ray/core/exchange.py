@@ -8,7 +8,9 @@ most ``n_buckets`` buckets and the function sees one whole bucket at a
 time, holding many keys. This module owns that decision: how a key
 becomes a bucket id (:func:`bucket_ids`), how rows reach their bucket
 (:func:`bucket_exchange`), and how many tasks and key groups an exchange
-is laid out over (:func:`default_tasks`, :func:`task_layout`).
+is laid out over (:func:`default_tasks`, :func:`task_layout`). Stages
+that run their own Ray core tasks over a dataset's blocks read them with
+:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`.
 """
 
 from __future__ import annotations
@@ -167,6 +169,29 @@ def _runs(refs: list, rows: list[int], n: int) -> list[list]:
     return [refs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
+def block_refs(ds: ray.data.Dataset) -> list[tuple[ray.ObjectRef, int]]:
+    """The non-empty ``(block ref, rows)`` pairs of ``ds``, read from its
+    plan's snapshot: a materialized dataset or an in-memory source
+    (``from_arrow``, ``from_pandas``) costs no Ray Data execution, and a
+    lazy one is materialized once. A ``from_pandas`` block is a pandas
+    DataFrame: read blocks with ``BlockAccessor.for_block(b).to_arrow()``."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    # iter_internal_ref_bundles() would start a streaming executor for an
+    # in-memory source such as from_arrow
+    return [(ref, md.num_rows) for ref, md in ds._plan.execute().blocks
+            if md.num_rows > 0]
+
+
+def executed_from_refs(refs: list) -> MaterializedDataset:
+    """A dataset over Arrow block ``refs``, marked executed as
+    ``materialize()`` marks its result, so reading it (``to_pandas``,
+    ``iter_batches``, :func:`block_refs`) starts no streaming executor."""
+    out = ray.data.from_arrow_refs(refs)
+    out._plan.execute()
+    return out
+
+
 def bucket_exchange(
     ds: ray.data.Dataset | list[ray.data.Dataset],
     keys: list[str],
@@ -206,12 +231,7 @@ def bucket_exchange(
     parts = min(int(n_buckets), default_tasks())
     slices = []  # per map task: its `parts` slice refs
     for d, prep in zip(inputs, preps):
-        if not isinstance(d, MaterializedDataset):
-            d = d.materialize()
-        # the plan's snapshot: iter_internal_ref_bundles() would start a
-        # streaming executor for an in-memory source such as from_arrow
-        blocks = [(ref, md.num_rows) for ref, md in d._plan.execute().blocks
-                  if md.num_rows > 0]
+        blocks = block_refs(d)
         if not blocks:
             continue
         refs, rows = zip(*blocks)
@@ -229,6 +249,4 @@ def bucket_exchange(
     if not keep:  # every partition empty: one typed empty block if any
         typed = [out for (out, _), (_, cols) in zip(reduced, shapes) if cols]
         keep = typed[:1] or [ray.put(pa.table({}))]
-    out = ray.data.from_arrow_refs(keep)
-    out._plan.execute()  # mark it executed, as materialize() does
-    return out
+    return executed_from_refs(keep)

@@ -152,51 +152,21 @@ def _key_partial(t: pa.Table) -> np.ndarray:
 
 
 @ray.remote(num_cpus=0)
-def _rid_partial(t: pa.Table) -> np.ndarray:
-    """8 B/row rid column of one block — the only bytes that leave it."""
-    if len(t) == 0 or "rid" not in t.column_names:
-        return np.empty(0, np.int64)
-    return np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
-
-
-@ray.remote(num_cpus=0)
 def _rid_uniq_partial(t: pa.Table, columns: list[str]):
     """Fused (rid array, per-column distinct sets) of one block — one
     task wave serves both the routing index and the uniqueness pass."""
     if len(t) == 0:
         return np.empty(0, np.int64), {}
     ids_b = np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
-    uniq = {}
-    for c in columns:
-        if c not in t.column_names:
-            continue
-        s = pc.cast(t[c], pa.string())
-        mask = pc.and_kleene(pc.is_valid(s), pc.not_equal(s, ""))
-        u = pc.unique(s.filter(mask))
-        uniq[c] = u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u
-    return ids_b, uniq
+    return ids_b, table_ops.distinct_values(t, columns)
 
 
 @ray.remote(num_cpus=0)
 def _id_col_partial(t: pa.Table, col: str) -> np.ndarray:
+    """8 B/row id column of one block — the only bytes that leave it."""
     if len(t) == 0 or col not in t.column_names:
         return np.empty(0, np.int64)
     return np.ascontiguousarray(t[col].to_numpy(), dtype=np.int64)
-
-
-@ray.remote(num_cpus=0)
-def _unique_partial(t: pa.Table, columns: list[str]) -> dict:
-    """Per-block distinct non-blank values of each column (block-local
-    dedupe, so repeated values never ship)."""
-    out = {}
-    for c in columns:
-        if c not in t.column_names or len(t) == 0:
-            continue
-        s = pc.cast(t[c], pa.string())
-        mask = pc.and_kleene(pc.is_valid(s), pc.not_equal(s, ""))
-        u = pc.unique(s.filter(mask))
-        out[c] = u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u
-    return out
 
 
 @ray.remote(num_cpus=0)
@@ -222,36 +192,6 @@ def _winners(t: pa.Table):
 
 
 _winner_partial = ray.remote(num_cpus=0)(_winners)
-
-
-def _uniqueness_from_refs(
-    flat: ray.data.Dataset,
-    columns: list[str],
-    driver_cap: int = 50_000_000,
-) -> dict[str, float]:
-    """O2 distinct-ratios from per-block remote unique partials merged on
-    the driver — the dataset-based pass spent 6-9 s of pure barrier
-    latency per flagship run, and the r2 whole-block driver pull was
-    single-node-shaped (it shipped full flat tables on a cluster). Falls
-    back to the streaming ``table_ops.uniqueness`` above ``driver_cap``
-    rows (where even the distinct sets could exceed driver memory)."""
-    total = flat.count()
-    if total == 0:
-        return {c: 0.0 for c in columns}
-    if total > driver_cap:
-        return table_ops.uniqueness(flat, columns, total=total)
-    partials = ray.get(
-        [_unique_partial.remote(r, columns) for r in flat.to_arrow_refs()]
-    )
-    out: dict[str, float] = {}
-    for c in columns:
-        parts = [p[c] for p in partials if c in p and len(p[c])]
-        if not parts:
-            out[c] = 0.0
-            continue
-        merged = pc.unique(pa.concat_arrays(parts))
-        out[c] = len(merged) / total
-    return out
 
 
 def _assemble_route(
@@ -284,7 +224,7 @@ def _flat_route(
     leaves each block (projected by a task NEXT to it — r2 pulled whole
     blocks, which ships body text to the driver on a multi-node cluster)."""
     refs = flat.to_arrow_refs()
-    rid_parts = ray.get([_rid_partial.remote(r) for r in refs])
+    rid_parts = ray.get([_id_col_partial.remote(r, "rid") for r in refs])
     ids, blk, pos = _assemble_route(rid_parts)
     return refs, ids, blk, pos
 
@@ -518,13 +458,11 @@ def match_documents(
         xr_ids, xr_blk, xr_pos = _assemble_route(
             [ids_b for ids_b, _ in fused]
         )
-        uniq = {}
-        for c in uniq_cols:
-            parts = [u[c] for _, u in fused if c in u and len(u[c])]
-            merged = pc.unique(pa.concat_arrays(parts)) if parts else []
-            uniq[c] = len(merged) / n_x_total
+        uniq = table_ops.merge_distinct(
+            [u for _, u in fused], uniq_cols, n_x_total
+        )
     else:
-        uniq = _uniqueness_from_refs(x_flat, uniq_cols)
+        uniq = table_ops.uniqueness(x_flat, uniq_cols, total=n_x_total)
         x_refs, xr_ids, xr_blk, xr_pos = _flat_route(x_flat)
     _tick("uniqueness", dict(uniq))
     y_refs, yr_ids, yr_blk, yr_pos = _flat_route(y_flat)

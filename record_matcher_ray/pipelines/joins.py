@@ -16,21 +16,35 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import block_refs, bucket_exchange, bucket_ids
 
 _J_SIDE = "__jside__"
 
 
+@ray.remote
+def _first_row_schema(block) -> pa.Schema:
+    row = BlockAccessor.for_block(block).slice(0, 1, copy=False)
+    return BlockAccessor.for_block(row).to_arrow().schema
+
+
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
     """Arrow schema of a Dataset regardless of its block format (pandas
-    blocks report numpy dtypes through ds.schema())."""
+    blocks report numpy dtypes through ds.schema()): the Arrow form of
+    its first row. A materialized or in-memory input is read in one tiny
+    task over its first non-empty block, a lazy one with ``limit(1)``."""
     sch = ds.schema()
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
         return base
-    for b in ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow"):
-        return b.schema
+    if isinstance(ds, MaterializedDataset):
+        for ref, _ in block_refs(ds)[:1]:
+            return ray.get(_first_row_schema.remote(ref))
+    else:
+        for b in ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow"):
+            return b.schema
     return pa.schema([(n, pa.string()) for n in sch.names])
 
 

@@ -3,8 +3,8 @@
 
 Dataflow (SURVEY.md §4.3):
 
-1. **uniqueness aggregate** (one streaming pass over X + two tiny shuffles
-   of deduplicated partials) → small dict, broadcast into stage closures.
+1. **uniqueness** — `table_ops.uniqueness`: per-block distinct values
+   merged on the driver → small dict, broadcast into stage closures.
 2. **normalize + key-derive** — `x_prepare` / `y_prepare`, run inside
    the exchange's map-side tasks (no Ray Data execution of their own):
    cast match/group columns to string, fill nulls with "", derive the
@@ -25,22 +25,16 @@ Dataflow (SURVEY.md §4.3):
    that scored it, and `resolve_winner_arrays` writes each row's verdict
    into an int8 flip column of the scored table.
    With NO group columns the reference scans all of Y per x
-   (matcher.py:179-182); here Y is broadcast once via `ray.put` and scored
-   against each X batch in a stateless `map_batches` — no shuffle at all.
-   Those batches are not winner-complete, so `compute_flips` resolves
-   the winners of the materialized scored table and broadcasts the
-   flipped x ids.
-4. **summary** — one default-resource task per scored block counts its
-   pre-flip statuses and its flips (the reference's over-count quirk);
-   no shuffle over the ~4-valued status column.
-5. **finalize** — `map_batches`: status display-mapping, vectorized flip
-   application, strict-mode quirk columns, output column assembly.
+   (matcher.py:179-182); here Y is broadcast once via `ray.put` and each
+   x block is scored against it in one task — no shuffle at all. Those
+   blocks are not winner-complete, so `compute_flips` resolves the
+   winners of the scored blocks and broadcasts the flipped x ids.
+4. **summary + 5. finalize** — one task per scored block returns the
+   block's final Arrow table and its summary `Counter` (`_finalize_block`).
 
-The scored intermediate is read twice (summary partials + finalize), so
-it is materialized: the exchange returns it eagerly. The blocked path
-runs two Ray Data executions (uniqueness, the caller's consumption of
-finalize) when x and y are materialized or in-memory sources (a lazy
-side is executed once more, by the exchange). At 100 TB
+Every stage is Ray core tasks over block refs (`core.exchange.block_refs`),
+so with x and y materialized or in-memory sources the match runs no Ray
+Data execution (a lazy x is materialized once, up front). At 100 TB
 route it through the checkpoint layer (state/checkpoint.py) instead,
 which writes stage output as partitioned parquet with lineage manifests.
 """
@@ -51,16 +45,22 @@ from collections import Counter
 from collections.abc import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
 from record_matcher_ray.core.config import MatchConfig
 from record_matcher_ray.core.dup import resolve_duplicates
-from record_matcher_ray.core.exchange import bucket_exchange, default_tasks
+from record_matcher_ray.core.exchange import (
+    block_refs,
+    bucket_exchange,
+    default_tasks,
+    executed_from_refs,
+)
 from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block, score_keyed
 from record_matcher_ray.pipelines import table_ops
 
@@ -139,13 +139,13 @@ def resolve_winner_arrays(
     return flips
 
 
-def _flip_codes(xids: np.ndarray, dup_ids: np.ndarray,
-                dem_ids: np.ndarray) -> np.ndarray:
-    """int8 verdict per row of ``xids`` from the flipped x id sets."""
-    flips = np.zeros(len(xids), np.int8)
-    flips[np.isin(xids, dup_ids)] = FLIP_DUPLICATE
-    flips[np.isin(xids, dem_ids)] = FLIP_DEMOTE
-    return flips
+@ray.remote(num_returns=2)
+def _winners(t: pa.Table, x_id_col: str) -> tuple[pa.Table, int]:
+    """The (x id, winner_y_id, winner_score) rows of one scored block that
+    won a y, and their count."""
+    t = BlockAccessor.for_block(t).to_arrow()
+    t = t.filter(pc.not_equal(t["winner_y_id"], NO_WINNER))
+    return t.select([x_id_col, "winner_y_id", "winner_score"]), len(t)
 
 
 def compute_flips(
@@ -156,8 +156,9 @@ def compute_flips(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Duplicate pass (matcher.py:408-447) over a scored dataset whose
     blocks are not winner-complete (the broadcast match, docmatch above
-    its driver cap): project winners to 3 narrow columns and resolve each
-    winner_y_id group with the shared rule. → sorted int64 arrays of the
+    its driver cap): project winners to 3 narrow columns (one task per
+    scored block, no Ray Data execution when ``scored`` is materialized)
+    and resolve each winner_y_id group with the shared rule. → sorted int64 arrays of the
     x ids flipped to DUPLICATE and of those demoted to UNMATCHED, small
     enough to broadcast by contract. Under ``driver_cap`` winner rows the
     narrow (24 B/row) projection is pulled to the driver and resolved in
@@ -165,16 +166,6 @@ def compute_flips(
     through ``bucket_exchange`` on winner_y_id over ``default_tasks()``
     buckets (one vectorized call per bucket, not one Python call per y
     group). ``scored`` needs x_id_col / winner_y_id / winner_score."""
-    triples = pa.schema(
-        [(x_id_col, pa.int64()), ("winner_y_id", pa.int64()),
-         ("winner_score", pa.float64())]
-    )
-
-    def winners(batch: pa.Table) -> pa.Table:
-        mask = pc.not_equal(batch["winner_y_id"], NO_WINNER)
-        t = batch.filter(mask)
-        return t.select(triples.names)
-
     flip_schema = pa.schema([("x_id", pa.int64()), ("flip", pa.int8())])
 
     def resolve_bucket(t: pa.Table) -> pa.Table:
@@ -186,40 +177,80 @@ def compute_flips(
         return pa.table([t[x_id_col].to_numpy()[keep], flips[keep]],
                         schema=flip_schema)
 
-    def gather(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-        # concat the block refs, never iter_batches on the driver
-        # (CLAUDE.md: driver batch loops are fault-bound)
-        parts = [p for p in ray.get(ds.to_arrow_refs()) if len(p)]
-        return pa.concat_tables(parts) if parts else schema.empty_table()
-
-    w = scored.map_batches(winners, batch_format="pyarrow").materialize()
-    if w.count() <= driver_cap:
-        flips_tbl = resolve_bucket(gather(w, triples))
-    else:
-        flips_tbl = gather(bucket_exchange(
-            w, ["winner_y_id"], resolve_bucket, default_tasks()
-        ), flip_schema)
+    winners = [_winners.remote(ref, x_id_col) for ref, _ in block_refs(scored)]
+    n_won = sum(ray.get([n for _, n in winners]))
+    refs = [w for w, _ in winners]
+    if n_won > driver_cap:
+        refs = bucket_exchange(executed_from_refs(refs), ["winner_y_id"],
+                               resolve_bucket, default_tasks()).to_arrow_refs()
+    # concat the block refs, never iter_batches on the driver: driver
+    # batch loops are fault-bound
+    parts = [t for t in ray.get(refs) if len(t)]
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    flips_tbl = pa.concat_tables(parts)
+    if n_won <= driver_cap:
+        flips_tbl = resolve_bucket(flips_tbl)
     xids = flips_tbl["x_id"].to_numpy()
     flips = flips_tbl["flip"].to_numpy()
     return (np.sort(xids[flips == FLIP_DUPLICATE]),
             np.sort(xids[flips == FLIP_DEMOTE]))
 
 
-@ray.remote
-def _summary_partial(t: pa.Table) -> Counter:
-    """The reference's summary over one scored block (over-count quirk,
-    SURVEY.md §2.5.3): every row counts its pre-flip status, and each
-    bucket-local flip counts once more as "duplicate" or "unmatched"."""
-    c = Counter()
-    if len(t) == 0:
-        return c
+@ray.remote(num_returns=2)
+def _finalize_block(
+    t: pa.Table,
+    x_passthrough: list[str],
+    get_pairs: list[tuple[str, str]],
+    strict: bool,
+    flips: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[pa.Table, Counter]:
+    """One scored block → its output rows (status display-mapping, flips,
+    strict-mode quirk columns) and its share of the summary, with the
+    reference's over-count quirk (SURVEY.md §2.5.3): every row counts its
+    pre-flip status, and each bucket-local flip once more. ``flips`` is
+    ``None`` when the block carries its own verdicts (``_FLIP``), else
+    the broadcast ``(duplicate ids, demoted ids)``."""
+    t = t.combine_chunks()
+    summary = Counter()
     for vc in pc.value_counts(t["pre_status"]).to_pylist():
-        c[vc["values"]] += vc["counts"]
-    if _FLIP in t.column_names:
-        flips = t[_FLIP].to_numpy()
-        c["duplicate"] += int((flips == FLIP_DUPLICATE).sum())
-        c["unmatched"] += int((flips == FLIP_DEMOTE).sum())
-    return c
+        summary[vc["values"]] += vc["counts"]
+    if flips is None:
+        codes = t[_FLIP].to_numpy()
+        summary["duplicate"] += int((codes == FLIP_DUPLICATE).sum())
+        summary["unmatched"] += int((codes == FLIP_DEMOTE).sum())
+    else:
+        xids = t["__x_id__"].to_numpy()
+        codes = np.zeros(len(t), np.int8)
+        codes[np.isin(xids, flips[0])] = FLIP_DUPLICATE
+        codes[np.isin(xids, flips[1])] = FLIP_DEMOTE
+    is_demoted = codes == FLIP_DEMOTE
+    any_demoted = bool(is_demoted.any())
+    demoted = pa.array(is_demoted)
+
+    def null_where_demoted(col):
+        return pc.if_else(demoted, pa.scalar(None, col.type), col)
+
+    status = pa.array(list(MATCH_STATUS.values())).take(
+        pc.index_in(t["pre_status"], value_set=pa.array(list(MATCH_STATUS)))
+    )
+    status = pc.if_else(pa.array(codes == FLIP_DUPLICATE),
+                        MATCH_STATUS["duplicate"], status)
+    status = pc.if_else(demoted, MATCH_STATUS["unmatched"], status)
+    out = {c: t["x::" + c] for c in x_passthrough}
+    for _, x_col in get_pairs:
+        vals = t["get::" + x_col]
+        out[x_col] = null_where_demoted(vals) if not strict and any_demoted else vals
+    if strict and any_demoted:
+        # quirk §2.5.2: loser-nulling writes the *y*-column name
+        for y_col, _ in get_pairs:
+            out[y_col] = (null_where_demoted(out[y_col]) if y_col in out
+                          else pa.nulls(len(t)))
+    out[COLUMNS_TO_ADD["match_status"]] = status
+    for col, src in ((COLUMNS_TO_ADD["matched_with_row"], "rows_matched"),
+                     (COLUMNS_TO_ADD["match_score"], "match_score_str")):
+        out[col] = pc.if_else(demoted, "", t[src])
+    return pa.table(out), summary
 
 
 def match_datasets(
@@ -246,6 +277,12 @@ def match_datasets(
     no special path: its pairs are scored in bounded chunks of whole x
     rows. Ambiguous tie strings order by (first passing column, y rid).
 
+    Eager: with x and y materialized or in-memory sources (``from_arrow``,
+    ``from_pandas``) the call runs no Ray Data execution, and
+    ``MatchResult.dataset`` is returned materialized (Arrow blocks), so
+    reading it runs none either. ``batch_size`` bounds the x rows the
+    ungrouped path scores at once.
+
     ``max_broadcast_rows``: guard for the ungrouped path (no blocking
     columns), which broadcasts ALL of Y into the object store. A Y larger
     than this raises with guidance instead of OOMing the driver — give Y
@@ -257,7 +294,8 @@ def match_datasets(
     (matcher.py:320-332); fired on the driver at stage boundaries
     (uniqueness → scored → duplicate_pass → summary → finalize_scheduled).
     The blocked path's duplicate pass runs inside scoring, so its
-    ``duplicate_pass`` stage does no work.
+    ``duplicate_pass`` stage does no work; the output rows are built with
+    the summary, so ``finalize_scheduled`` follows with none left.
     """
     def _tick(stage: str, info: dict) -> None:
         if callable(progress):
@@ -266,14 +304,15 @@ def match_datasets(
     group_y = [y for y, _ in cfg.columns_to_group]
     group_x = [x for _, x in cfg.columns_to_group]
     y_needed = cfg.y_columns_needed()
-    x_schema = x_ds.schema()
-    x_passthrough = [c for c in x_schema.names]
+    if not isinstance(x_ds, MaterializedDataset):
+        x_ds = x_ds.materialize()  # read by uniqueness and by scoring
+    x_passthrough = list(x_ds.schema().names)
 
     if uniqueness is None:
         uniqueness = table_ops.uniqueness(x_ds, x_match_cols)
     _tick("uniqueness", dict(uniqueness))
 
-    if cfg.columns_to_group:  # the exchange returns materialized blocks
+    if cfg.columns_to_group:
         scored = _match_shuffled(
             x_ds, y_ds, cfg, x_id, y_id, uniqueness,
             x_passthrough, x_match_cols, group_x, group_y, y_needed,
@@ -281,71 +320,32 @@ def match_datasets(
     else:
         scored = _match_broadcast(
             x_ds, y_ds, cfg, x_id, y_id, uniqueness,
-            x_match_cols, y_needed, batch_size,
+            x_passthrough, x_match_cols, y_needed, batch_size,
             max_broadcast_rows=max_broadcast_rows,
-        ).materialize()
+        )
     _tick("scored", {"rows": scored.count()})
     if cfg.columns_to_group:
         # resolved inside each blocking bucket: an x wins only a y of its
         # own key, so every winner group was scored in one bucket
-        flips_ref = None
+        flips = None
         _tick("duplicate_pass", {})
     else:
-        dup_ids, dem_ids = compute_flips(scored, cfg.duplicate_threshold)
-        flips_ref = ray.put((dup_ids, dem_ids))
-        _tick("duplicate_pass", {"flips": len(dup_ids) + len(dem_ids)})
+        flips = compute_flips(scored, cfg.duplicate_threshold)
+        _tick("duplicate_pass", {"flips": len(flips[0]) + len(flips[1])})
 
-    # ---- summary (reference over-count quirk, SURVEY.md §2.5.3) ----------
-    # per-block partials at default resources: num_cpus=0 tasks submitted
-    # right after the exchange start an extra worker process (CLAUDE.md)
-    summary = sum(
-        ray.get([_summary_partial.remote(r) for r in scored.to_arrow_refs()]),
-        Counter(),
-    )
-    if flips_ref is not None:
-        summary += Counter(duplicate=len(dup_ids), unmatched=len(dem_ids))
-
-    # ---- finalize --------------------------------------------------------
-    get_pairs = cfg.columns_to_get
-    strict = cfg.strict_semantics
-    status_col = COLUMNS_TO_ADD["match_status"]
-    rows_col = COLUMNS_TO_ADD["matched_with_row"]
-    score_col = COLUMNS_TO_ADD["match_score"]
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        flips = (
-            df[_FLIP].to_numpy()
-            if flips_ref is None
-            else _flip_codes(df["__x_id__"].to_numpy(), *ray.get(flips_ref))
-        )
-        demoted = flips == FLIP_DEMOTE
-        final = df["pre_status"].map(MATCH_STATUS).to_numpy(dtype=object)
-        final[flips == FLIP_DUPLICATE] = MATCH_STATUS["duplicate"]
-        final[demoted] = MATCH_STATUS["unmatched"]
-        out = pd.DataFrame()
-        for c in x_passthrough:
-            out[c] = df["x::" + c].values
-        for _, x_col in get_pairs:
-            vals = df["get::" + x_col].to_numpy(dtype=object)
-            if not strict and demoted.any():
-                vals = np.where(demoted, None, vals)
-            out[x_col] = vals
-        if strict and demoted.any():
-            # quirk §2.5.2: loser-nulling writes the *y*-column name
-            for y_col, _ in get_pairs:
-                if y_col not in out.columns:
-                    out[y_col] = pd.Series([None] * n, dtype=object)
-                else:
-                    out[y_col] = out[y_col].astype(object)
-                out.loc[demoted, y_col] = None
-        out[status_col] = final
-        for col, src in ((rows_col, "rows_matched"), (score_col, "match_score_str")):
-            out[col] = np.where(demoted, "", df[src].to_numpy(dtype=object))
-        return out
-
+    # default resources: num_cpus=0 tasks submitted right after the
+    # exchange start an extra worker process
+    flips_ref = None if flips is None else ray.put(flips)
+    done = [
+        _finalize_block.remote(ref, x_passthrough, cfg.columns_to_get,
+                               cfg.strict_semantics, flips_ref)
+        for ref, _ in block_refs(scored)
+    ]
+    summary = sum(ray.get([c for _, c in done]), Counter())
+    if flips is not None:
+        summary += Counter(duplicate=len(flips[0]), unmatched=len(flips[1]))
     _tick("summary", dict(summary))
-    final_ds = scored.map_batches(finalize, batch_format="pandas", batch_size=batch_size)
+    final_ds = executed_from_refs([t for t, _ in done])
     _tick("finalize_scheduled", {})
     return MatchResult(final_ds, summary)
 
@@ -416,12 +416,18 @@ def _match_shuffled(
     )
 
 
+def _strings(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """A string column as an object array of ``str`` (nulls as ``None``);
+    ``to_numpy`` is ~20x faster than ``to_pylist`` on 20k strings."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    return arr.to_numpy(zero_copy_only=False)
+
+
 def _str_np(tbl: pa.Table, name: str) -> np.ndarray:
     if name not in tbl.column_names:  # a side with no rows in the bucket
         return np.empty(0, dtype=object)
-    col = tbl[name]
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return np.asarray(arr.to_pylist(), dtype=object)
+    return _strings(tbl[name])
 
 
 def _result_table(
@@ -450,8 +456,8 @@ def _result_table(
 
 
 def _match_broadcast(
-    x_ds, y_ds, cfg, x_id, y_id, uniq, x_match_cols, y_needed, batch_size,
-    *, max_broadcast_rows: int = 5_000_000,
+    x_ds, y_ds, cfg, x_id, y_id, uniq, x_passthrough, x_match_cols, y_needed,
+    batch_size, *, max_broadcast_rows: int = 5_000_000,
 ):
     """No blocking columns: every x scores against ALL of Y (reference
     ungrouped semantics, matcher.py:179-182 with an empty group map). Y is
@@ -459,9 +465,10 @@ def _match_broadcast(
     every scoring task — never re-shipped per batch. This is the
     broadcast-small-side pattern; a Y larger than ``max_broadcast_rows``
     raises with guidance instead of OOMing the driver — give Y blocking
-    columns (as the reference itself requires for tractability)."""
-    y_ds = y_ds.materialize()  # blocks stay in the (spillable) object store
-    n_y = y_ds.count()  # metadata-only after materialize
+    columns (as the reference itself requires for tractability). One
+    task per x block scores it in ``batch_size``-row slices."""
+    y_blocks = block_refs(y_ds)  # blocks stay in the (spillable) object store
+    n_y = sum(n for _, n in y_blocks)
     if n_y > max_broadcast_rows:
         raise ValueError(
             f"ungrouped match would broadcast {n_y:,} y-rows to the driver, "
@@ -470,37 +477,34 @@ def _match_broadcast(
             "on the config so the blocked shuffled path runs, or raise "
             "max_broadcast_rows if the driver really has the memory."
         )
-    y_tables = ray.get(y_ds.to_arrow_refs())
-    y_tbl = pa.concat_tables([t for t in y_tables if len(t)]) if y_tables else None
-
-    if y_tbl is not None and len(y_tbl) > 0:
+    if y_blocks:
+        y_tbl = pa.concat_tables(
+            [BlockAccessor.for_block(b).to_arrow()
+             for b in ray.get([ref for ref, _ in y_blocks])],
+            promote_options="permissive",
+        )
         y_ids_np = y_tbl[y_id].combine_chunks().cast(pa.int64()).to_numpy()
-        y_cols_np: dict[str, np.ndarray] = {}
-        names = set(y_tbl.column_names)
-        for c in y_needed:
-            if c in names:
-                arr = pc.fill_null(pc.cast(y_tbl[c], pa.string()), "").combine_chunks()
-                y_cols_np[c] = np.asarray(arr.to_pylist(), dtype=object)
-            else:
-                y_cols_np[c] = np.full(len(y_tbl), "", dtype=object)
+        y_cols_np = {c: _strings(_norm(y_tbl, c)) for c in y_needed}
     else:
         y_ids_np, y_cols_np = np.empty(0, dtype=np.int64), {}
     y_ref = ray.put((y_ids_np, y_cols_np))
 
-    x_passthrough = list(x_ds.schema().names)
-    x_names = set(x_passthrough)
-
     def score_batch(t: pa.Table) -> pa.Table:
         yids, ycols = ray.get(y_ref)
         x_ids = t[x_id].combine_chunks().cast(pa.int64()).to_numpy()
-        x_cols = {}
-        for c in x_match_cols:
-            if c in x_names:
-                arr = pc.fill_null(pc.cast(t[c], pa.string()), "").combine_chunks()
-                x_cols[c] = np.asarray(arr.to_pylist(), dtype=object)
-            else:
-                x_cols[c] = np.full(len(t), "", dtype=object)
+        x_cols = {c: _strings(_norm(t, c)) for c in x_match_cols}
         res, copied = score_block(x_cols, ycols, x_ids, yids, cfg, uniq)
         return _result_table(t, res, copied, cfg, x_passthrough)
 
-    return x_ds.map_batches(score_batch, batch_format="pyarrow", batch_size=batch_size)
+    return executed_from_refs([
+        _score_block_slices.remote(score_batch, ref, batch_size)
+        for ref, _ in block_refs(x_ds)
+    ])
+
+
+@ray.remote
+def _score_block_slices(score, block, batch_size: int) -> pa.Table:
+    """``score`` over one x block in ``batch_size``-row slices."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    return pa.concat_tables([score(t.slice(i, batch_size))
+                             for i in range(0, len(t), batch_size)])

@@ -3,8 +3,10 @@
 
 - no driver-side row loops — every operator is `map_batches` (Arrow) or a
   `groupby` shuffle over pre-reduced partials;
-- uniqueness runs one pass over the data emitting per-batch distinct pairs,
-  then two tiny shuffles over the deduplicated partials.
+- uniqueness reads a materialized input's blocks with one core task each
+  (no Ray Data execution), else runs one pass over the data emitting
+  per-batch distinct pairs; only past 5M rows do two tiny shuffles run
+  over the deduplicated partials.
 
 Blank semantics: null or "" ⇒ blank (SURVEY.md §1.4; the reference's falsy
 test on raw values, records.py:66).
@@ -17,9 +19,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import block_refs, bucket_exchange, bucket_ids
 
 
 def column_names(ds: ray.data.Dataset) -> set[str]:
@@ -32,62 +37,77 @@ def _non_blank(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
     return pc.and_kleene(pc.is_valid(s), pc.not_equal(s, ""))
 
 
+def distinct_values(t: pa.Table, columns: list[str]) -> dict[str, pa.Array]:
+    """The distinct non-blank values, cast to string, of each of
+    ``columns`` that ``t`` holds: one block's uniqueness partial."""
+    out = {}
+    for c in columns:
+        if c in t.column_names:
+            s = pc.cast(t[c], pa.string())
+            u = pc.unique(s.filter(_non_blank(s)))
+            out[c] = u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u
+    return out
+
+
+def merge_distinct(
+    partials: list[dict[str, pa.Array]], columns: list[str], total: int
+) -> dict[str, float]:
+    """Per-column distinct ratio over ``total`` rows from the blocks'
+    :func:`distinct_values` partials (a value seen in many blocks counts
+    once)."""
+    out = {}
+    for c in columns:
+        parts = [p[c] for p in partials if len(p.get(c, ()))]
+        out[c] = len(pc.unique(pa.concat_arrays(parts))) / total if parts else 0.0
+    return out
+
+
+@ray.remote
+def _distinct_partial(block, columns: list[str]) -> dict[str, pa.Array]:
+    return distinct_values(BlockAccessor.for_block(block).to_arrow(), columns)
+
+
 def uniqueness(ds: ray.data.Dataset, columns: list[str], total: int | None = None) -> dict[str, float]:
     """O2 for many columns in one data pass: per-column distinct-ratio
     ``len({v non-blank}) / len(rows)`` (records.py:49-67 — denominator
     counts all rows).
 
-    Scale shape: one streaming pass emits per-batch distinct (column, value)
-    pairs; a groupby dedupes pairs; a second tiny groupby counts distincts
-    per column. The shuffles move only already-deduplicated partials.
+    Up to 5M rows, a materialized dataset or in-memory source costs no
+    Ray Data execution: one task per block returns its
+    :func:`distinct_values` and the driver merges them. A lazy dataset
+    streams one ``map_batches`` pass of the same partials to the driver.
+    Above 5M rows two tiny groupbys dedupe the (column, value) pairs and
+    count them per column.
     """
     if total is None:
         total = ds.count()
     if total == 0:
         return {c: 0.0 for c in columns}
     present = [c for c in columns if c in ds.schema().names]
+    if total <= 5_000_000 and isinstance(ds, MaterializedDataset):
+        partials = ray.get([_distinct_partial.remote(ref, present)
+                            for ref, _ in block_refs(ds)])
+        return merge_distinct(partials, columns, total)
+    out: dict[str, float] = {c: 0.0 for c in columns}
+    if not present:
+        return out
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
-        cols, vals = [], []
-        for c in present:
-            s = pc.cast(batch[c], pa.string())
-            mask = pc.and_kleene(pc.is_valid(s), pc.not_equal(s, ""))
-            u = pc.unique(s.filter(mask))
-            cols.append(pa.array([c] * len(u), pa.string()))
-            vals.append(u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u)
-        return pa.table(
-            {
-                "c": pa.concat_arrays(cols) if cols else pa.array([], pa.string()),
-                "v": pa.concat_arrays([v.cast(pa.string()) for v in vals])
-                if vals
-                else pa.array([], pa.string()),
-            }
-        )
+        d = distinct_values(batch, present)
+        return pa.table({
+            "c": pa.array([c for c, u in d.items() for _ in range(len(u))], pa.string()),
+            "v": pa.concat_arrays(list(d.values())) if d else pa.array([], pa.string()),
+        })
 
-    out: dict[str, float] = {c: 0.0 for c in columns}
-    if present:
-        if total <= 5_000_000:
-            # low-latency path: per-batch distinct partials merged on the
-            # driver (one pass, no shuffle rounds); partials are bounded by
-            # the true cardinality per batch
-            partials = ds.map_batches(
-                distinct_pairs, batch_format="pyarrow"
-            ).to_pandas()
-            g = partials.groupby("c")["v"].nunique()
-            for c, n in g.items():
-                out[c] = n / total
-        else:
-            # scale path: dedupe pairs with a shuffle, then count per column
-            counts = (
-                ds.map_batches(distinct_pairs, batch_format="pyarrow")
-                .groupby(["c", "v"])
-                .count()
-                .groupby("c")
-                .count()
-                .to_pandas()
-            )
-            for _, row in counts.iterrows():
-                out[row["c"]] = row["count()"] / total
+    pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow")
+    if total <= 5_000_000:  # partials are bounded by the true cardinality
+        g = pairs.to_pandas().groupby("c")["v"].nunique()
+        for c, n in g.items():
+            out[c] = n / total
+    else:
+        counts = pairs.groupby(["c", "v"]).count().groupby("c").count().to_pandas()
+        for _, row in counts.iterrows():
+            out[row["c"]] = row["count()"] / total
     return out
 
 

@@ -332,6 +332,42 @@ def test_hash_join(ray_session):
     assert len(bout) == 4
 
 
+def test_hash_join_pandas_inputs_run_no_execution(ray_session, monkeypatch):
+    """hash_join reads the Arrow schema of a pandas-backed input from its
+    first block in one task, not through a limit(1) Ray Data execution:
+    over two from_pandas inputs the join and reading its output run no
+    execution at all. Nulls and the float column keep their types."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from record_matcher_ray.pipelines.joins import hash_join
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *a, **k):
+        plans.append(dag.name)
+        return execute(self, dag, *a, **k)
+
+    left = rd.from_pandas(pd.DataFrame(
+        {"k": [1, 2, 3, 2], "a": ["x", "y", "z", None], "f": [1.5, None, 2.0, 3.0]}
+    ))
+    right = rd.from_pandas(pd.DataFrame({"rk": [2, 3, 4], "b": ["p", "q", "r"]}))
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted)
+        out = hash_join(left, right, "k", "rk", how="left").to_pandas()
+    assert plans == []
+    assert out.dtypes.to_dict() == {"k": np.dtype("int64"), "a": object,
+                                    "f": np.dtype("float64"), "b": object}
+    rows = sorted(
+        [(int(k), a, None if f != f else f, b)
+         for k, a, f, b in out[["k", "a", "f", "b"]].itertuples(index=False)],
+        key=repr,
+    )
+    assert rows == [(1, "x", 1.5, None), (2, "y", None, "p"),
+                    (2, None, 3.0, "p"), (3, "z", 2.0, "q")]
+
+
 def test_pairwise_jaccard_kernel():
     from record_matcher_ray.pipelines.dedup import _pairwise_jaccard, _seg_gather
 

@@ -2,6 +2,7 @@
 Ray Datasets vs the reference RecordMatcher executed in-process on the same
 tables (both blocked/shuffled and ungrouped/broadcast paths)."""
 
+import contextlib
 import copy
 import random
 
@@ -375,19 +376,31 @@ def test_blocked_match_independent_of_bucket_count(ray_session, monkeypatch):
     assert len(both) >= 2, (set(bucket[dup]), set(bucket[dem]))
 
 
-def test_blocked_match_execution_budget(ray_session, monkeypatch):
-    """One blocked match_datasets call plus consuming its dataset runs at
-    most two Ray Data executions (uniqueness, the finalize map), with x
-    Arrow-backed or pandas-backed, and none of them holds a Sort,
-    Repartition or Aggregate operator: the exchange is Ray core tasks
-    over the inputs' blocks, the duplicate pass runs inside the scoring
-    buckets and the summary is counted from the scored blocks. Each
-    execution costs ~0.1 s of fixed latency on a 1-CPU host."""
-    import pyarrow as pa
-    import ray.data as rd
+@contextlib.contextmanager
+def _executions(monkeypatch):
+    """Record the operator names of every Ray Data execution started in
+    the ``with`` body, one list per execution."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    from record_matcher_ray.pipelines.match import match_datasets
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *a, **k):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(op.name)
+            todo.extend(op.input_dependencies)
+        plans.append(ops)
+        return execute(self, dag, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted)
+        yield plans
+
+
+def _budget_fixture():
+    import pyarrow as pa
 
     x, y = _random_tables(42)
 
@@ -399,33 +412,148 @@ def test_blocked_match_execution_budget(ray_session, monkeypatch):
     b = MatchConfigBuilder(x_columns={"fn", "ln", "city"},
                            y_columns={"fn", "ln", "town", "yid"})
     _grouped_setup(b)
-    cfg = b.build()
-    xt, yt = table(x, "__xid__"), table(y, "__yid__")
+    return table(x, "__xid__"), table(y, "__yid__"), b.build()
 
-    execute = StreamingExecutor.execute
-    for x_ds in (rd.from_arrow(xt), rd.from_pandas(xt.to_pandas())):
-        plans = []
 
-        def counted(self, dag, *a, **k):
-            ops, todo = [], [dag]
-            while todo:
-                op = todo.pop()
-                ops.append(op.name)
-                todo.extend(op.input_dependencies)
-            plans.append(ops)
-            return execute(self, dag, *a, **k)
+def test_blocked_match_execution_budget(ray_session, monkeypatch):
+    """One blocked match_datasets call plus reading its dataset runs no
+    Ray Data execution when x is an Arrow-backed or pandas-backed
+    in-memory source or a materialized dataset: uniqueness, the exchange,
+    and summary + finalize are Ray core tasks over block refs, and the
+    result is returned materialized. Each execution costs ~0.1 s of fixed
+    latency on a 1-CPU host."""
+    import ray.data as rd
 
-        monkeypatch.setattr(StreamingExecutor, "execute", counted)
-        res = match_datasets(x_ds, rd.from_arrow(yt), cfg, "__xid__", "__yid__")
-        n = len(res.dataset.to_pandas())
-        monkeypatch.undo()
-        assert n == len(x)
-        assert 0 < len(plans) <= 2, plans
-        assert not [
-            p for p in plans
-            if any(w in o for o in p
-                   for w in ("Sort", "Repartition", "Aggregate"))
-        ], plans
+    from record_matcher_ray.pipelines.match import match_datasets
+
+    xt, yt, cfg = _budget_fixture()
+    materialized = rd.from_arrow(xt).map_batches(
+        lambda b: b, batch_format="pyarrow").materialize()
+    for x_ds in (rd.from_arrow(xt), rd.from_pandas(xt.to_pandas()), materialized):
+        with _executions(monkeypatch) as plans:
+            res = match_datasets(x_ds, rd.from_arrow(yt), cfg, "__xid__", "__yid__")
+            n = len(res.dataset.to_pandas())
+        assert n == len(xt)
+        assert len(plans) == 0, plans
+
+
+def test_lazy_x_is_executed_once(ray_session, monkeypatch, tmp_path):
+    """A lazy x is materialized once and that copy feeds both uniqueness
+    and the exchange: one execution, and x's UDF runs once per block.
+    The output equals the one over the in-memory x."""
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.match import match_datasets
+
+    xt, yt, cfg = _budget_fixture()
+    calls = tmp_path / "calls"
+
+    def udf(b):
+        with open(calls, "a") as f:
+            f.write("1\n")
+        return b
+
+    blocks = [xt.slice(i, 10) for i in range(0, len(xt), 10)]
+    lazy = rd.from_arrow(blocks).map_batches(udf, batch_format="pyarrow",
+                                             batch_size=None)
+    with _executions(monkeypatch) as plans:
+        res = match_datasets(lazy, rd.from_arrow(yt), cfg, "__xid__", "__yid__")
+        got = res.dataset.to_pandas()
+    assert len(plans) == 1, plans
+    assert len(calls.read_text().split()) == len(blocks)
+    want = match_datasets(rd.from_arrow(xt), rd.from_arrow(yt), cfg,
+                          "__xid__", "__yid__")
+    assert (_canonical(got.set_index("__xid__"))
+            == _canonical(want.dataset.to_pandas().set_index("__xid__")))
+    assert dict(res.summary) == dict(want.summary)
+
+
+# sha256 of _canonical(output) and the summary of fixtures the parity pins
+# above do not reach: non-strict demotion on the blocked path, and the
+# broadcast path with many flips under both semantics
+_PINNED = {
+    ("grouped", False): (
+        "b022fd3c028d1d17832c6ade656b41bed5a785989cd8458e6f57c026d264d7eb",
+        {"ambiguous": 75, "unmatched": 79, "matched": 259, "review": 4,
+         "duplicate": 240}),
+    ("ungrouped", True): (
+        "399f59e7a4c024e412240b882128dfbe8b5f90a39dd4c93984d4862397027728",
+        {"unmatched": 31, "matched": 90, "ambiguous": 87, "review": 1,
+         "duplicate": 78}),
+    ("ungrouped", False): (
+        "392547d8fbafa5cdd0194fca6e620cbefa5129949a0ad1a5e5949714c8880e15",
+        {"unmatched": 31, "matched": 90, "ambiguous": 87, "review": 1,
+         "duplicate": 78}),
+}
+
+
+@pytest.mark.parametrize("path,strict", sorted(_PINNED))
+def test_match_output_pinned(ray_session, path, strict):
+    """The blocked path without strict semantics and the broadcast path
+    under both give pinned rows and summaries."""
+    import hashlib
+
+    if path == "grouped":
+        x, y = _random_tables(42, nx=400, ny=60)
+        setup = _grouped_setup
+    else:
+        x, y = _random_tables(42, nx=200, ny=40)
+        setup = _ungrouped_setup
+    df, summary = _run_ray(x, y, setup, strict_semantics=strict)
+    digest = hashlib.sha256(_canonical(df).encode()).hexdigest()
+    assert (digest, dict(summary)) == _PINNED[path, strict]
+
+
+@pytest.mark.parametrize("setup", [_grouped_setup, _ungrouped_setup])
+def test_empty_x_emits_no_block(ray_session, setup):
+    """An empty x gives an empty result with an empty summary, and the
+    result holds no zero-row block."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.match import match_datasets
+
+    _, y = _random_tables(3)
+    x_ds = rd.from_arrow(pa.table({
+        "__xid__": pa.array([], pa.int64()),
+        **{c: pa.array([], pa.string()) for c in ("fn", "ln", "city")},
+    }))
+    b = MatchConfigBuilder(x_columns={"fn", "ln", "city"},
+                           y_columns={"fn", "ln", "town", "yid"})
+    setup(b)
+    res = match_datasets(x_ds, _to_dataset(y, "__yid__"), b.build(),
+                         "__xid__", "__yid__")
+    assert dict(res.summary) == {}
+    assert len(res.dataset.to_pandas()) == 0
+    assert ray.get(res.dataset.to_arrow_refs()) == []
+
+
+def test_table_ops_uniqueness_materialized_equals_lazy(ray_session, monkeypatch):
+    """table_ops.uniqueness gives the same floats on an in-memory input
+    (one task per block, no Ray Data execution) as on a lazy one (the
+    streaming pass). Values repeat across blocks, blanks and nulls do not
+    count, and non-string columns count their string form."""
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines import table_ops
+
+    frames = [
+        pd.DataFrame({"a": ["x", "y", "", None], "n": [1.5, 2.0, 1.5, None],
+                      "blank": ["", "", None, ""]}),
+        pd.DataFrame({"a": ["y", "z", "x"], "n": [3.0, 1.5, 2.0],
+                      "blank": ["", "", ""]}),
+        pd.DataFrame({"a": ["w"], "n": [7.25], "blank": [None]}),
+    ]
+    cols = ["a", "n", "blank", "missing"]
+    mat = rd.from_pandas(frames)
+    with _executions(monkeypatch) as plans:
+        got = table_ops.uniqueness(mat, cols)
+    assert plans == []
+    lazy = table_ops.uniqueness(
+        rd.from_pandas(frames).map_batches(lambda b: b, batch_format="pyarrow"),
+        cols)
+    assert got == lazy == {"a": 4 / 8, "n": 4 / 8, "blank": 0.0, "missing": 0.0}
 
 
 def test_compute_flips_exchange_equals_driver_resolve(ray_session):

@@ -10,7 +10,9 @@ becomes a bucket id (:func:`bucket_ids`), how rows reach their bucket
 (:func:`bucket_exchange`), and how many tasks and key groups an exchange
 is laid out over (:func:`default_tasks`, :func:`task_layout`). Stages
 that run their own Ray core tasks over a dataset's blocks read them with
-:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`.
+:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`;
+:func:`map_blocks` maps a function over whole inputs that way, a bare
+read included. Every import of Ray Data internals lives in this module.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.logical.operators.read_operator import Read
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockAccessor, BlockMetadataWithSchema
+from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
 
 from record_matcher_ray.core.hashkernels import column_hash64, mix64
@@ -109,8 +118,6 @@ def _exchange_map(
     input blocks: ``prepare`` each non-empty block, hash ``keys`` to a
     bucket, and return one slice per partition, sorted by bucket, the
     bucket id riding in ``_BUCKET``."""
-    from ray.data.block import BlockAccessor
-
     tables = []
     for b in blocks:
         t = BlockAccessor.for_block(b).to_arrow()
@@ -135,13 +142,14 @@ def _exchange_map(
 @ray.remote(num_returns=2)
 def _exchange_reduce(
     fn: Callable[[pa.Table], pa.Table], *slices: pa.Table
-) -> tuple[pa.Table, tuple[int, int]]:
+) -> tuple[pa.Table, BlockMetadataWithSchema]:
     """Reduce side of :func:`bucket_exchange` for one partition: cut its
     slices at bucket changes and call ``fn`` once per non-empty bucket.
-    → the concatenated outputs and their ``(rows, columns)``."""
+    → the concatenated outputs and their block metadata."""
     slices = [s for s in slices if s.num_rows]
     if not slices:
-        return pa.table({}), (0, 0)
+        empty = pa.table({})
+        return empty, BlockMetadataWithSchema.from_block(empty)
     t = _concat(slices)
     b = t[_BUCKET].to_numpy()
     if (b[1:] < b[:-1]).any():  # each slice is sorted, their concat is not
@@ -156,40 +164,146 @@ def _exchange_reduce(
     full = [o for o in outs if o.num_rows]
     # an all-empty partition keeps fn's (typed) empty output
     out = _concat(full) if full else outs[0]
-    return out, (out.num_rows, out.num_columns)
+    return out, BlockMetadataWithSchema.from_block(out)
 
 
-def _runs(refs: list, rows: list[int], n: int) -> list[list]:
-    """Split block ``refs`` (with their ``rows``) into at most ``n``
-    contiguous runs of about equal row counts: run i ends at the first
-    block where the running total reaches (i+1)/n of all rows."""
-    total = np.cumsum(rows)
+def _slices(t: pa.Table, cap: int, rows: int) -> list[pa.Table]:
+    """``t`` cut into zero-copy row slices of at most ``rows`` rows and
+    about ``cap`` bytes."""
+    step = max(1, min(rows, t.num_rows * cap // max(t.nbytes, 1)))
+    return [t.slice(lo, step) for lo in range(0, t.num_rows, step)]
+
+
+@ray.remote(num_returns="streaming")
+def _map_run(
+    fn: Callable[[pa.Table], pa.Table], cap: int, rows: int, read_task, *blocks
+):
+    """One :func:`map_blocks` task: ``fn`` over each of the ``blocks`` (or
+    those ``read_task`` reads) in :func:`_slices` of ``cap`` bytes →
+    yields each non-empty output block, cut at ``rows`` rows and ``cap``
+    bytes, followed by its block metadata."""
+    for b in blocks if read_task is None else read_task():
+        t = BlockAccessor.for_block(b).to_arrow().replace_schema_metadata(None)
+        for piece in _slices(t, cap, t.num_rows):
+            out = fn(piece).replace_schema_metadata(None)
+            for block in _slices(out, cap, rows):
+                yield block
+                yield BlockMetadataWithSchema.from_block(block)
+
+
+def _runs(blocks: list[tuple[ray.ObjectRef, int]], n: int) -> list[list]:
+    """Split ``(ref, rows)`` ``blocks`` into at most ``n`` contiguous runs
+    of refs with about equal row counts: run i ends at the first block
+    where the running total reaches (i+1)/n of all rows."""
+    if not blocks:
+        return []
+    total = np.cumsum([rows for _, rows in blocks])
     ends = np.searchsorted(total, total[-1] * np.arange(1, n + 1) / n) + 1
     cuts = np.unique(np.concatenate(([0], ends)))
-    return [refs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return [[ref for ref, _ in blocks[lo:hi]]
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def block_refs(ds: ray.data.Dataset) -> list[tuple[ray.ObjectRef, int]]:
-    """The non-empty ``(block ref, rows)`` pairs of ``ds``, read from its
-    plan's snapshot: a materialized dataset or an in-memory source
-    (``from_arrow``, ``from_pandas``) costs no Ray Data execution, and a
-    lazy one is materialized once. A ``from_pandas`` block is a pandas
-    DataFrame: read blocks with ``BlockAccessor.for_block(b).to_arrow()``."""
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
-    # iter_internal_ref_bundles() would start a streaming executor for an
-    # in-memory source such as from_arrow
-    return [(ref, md.num_rows) for ref, md in ds._plan.execute().blocks
-            if md.num_rows > 0]
+def block_refs(
+    ds: ray.data.Dataset, max_rows: int | None = None
+) -> list[tuple[ray.ObjectRef, int]] | None:
+    """The non-empty ``(block ref, rows)`` pairs of ``ds``, or None once
+    they hold more than ``max_rows`` rows. A materialized dataset or an
+    in-memory source (``from_arrow``, ``from_pandas``) is read from its
+    plan's snapshot, no Ray Data execution; a lazy one is executed once,
+    streaming, and let go as soon as it passes ``max_rows``. A
+    ``from_pandas`` block is a pandas DataFrame: read blocks with
+    ``BlockAccessor.for_block(b).to_arrow()``."""
+    if isinstance(ds, MaterializedDataset):
+        # iter_internal_ref_bundles() would start a streaming executor
+        # for an in-memory source such as from_arrow
+        bundles = [ds._plan.execute()]
+    else:
+        bundles = ds.iter_internal_ref_bundles()
+    out, total = [], 0
+    for bundle in bundles:
+        for ref, md in bundle.blocks:
+            if md.num_rows > 0:
+                out.append((ref, md.num_rows))
+                total += md.num_rows
+        if max_rows is not None and total > max_rows:
+            return None
+    return out
 
 
-def executed_from_refs(refs: list) -> MaterializedDataset:
-    """A dataset over Arrow block ``refs``, marked executed as
-    ``materialize()`` marks its result, so reading it (``to_pandas``,
-    ``iter_batches``, :func:`block_refs`) starts no streaming executor."""
-    out = ray.data.from_arrow_refs(refs)
+def executed_from_refs(refs: list, metas: list) -> MaterializedDataset:
+    """The dataset ``ray.data.from_arrow_refs(refs)`` builds, from each
+    block's ``BlockMetadataWithSchema.from_block`` as returned by the task
+    that made it, not from a metadata task per block; marked executed as
+    ``materialize()`` marks its result, so reading it (``count``,
+    ``to_pandas``, ``iter_batches``, :func:`block_refs`) starts no
+    streaming executor."""
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": list(metas)}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    out = MaterializedDataset(
+        plan, LogicalPlan(FromArrow(list(refs), list(metas)), plan._context)
+    )
     out._plan.execute()
     return out
+
+
+def executed_from_tables(tables: list[pa.Table]) -> MaterializedDataset:
+    """:func:`executed_from_refs` over driver tables, one block each (an
+    empty one too, so the result keeps its schema)."""
+    metas = [BlockMetadataWithSchema.from_block(t) for t in tables]
+    return executed_from_refs([ray.put(t) for t in tables], metas)
+
+
+def map_blocks(
+    inputs: list[ray.data.Dataset], fn: Callable[[pa.Table], pa.Table]
+) -> list[MaterializedDataset]:
+    """The row-wise ``fn`` over every input, as Ray core tasks at default
+    resources submitted in one wave → one executed dataset per input:
+    neither the map nor reading its result is a Ray Data execution.
+
+    A bare lazy read (``read_table``, ``ray.data.read_parquet`` with no
+    op after it) is read inside the tasks, one per ``ReadTask`` of
+    ``get_read_tasks(default_tasks())``, with the read's remote args. A
+    materialized or in-memory input goes through :func:`block_refs` in at
+    most ``default_tasks()`` runs; any other lazy plan is executed once
+    first. ``fn`` is called once per block, on slices of at most the
+    context's ``target_max_block_size`` bytes (a Ray read's blocks are
+    already within it), so no call grows with the input; its outputs
+    are cut there too, and into blocks of ``ceil(rows /
+    default_tasks())`` input rows, so the stages downstream get about
+    ``default_tasks()`` blocks per input to spread. Outputs carry no
+    schema metadata, and zero-row outputs are dropped (an input without
+    rows gives a dataset with no blocks)."""
+    cap = DataContext.get_current().target_max_block_size or 1 << 62
+    tasks = default_tasks()
+    waves = []  # per input: its tasks' streams of block, metadata, ...
+    for ds in inputs:
+        op = ds._logical_plan.dag
+        if isinstance(op, Read) and not ds._plan.has_computed_output():
+            reads = op._datasource_or_legacy_reader.get_read_tasks(tasks)
+            runs = [(r, []) for r in reads]
+            rows = sum(r.metadata.num_rows or 0 for r in reads)
+            task = _map_run.options(**(op._ray_remote_args or {}))
+        else:
+            blocks = block_refs(ds)
+            runs = [(None, run) for run in _runs(blocks, tasks)]
+            rows = sum(n for _, n in blocks)
+            task = _map_run
+        per_block = -(-rows // tasks) or 1 << 62
+        waves.append([task.remote(fn, cap, per_block, r, *run)
+                      for r, run in runs])
+    outs = []
+    for wave in waves:
+        streams = [list(stream) for stream in wave]
+        for refs in streams:
+            if len(refs) % 2:  # a task's error ends its stream, unpaired
+                ray.get(refs[-1])
+        outs.append([ref for refs in streams for ref in refs])
+    metas = iter(ray.get([m for out in outs for m in out[1::2]]))
+    return [executed_from_refs(out[0::2], [next(metas) for _ in out[1::2]])
+            for out in outs]
 
 
 def bucket_exchange(
@@ -231,11 +345,7 @@ def bucket_exchange(
     parts = min(int(n_buckets), default_tasks())
     slices = []  # per map task: its `parts` slice refs
     for d, prep in zip(inputs, preps):
-        blocks = block_refs(d)
-        if not blocks:
-            continue
-        refs, rows = zip(*blocks)
-        for run in _runs(list(refs), list(rows), default_tasks()):
+        for run in _runs(block_refs(d), default_tasks()):
             task = _exchange_map.options(num_returns=parts).remote(
                 prep, keys, n_buckets, parts, *run
             )
@@ -244,9 +354,10 @@ def bucket_exchange(
         _exchange_reduce.remote(fn, *[s[p] for s in slices])
         for p in range(parts if slices else 0)
     ]
-    shapes = ray.get([shape for _, shape in reduced])
-    keep = [out for (out, _), (rows, _) in zip(reduced, shapes) if rows]
+    outs = list(zip([o for o, _ in reduced], ray.get([m for _, m in reduced])))
+    keep = [(out, m) for out, m in outs if m.num_rows]
     if not keep:  # every partition empty: one typed empty block if any
-        typed = [out for (out, _), (_, cols) in zip(reduced, shapes) if cols]
-        keep = typed[:1] or [ray.put(pa.table({}))]
-    return executed_from_refs(keep)
+        keep = [(out, m) for out, m in outs if len(m.schema)][:1]
+        if not keep:
+            return executed_from_tables([pa.table({})])
+    return executed_from_refs([out for out, _ in keep], [m for _, m in keep])

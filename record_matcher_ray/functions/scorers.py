@@ -475,12 +475,6 @@ def _lev_sim_pairs_mat(
     return np.where(both_empty, 100.0, sim)
 
 
-def _lev_sim_pairs(xs: list[str], ys: list[str]) -> np.ndarray:
-    xmat, xlens = _encode_padded(xs)
-    ymat, ylens = _encode_padded(ys)
-    return _lev_sim_pairs_mat(xmat, xlens, ymat, ylens)
-
-
 def _jaro_pairs(
     xmat: np.ndarray, xlens: np.ndarray, ymat: np.ndarray, ylens: np.ndarray
 ) -> np.ndarray:
@@ -556,21 +550,6 @@ def _jw_pairs_mat(
             plen += live
         j = np.where(boost, j + plen * 0.1 * (1.0 - j), j)
     return j * 100.0
-
-
-def _jw_pairs(xs: list[str], ys: list[str]) -> np.ndarray:
-    xmat, xlens = _encode_padded(xs, pad=_PAD_X)
-    ymat, ylens = _encode_padded(ys, pad=_PAD_Y)
-    return _jw_pairs_mat(xmat, xlens, ymat, ylens)
-
-
-def _lev_sim_one_vs_many(x: str, ymat: np.ndarray, ylens: np.ndarray) -> np.ndarray:
-    d = _lev_one_vs_many(x, ymat, ylens)
-    denom = np.maximum(np.maximum(ylens, len(x)), 1).astype(np.float64)
-    sim = 100.0 * (1.0 - d / denom)
-    if len(x) == 0:
-        sim = np.where(ylens == 0, 100.0, 0.0)
-    return sim
 
 
 def levenshtein_elementwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -233,12 +233,9 @@ def minhash_candidates(
     shuffle of the pair stream) — callers that filter the pairs anyway
     (minhash_dedup's estimate prefilter) dedupe the much smaller
     SURVIVOR set instead."""
-    keys = ds.map_batches(
-        _MinhashKeys(text_col, id_col, num_perm, bands, shingle, seed),
-        batch_format="pyarrow",
-    )
     pairs = bucket_exchange(
-        keys, ["band_key"], _bucket_pairs_fn(max_bucket), n_buckets
+        ds, ["band_key"], _bucket_pairs_fn(max_bucket), n_buckets,
+        prepare=_MinhashKeys(text_col, id_col, num_perm, bands, shingle, seed),
     )
     if not distinct:
         return pairs

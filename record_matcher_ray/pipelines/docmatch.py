@@ -41,7 +41,13 @@ import ray
 import ray.data
 
 from record_matcher_ray.core.config import MatchConfig, MatchConfigBuilder
-from record_matcher_ray.core.exchange import bucket_exchange, task_layout
+from record_matcher_ray.core.exchange import (
+    block_refs,
+    bucket_exchange,
+    executed_from_tables,
+    map_blocks,
+    task_layout,
+)
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
 from record_matcher_ray.pipelines.cluster import connected_components
@@ -152,21 +158,14 @@ def _key_partial(t: pa.Table) -> np.ndarray:
 
 
 @ray.remote(num_cpus=0)
-def _rid_uniq_partial(t: pa.Table, columns: list[str]):
-    """Fused (rid array, per-column distinct sets) of one block — one
-    task wave serves both the routing index and the uniqueness pass."""
-    if len(t) == 0:
-        return np.empty(0, np.int64), {}
-    ids_b = np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
-    return ids_b, table_ops.distinct_values(t, columns)
-
-
-@ray.remote(num_cpus=0)
-def _id_col_partial(t: pa.Table, col: str) -> np.ndarray:
-    """8 B/row id column of one block — the only bytes that leave it."""
+def _id_partial(t: pa.Table, col: str, columns: list[str]):
+    """One block's 8 B/row int64 ``col`` and the distinct values of each of
+    ``columns`` — the only bytes that leave it. One task wave serves both
+    the routing index and the uniqueness pass."""
     if len(t) == 0 or col not in t.column_names:
-        return np.empty(0, np.int64)
-    return np.ascontiguousarray(t[col].to_numpy(), dtype=np.int64)
+        return np.empty(0, np.int64), {}
+    ids_b = np.ascontiguousarray(t[col].to_numpy(), dtype=np.int64)
+    return ids_b, table_ops.distinct_values(t, columns)
 
 
 @ray.remote(num_cpus=0)
@@ -199,34 +198,24 @@ def _assemble_route(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-block rid arrays → (rids sorted asc, block-of-rid int32,
     row-in-block int32)."""
-    ids_p, blk_p, pos_p = [], [], []
-    for bi, ids_b in enumerate(rid_parts):
-        if len(ids_b) == 0:
-            continue
-        ids_p.append(ids_b)
-        blk_p.append(np.full(len(ids_b), bi, np.int32))
-        pos_p.append(np.arange(len(ids_b), dtype=np.int32))
-    if not ids_p:
-        return (np.empty(0, np.int64),
-                np.empty(0, np.int32), np.empty(0, np.int32))
-    ids = np.concatenate(ids_p)
-    blk = np.concatenate(blk_p)
-    pos = np.concatenate(pos_p)
+    sizes = np.array([len(p) for p in rid_parts], np.int64)
+    ids = np.concatenate([np.empty(0, np.int64), *rid_parts])
+    blk = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    pos = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     o = np.argsort(ids, kind="stable")
-    return ids[o], blk[o], pos[o]
+    return ids[o], blk[o], pos[o].astype(np.int32)
 
 
 def _flat_route(
-    flat: ray.data.Dataset,
-) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """→ (block refs, rids sorted asc, block-of-rid int32, row-in-block
-    int32) for a MATERIALIZED flat table. Only the 8 B/row rid column
-    leaves each block (projected by a task NEXT to it — r2 pulled whole
-    blocks, which ships body text to the driver on a multi-node cluster)."""
-    refs = flat.to_arrow_refs()
-    rid_parts = ray.get([_id_col_partial.remote(r, "rid") for r in refs])
-    ids, blk, pos = _assemble_route(rid_parts)
-    return refs, ids, blk, pos
+    flat: ray.data.Dataset, columns: list[str] | tuple = ()
+) -> tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
+    """→ (block refs, (rids sorted asc, block-of-rid int32, row-in-block
+    int32), per-block distinct values of ``columns``) of a MATERIALIZED
+    flat table, projected by one task NEXT to each block: pulling whole
+    blocks ships body text to the driver on a multi-node cluster."""
+    refs = [ref for ref, _ in block_refs(flat)]
+    parts = ray.get([_id_partial.remote(r, "rid", list(columns)) for r in refs])
+    return refs, _assemble_route([ids for ids, _ in parts]), [u for _, u in parts]
 
 
 def _normalize_carry_cols(t: pa.Table, carry: list[str]) -> pa.Table:
@@ -240,6 +229,24 @@ def _normalize_carry_cols(t: pa.Table, carry: list[str]) -> pa.Table:
                 arr = arr.combine_chunks()
             t = t.set_column(t.column_names.index(c), c, arr)
     return t
+
+
+def _flats(
+    docs: list[ray.data.Dataset], carry: list[str]
+) -> list[ray.data.Dataset]:
+    """The flats of each ``(doc_id, spans)`` table (``flatten_spans`` →
+    ``add_int_ids`` → ``carry`` columns normalized) from ONE
+    ``core.exchange.map_blocks`` wave; a bare read is decoded inside its
+    tasks. The flats keep the body, which key expansion reads back
+    zero-copy: re-running decode + flatten for it cost more than storing
+    body once. Normalized once here, the scorer columns give every
+    score_bucket worker zero-copy block views; over raw columns each
+    worker re-ran cast + fill_null + copy over the whole corpus."""
+
+    def flat(t: pa.Table) -> pa.Table:
+        return _normalize_carry_cols(add_int_ids(flatten_spans(t)), carry)
+
+    return map_blocks(docs, flat)
 
 
 def _gather_carry(
@@ -319,66 +326,28 @@ def match_documents(
     they are pulled to the driver once, and the per-x reduce, the winner
     triples and ``pairs_scored``, the duplicate pass, finalize, the
     unmatched backfill, the edges and (with ``cluster_edges``) the star
-    clustering all run there on that one table: the call then runs two
-    Ray Data executions (the x flats and the y flats); key expansion,
-    the blocking exchange and pair scoring are Ray core tasks of
-    ``core.exchange.bucket_exchange`` over the flats' blocks. Above the
-    cap the per-x reduce runs through a ``bucket_exchange`` on x_id and
-    finalize and the backfill as dataset passes."""
+    clustering all run there on that one table, and ``assignments``,
+    ``edges`` and ``clusters`` are executed datasets over driver tables.
+    The call then runs no Ray Data execution when both inputs are bare
+    reads (``read_table``, ``ray.data.read_parquet``), materialized
+    datasets or in-memory sources: the x and y flats are one
+    ``core.exchange.map_blocks`` wave (a bare read is decoded inside its
+    tasks), and key expansion, the blocking exchange and pair scoring are
+    Ray core tasks of ``core.exchange.bucket_exchange`` over the flats'
+    blocks. Any other lazy input is executed once. Above the cap the
+    per-x reduce runs through a ``bucket_exchange`` on x_id and finalize
+    and the backfill as dataset passes."""
     cfg = cfg or default_doc_config()
 
     def _tick(stage: str, info: dict) -> None:
         if callable(progress):
             progress(stage, info)
 
-    # ONE decode+flatten pass: the flats are materialized WITH the body
-    # text and key expansion reads them back zero-copy from plasma. The
-    # round-1 design re-ran the read+flatten lineage for key expansion to
-    # avoid storing body twice; once the view caches went zero-copy the
-    # duplicated parquet decode + flatten became the flagship's largest
-    # non-scaling cost (the decode/fault path serializes on this host), so
-    # storing body once (~0.25 KB/doc resident for the pipeline's
-    # lifetime, spillable) now wins at every parallelism level
-    x_pipe = x_docs.map_batches(flatten_spans, batch_format="pyarrow").map_batches(
-        add_int_ids, batch_format="pyarrow"
-    )
-    y_pipe = None
+    carry = sorted(set(cfg.x_match_columns()) | set(cfg.y_columns_needed()))
     if y_prepared is None:
-        y_pipe = y_docs.map_batches(
-            flatten_spans, batch_format="pyarrow"
-        ).map_batches(add_int_ids, batch_format="pyarrow")
-
-    x_match_cols = cfg.x_match_columns()
-    y_need_cols = cfg.y_columns_needed()
-    carry = sorted(set(x_match_cols) | set(y_need_cols))
-
-    def _normalize_carry(t: pa.Table) -> pa.Table:
-        # normalize the scorer (carry) columns ONCE here, before the flats
-        # are materialized: cast→string, nulls→"", single chunk. Every
-        # score_bucket WORKER builds block views over these columns — with
-        # raw columns each of the N workers re-ran cast+fill_null+copy over
-        # the whole corpus (total CPU grew with worker count, pure
-        # anti-scaling); normalized blocks make the views zero-copy plasma
-        # references shared by all workers.
-        return _normalize_carry_cols(t, carry)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the two flats materialize concurrently (each blocks its thread on
-    # its own streaming executor); key expansion then reads the
-    # materialized blocks zero-copy — no second decode+flatten
-    with ThreadPoolExecutor(max_workers=2) as _ex:
-        _fx = _ex.submit(
-            x_pipe.map_batches(_normalize_carry, batch_format="pyarrow").materialize
-        )
-        if y_prepared is None:
-            _fy = _ex.submit(
-                y_pipe.map_batches(_normalize_carry, batch_format="pyarrow").materialize
-            )
-            y_flat = _fy.result()
-        else:
-            y_flat = y_prepared[0]
-        x_flat = _fx.result()
+        x_flat, y_flat = _flats([x_docs, y_docs], carry)
+    else:
+        [x_flat], y_flat = _flats([x_docs], carry), y_prepared[0]
     n_x_total = x_flat.count()
     n_y_total = y_flat.count()
     # the key-hash group count follows the cluster and the corpus
@@ -450,25 +419,13 @@ def match_documents(
     # FUSED with the uniqueness pass (one task wave, r3 — two separate
     # per-block waves measurably stacked scheduling latency).
     uniq_cols = [c for c, _ in cfg.columns_to_match]
-    if 0 < n_x_total <= 50_000_000:
-        x_refs = x_flat.to_arrow_refs()
-        fused = ray.get(
-            [_rid_uniq_partial.remote(r, uniq_cols) for r in x_refs]
-        )
-        xr_ids, xr_blk, xr_pos = _assemble_route(
-            [ids_b for ids_b, _ in fused]
-        )
-        uniq = table_ops.merge_distinct(
-            [u for _, u in fused], uniq_cols, n_x_total
-        )
-    else:
-        uniq = table_ops.uniqueness(x_flat, uniq_cols, total=n_x_total)
-        x_refs, xr_ids, xr_blk, xr_pos = _flat_route(x_flat)
+    fuse = 0 < n_x_total <= 50_000_000
+    x_refs, x_route, x_distinct = _flat_route(x_flat, uniq_cols if fuse else ())
+    uniq = (table_ops.merge_distinct(x_distinct, uniq_cols, n_x_total) if fuse
+            else table_ops.uniqueness(x_flat, uniq_cols, total=n_x_total))
     _tick("uniqueness", dict(uniq))
-    y_refs, yr_ids, yr_blk, yr_pos = _flat_route(y_flat)
-    carry_route_ref = ray.put(
-        (xr_ids, xr_blk, xr_pos, yr_ids, yr_blk, yr_pos)
-    )
+    y_refs, y_route, _ = _flat_route(y_flat)
+    carry_route_ref = ray.put((*x_route, *y_route))
 
     counters = Counter()
     pair_schema = pa.schema(
@@ -872,12 +829,12 @@ def match_documents(
     if driver_tail:
         final_tbl = finalize_rows(scored_tbl, dup_ids, dem_ids)
         _tick("finalize", {"rows": len(final_tbl)})
-        miss_np = np.setdiff1d(xr_ids, scored_tbl["__x_id__"].to_numpy())
+        miss_np = np.setdiff1d(x_route[0], scored_tbl["__x_id__"].to_numpy())
         counters["x_without_candidates"] = len(miss_np)
-        assignments = ray.data.from_arrow(pa.concat_tables([
+        assignments = executed_from_tables([pa.concat_tables([
             final_tbl,
             _unmatched_rows(pa.table({"x_id": pa.array(miss_np, pa.int64())})),
-        ]))
+        ])])
     else:
         # broadcast as two SORTED id arrays, not a dict — at multi-mention
         # corpora the flip set is ~|x|/2, and per-batch dict iteration in
@@ -899,19 +856,16 @@ def match_documents(
         n_assigned = assignments.count()  # metadata (materialized above)
         n_x = x_flat.count()
         if n_x <= 50_000_000:  # 8 B/id → ≤400 MB of driver reads
-            # the x id set is ALREADY on the driver (xr_ids, the routing
+            # the x id set is ALREADY on the driver (x_route[0], the routing
             # index built above — sorted asc); assignments project x_id via a
             # per-block task next to each block (r3: the r2 form re-pulled the
             # whole body-carrying x flats, the worst multi-node offender)
-            x_ids_np = xr_ids
-            got_np = np.concatenate(
-                [p for p in ray.get(
-                    [_id_col_partial.remote(r, "x_id")
+            got_np = np.concatenate([np.empty(0, np.int64), *(
+                ids for ids, _ in ray.get(
+                    [_id_partial.remote(r, "x_id", [])
                      for r in assignments.to_arrow_refs()]
-                ) if len(p)]
-                or [np.empty(0, np.int64)]
-            )
-            miss_np = np.setdiff1d(x_ids_np, got_np)  # sorted unique
+                ))])
+            miss_np = np.setdiff1d(x_route[0], got_np)  # sorted unique
             backfill_tbl = _unmatched_rows(
                 pa.table({"x_id": pa.array(miss_np, pa.int64())})
             )
@@ -967,26 +921,12 @@ def match_documents(
     if driver_d:
         # the winner arrays are already on the driver (stage-D pull):
         # build the edge table directly — no dataset round at all
-        edges = ray.data.from_arrow(
-            pa.table({"u": pa.array(x_w * 2), "v": pa.array(y_w * 2 + 1)})
+        edges = executed_from_tables(
+            [pa.table({"u": pa.array(x_w * 2), "v": pa.array(y_w * 2 + 1)})]
         )
         counters["matches_accepted"] = int(len(x_w))
     else:
-        def to_edges(t: pa.Table) -> pa.Table:
-            keep = pc.not_equal(t["winner_y_id"], -1)
-            k = t.filter(keep)
-            return pa.table(
-                {
-                    "u": pc.multiply(k["x_id"].combine_chunks(), 2),
-                    "v": pc.add(
-                        pc.multiply(k["winner_y_id"].combine_chunks(), 2), 1
-                    ),
-                }
-            )
-
-        edges = assignments.map_batches(
-            to_edges, batch_format="pyarrow"
-        ).materialize()
+        edges = edges_from_assignments(assignments).materialize()
         counters["matches_accepted"] = edges.count()
     _tick("edges", {"accepted": counters["matches_accepted"]})
 
@@ -1000,8 +940,8 @@ def match_documents(
         )
 
         nodes, roots = connected_components_star(x_w * 2, y_w * 2 + 1)
-        clusters = ray.data.from_arrow(
-            pa.table({"node": pa.array(nodes), "component": pa.array(roots)})
+        clusters = executed_from_tables(
+            [pa.table({"node": pa.array(nodes), "component": pa.array(roots)})]
         )
     elif cluster_edges:
         clusters = connected_components(edges)
@@ -1128,15 +1068,7 @@ def build_doc_index(
           f"-cap{max_block_side}")
     runner = StageRunner(root, fingerprint=fp)
 
-    runner.run(
-        "y_flat",
-        lambda: (
-            y_docs.map_batches(flatten_spans, batch_format="pyarrow")
-            .map_batches(add_int_ids, batch_format="pyarrow")
-            .map_batches(lambda t: _normalize_carry_cols(t, carry),
-                         batch_format="pyarrow")
-        ),
-    )
+    runner.run("y_flat", lambda: _flats([y_docs], carry)[0])
 
     def keys_fn() -> ray.data.Dataset:
         from record_matcher_ray.state.checkpoint import read_partition
@@ -1222,11 +1154,9 @@ def _load_y_prepared(
     # round-trip (score_bucket's views are zero-copy only over
     # single-chunk columns).
     need = ["rid"] + carry
-    y_flat = (
-        read_partition(root, "y_flat", "all", columns=need)
-        .map_batches(lambda t: _normalize_carry_cols(t, carry),
-                     batch_format="pyarrow")
-        .materialize()
+    [y_flat] = map_blocks(
+        [read_partition(root, "y_flat", "all", columns=need)],
+        lambda t: _normalize_carry_cols(t, carry),
     )
     yk = read_partition(root, "y_keys", "all").materialize()
     set_parts = ray.get(
@@ -1299,11 +1229,6 @@ def pairs_by_key_tag(
     holding a skewed corpus's quadratic blocks in check. Same key
     derivation as :func:`match_documents`; one bounded exchange."""
 
-    def flats(docs: ray.data.Dataset) -> ray.data.Dataset:
-        return docs.map_batches(flatten_spans, batch_format="pyarrow").map_batches(
-            add_int_ids, batch_format="pyarrow"
-        )
-
     hist_schema = pa.schema(
         [("tag", pa.int64()), ("groups", pa.int64()),
          ("dropped_groups", pa.int64()), ("admitted_pairs", pa.int64()),
@@ -1341,7 +1266,7 @@ def pairs_by_key_tag(
         return pa.table(out, schema=hist_schema)
 
     parts = bucket_exchange(
-        [flats(x_docs), flats(y_docs)], ["key"], hist, n_buckets,
+        _flats([x_docs, y_docs], []), ["key"], hist, n_buckets,
         prepare=[KeyExpander(0, num_perm, seed), KeyExpander(1, num_perm, seed)],
     ).to_pandas()
     if parts.empty:

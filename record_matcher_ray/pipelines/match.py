@@ -25,8 +25,8 @@ Dataflow (SURVEY.md §4.3):
    that scored it, and `resolve_winner_arrays` writes each row's verdict
    into an int8 flip column of the scored table.
    With NO group columns the reference scans all of Y per x
-   (matcher.py:179-182); here Y is broadcast once via `ray.put` and each
-   x block is scored against it in one task — no shuffle at all. Those
+   (matcher.py:179-182); here Y is broadcast once via `ray.put` and the
+   x blocks are scored against it by `map_blocks` — no shuffle at all. Those
    blocks are not winner-complete, so `compute_flips` resolves the
    winners of the scored blocks and broadcasts the flipped x ids.
 4. **summary + 5. finalize** — one task per scored block returns the
@@ -50,16 +50,16 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.block import BlockAccessor
+from ray.data.block import BlockAccessor, BlockMetadataWithSchema
 from ray.data.dataset import MaterializedDataset
 
 from record_matcher_ray.core.config import MatchConfig
-from record_matcher_ray.core.dup import resolve_duplicates
 from record_matcher_ray.core.exchange import (
     block_refs,
     bucket_exchange,
     default_tasks,
     executed_from_refs,
+    map_blocks,
 )
 from record_matcher_ray.core.kernel import MATCH_STATUS, NO_WINNER, score_block, score_keyed
 from record_matcher_ray.pipelines import table_ops
@@ -139,15 +139,6 @@ def resolve_winner_arrays(
     return flips
 
 
-@ray.remote(num_returns=2)
-def _winners(t: pa.Table, x_id_col: str) -> tuple[pa.Table, int]:
-    """The (x id, winner_y_id, winner_score) rows of one scored block that
-    won a y, and their count."""
-    t = BlockAccessor.for_block(t).to_arrow()
-    t = t.filter(pc.not_equal(t["winner_y_id"], NO_WINNER))
-    return t.select([x_id_col, "winner_y_id", "winner_score"]), len(t)
-
-
 def compute_flips(
     scored: ray.data.Dataset,
     duplicate_threshold: float,
@@ -156,8 +147,8 @@ def compute_flips(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Duplicate pass (matcher.py:408-447) over a scored dataset whose
     blocks are not winner-complete (the broadcast match, docmatch above
-    its driver cap): project winners to 3 narrow columns (one task per
-    scored block, no Ray Data execution when ``scored`` is materialized)
+    its driver cap): project winners to 3 narrow columns (``map_blocks``,
+    no Ray Data execution when ``scored`` is materialized)
     and resolve each winner_y_id group with the shared rule. → sorted int64 arrays of the
     x ids flipped to DUPLICATE and of those demoted to UNMATCHED, small
     enough to broadcast by contract. Under ``driver_cap`` winner rows the
@@ -177,15 +168,16 @@ def compute_flips(
         return pa.table([t[x_id_col].to_numpy()[keep], flips[keep]],
                         schema=flip_schema)
 
-    winners = [_winners.remote(ref, x_id_col) for ref, _ in block_refs(scored)]
-    n_won = sum(ray.get([n for _, n in winners]))
-    refs = [w for w, _ in winners]
+    [winners] = map_blocks([scored], lambda t: t.filter(
+        pc.not_equal(t["winner_y_id"], NO_WINNER)
+    ).select([x_id_col, "winner_y_id", "winner_score"]))
+    n_won = winners.count()
     if n_won > driver_cap:
-        refs = bucket_exchange(executed_from_refs(refs), ["winner_y_id"],
-                               resolve_bucket, default_tasks()).to_arrow_refs()
+        winners = bucket_exchange(winners, ["winner_y_id"], resolve_bucket,
+                                  default_tasks())
     # concat the block refs, never iter_batches on the driver: driver
     # batch loops are fault-bound
-    parts = [t for t in ray.get(refs) if len(t)]
+    parts = [t for t in ray.get([r for r, _ in block_refs(winners)]) if len(t)]
     if not parts:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     flips_tbl = pa.concat_tables(parts)
@@ -197,20 +189,21 @@ def compute_flips(
             np.sort(xids[flips == FLIP_DEMOTE]))
 
 
-@ray.remote(num_returns=2)
+@ray.remote(num_returns=3)
 def _finalize_block(
     t: pa.Table,
     x_passthrough: list[str],
     get_pairs: list[tuple[str, str]],
     strict: bool,
     flips: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[pa.Table, Counter]:
+) -> tuple[pa.Table, BlockMetadataWithSchema, Counter]:
     """One scored block → its output rows (status display-mapping, flips,
-    strict-mode quirk columns) and its share of the summary, with the
-    reference's over-count quirk (SURVEY.md §2.5.3): every row counts its
-    pre-flip status, and each bucket-local flip once more. ``flips`` is
-    ``None`` when the block carries its own verdicts (``_FLIP``), else
-    the broadcast ``(duplicate ids, demoted ids)``."""
+    strict-mode quirk columns), their block metadata and the block's share
+    of the summary, with the reference's over-count quirk (SURVEY.md
+    §2.5.3): every row counts its pre-flip status, and each bucket-local
+    flip once more. ``flips`` is ``None`` when the block carries its own
+    verdicts (``_FLIP``), else the broadcast ``(duplicate ids, demoted
+    ids)``."""
     t = t.combine_chunks()
     summary = Counter()
     for vc in pc.value_counts(t["pre_status"]).to_pylist():
@@ -250,7 +243,8 @@ def _finalize_block(
     for col, src in ((COLUMNS_TO_ADD["matched_with_row"], "rows_matched"),
                      (COLUMNS_TO_ADD["match_score"], "match_score_str")):
         out[col] = pc.if_else(demoted, "", t[src])
-    return pa.table(out), summary
+    out = pa.table(out)
+    return out, BlockMetadataWithSchema.from_block(out), summary
 
 
 def match_datasets(
@@ -341,11 +335,12 @@ def match_datasets(
                                cfg.strict_semantics, flips_ref)
         for ref, _ in block_refs(scored)
     ]
-    summary = sum(ray.get([c for _, c in done]), Counter())
+    summary = sum(ray.get([c for _, _, c in done]), Counter())
     if flips is not None:
         summary += Counter(duplicate=len(flips[0]), unmatched=len(flips[1]))
     _tick("summary", dict(summary))
-    final_ds = executed_from_refs([t for t, _ in done])
+    final_ds = executed_from_refs([t for t, _, _ in done],
+                                  ray.get([m for _, m, _ in done]))
     _tick("finalize_scheduled", {})
     return MatchResult(final_ds, summary)
 
@@ -465,8 +460,8 @@ def _match_broadcast(
     every scoring task — never re-shipped per batch. This is the
     broadcast-small-side pattern; a Y larger than ``max_broadcast_rows``
     raises with guidance instead of OOMing the driver — give Y blocking
-    columns (as the reference itself requires for tractability). One
-    task per x block scores it in ``batch_size``-row slices."""
+    columns (as the reference itself requires for tractability).
+    ``map_blocks`` scores each x block in ``batch_size``-row slices."""
     y_blocks = block_refs(y_ds)  # blocks stay in the (spillable) object store
     n_y = sum(n for _, n in y_blocks)
     if n_y > max_broadcast_rows:
@@ -496,15 +491,6 @@ def _match_broadcast(
         res, copied = score_block(x_cols, ycols, x_ids, yids, cfg, uniq)
         return _result_table(t, res, copied, cfg, x_passthrough)
 
-    return executed_from_refs([
-        _score_block_slices.remote(score_batch, ref, batch_size)
-        for ref, _ in block_refs(x_ds)
-    ])
-
-
-@ray.remote
-def _score_block_slices(score, block, batch_size: int) -> pa.Table:
-    """``score`` over one x block in ``batch_size``-row slices."""
-    t = BlockAccessor.for_block(block).to_arrow()
-    return pa.concat_tables([score(t.slice(i, batch_size))
-                             for i in range(0, len(t), batch_size)])
+    return map_blocks([x_ds], lambda t: pa.concat_tables(
+        [score_batch(t.slice(i, batch_size)) for i in range(0, len(t), batch_size)]
+    ))[0]

@@ -3,10 +3,9 @@
 
 - no driver-side row loops — every operator is `map_batches` (Arrow) or a
   `groupby` shuffle over pre-reduced partials;
-- uniqueness reads a materialized input's blocks with one core task each
-  (no Ray Data execution), else runs one pass over the data emitting
-  per-batch distinct pairs; only past 5M rows do two tiny shuffles run
-  over the deduplicated partials.
+- uniqueness reads its input's blocks with one core task each (a lazy
+  input runs once); only past 5M rows do two tiny shuffles run over
+  per-batch distinct pairs.
 
 Blank semantics: null or "" ⇒ blank (SURVEY.md §1.4; the reference's falsy
 test on raw values, records.py:66).
@@ -22,7 +21,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.block import BlockAccessor
-from ray.data.dataset import MaterializedDataset
 
 from record_matcher_ray.core.exchange import block_refs, bucket_exchange, bucket_ids
 
@@ -72,23 +70,26 @@ def uniqueness(ds: ray.data.Dataset, columns: list[str], total: int | None = Non
     ``len({v non-blank}) / len(rows)`` (records.py:49-67 — denominator
     counts all rows).
 
-    Up to 5M rows, a materialized dataset or in-memory source costs no
-    Ray Data execution: one task per block returns its
-    :func:`distinct_values` and the driver merges them. A lazy dataset
-    streams one ``map_batches`` pass of the same partials to the driver.
-    Above 5M rows two tiny groupbys dedupe the (column, value) pairs and
-    count them per column.
+    Up to 5M rows one task per block returns its
+    :func:`distinct_values` and the driver merges them, the row count
+    coming from the block metadata: a materialized dataset or in-memory
+    source costs no Ray Data execution, and a lazy input runs once and
+    is let go as soon as it passes 5M rows. Above 5M rows two tiny
+    groupbys dedupe the (column, value) pairs and count them per column.
     """
+    blocks = None if (total or 0) > 5_000_000 else block_refs(ds, 5_000_000)
+    if blocks is not None:
+        if total is None:
+            total = sum(n for _, n in blocks)
+        if total == 0:
+            return {c: 0.0 for c in columns}
+        partials = ray.get([_distinct_partial.remote(ref, columns)
+                            for ref, _ in blocks])
+        return merge_distinct(partials, columns, total)
     if total is None:
         total = ds.count()
-    if total == 0:
-        return {c: 0.0 for c in columns}
-    present = [c for c in columns if c in ds.schema().names]
-    if total <= 5_000_000 and isinstance(ds, MaterializedDataset):
-        partials = ray.get([_distinct_partial.remote(ref, present)
-                            for ref, _ in block_refs(ds)])
-        return merge_distinct(partials, columns, total)
     out: dict[str, float] = {c: 0.0 for c in columns}
+    present = [c for c in columns if c in ds.schema().names]
     if not present:
         return out
 
@@ -100,14 +101,9 @@ def uniqueness(ds: ray.data.Dataset, columns: list[str], total: int | None = Non
         })
 
     pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow")
-    if total <= 5_000_000:  # partials are bounded by the true cardinality
-        g = pairs.to_pandas().groupby("c")["v"].nunique()
-        for c, n in g.items():
-            out[c] = n / total
-    else:
-        counts = pairs.groupby(["c", "v"]).count().groupby("c").count().to_pandas()
-        for _, row in counts.iterrows():
-            out[row["c"]] = row["count()"] / total
+    counts = pairs.groupby(["c", "v"]).count().groupby("c").count().to_pandas()
+    for _, row in counts.iterrows():
+        out[row["c"]] = row["count()"] / total
     return out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import pytest
@@ -40,3 +41,31 @@ def reference():
         pytest.skip(f"reference implementation not importable from "
                     f"{REFERENCE_PATH} ({ex}); oracle parity not checked")
     return ref_records, ref_matcher
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """``with executions() as plans:`` records the operator names of every
+    Ray Data execution started in the body, one list per execution."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    execute = StreamingExecutor.execute
+
+    @contextlib.contextmanager
+    def record():
+        plans = []
+
+        def counted(self, dag, *a, **k):
+            ops, todo = [], [dag]
+            while todo:
+                op = todo.pop()
+                ops.append(op.name)
+                todo.extend(op.input_dependencies)
+            plans.append(ops)
+            return execute(self, dag, *a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(StreamingExecutor, "execute", counted)
+            yield plans
+
+    return record

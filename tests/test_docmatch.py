@@ -2,6 +2,8 @@
 invariant, blocking recall, end-to-end F1 vs ground truth on co-blocked
 pairs (the BASELINE.json metric: pairwise F1 ≥ 0.99), clustering."""
 
+import hashlib
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
@@ -535,8 +537,10 @@ def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
     """The task layout (blocks before each sort, key-hash groups) only
     decides how the work is cut: every explicit (shuffle_partitions,
     n_buckets), with the per-x reduce on the driver or through its
-    exchange, gives the default layout's outputs."""
+    exchange, gives the default layout's outputs, and so do flats cut
+    into small blocks."""
     import ray.data as rd
+    from ray.data.context import DataContext
 
     from record_matcher_ray.pipelines.docmatch import match_documents
 
@@ -547,6 +551,11 @@ def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
 
     want = run()
     assert want[3]["pairs_scored"] > 0 and want[3]["blocks_dropped"] >= 0
+    # flats cut at a 16 KiB block size cap: many small blocks, one
+    # flatten call per piece
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(DataContext.get_current(), "target_max_block_size", 16 << 10)
+        _assert_same_outputs(run(), want, "16 KiB blocks")
     for parts in (1, 2, 64):
         for buckets in (2, 256):
             # reduce_driver_cap=0 sends the per-x reduce through its
@@ -567,64 +576,75 @@ def _match_fixture(corpus_dir, **kw):
                            **kw)
 
 
+# sha256 of the fixture's outputs as CSV (assignments by x_id, edges by
+# (u, v), clusters by node), recorded when the flats were two Ray Data
+# executions and the driver tail returned ray.data.from_arrow datasets
+_PINNED_SHA = (
+    "fa4153ca70eb9329f06256f2de4cd48e327aa721998643dfda7269d2d6a089b4",
+    "d258a6acef827c4604b3b3de8cc0b06949f6c6c24cd42706c7bab7f343aead47",
+    "d6d8643a505de1f09ab4612037925cc288f929a306a7f93552757b3cefc1780a",
+)
+
+
 @pytest.mark.parametrize("cap", [500_000, 0])
 def test_docmatch_counters_pinned(ray_session, corpus_dir, cap):
     """The fixture's counters, recorded when stage B still scored one
     row per shared key: scoring each doc pair once per key group must
     keep counting it once per shared key (pairs_scored), and the driver
     tail below reduce_driver_cap must count what the exchange path does.
-    max_block_side=4 makes blocks_dropped non-zero."""
+    max_block_side=4 makes blocks_dropped non-zero. The default run's
+    assignments, edges and clusters hash to the recorded values."""
     for kw, want in (
         ({}, dict(pairs_scored=2570, blocks_dropped=0,
                   matches_accepted=231, x_without_candidates=34)),
-        ({"max_block_side": 4}, dict(pairs_scored=829, blocks_dropped=38,
-                                     matches_accepted=231,
-                                     x_without_candidates=34)),
+        ({"max_block_side": 4, "cluster_edges": False},
+         dict(pairs_scored=829, blocks_dropped=38, matches_accepted=231,
+              x_without_candidates=34)),
     ):
-        res = _match_fixture(corpus_dir, reduce_driver_cap=cap,
-                             cluster_edges=False, **kw)
+        res = _match_fixture(corpus_dir, reduce_driver_cap=cap, **kw)
         assert dict(res.counters) == want, kw
+        if not kw:
+            got = tuple(hashlib.sha256(f.to_csv(index=False).encode())
+                        .hexdigest() for f in _docmatch_outputs(res)[:3])
+            assert got == _PINNED_SHA
 
 
-def test_docmatch_barrier_budget(ray_session, corpus_dir, monkeypatch):
-    """Below reduce_driver_cap one match_documents call materializes only
-    its two flats, and no Ray Data execution holds a Sort, Repartition
-    or Aggregate operator: key expansion, the blocking exchange and pair
-    scoring are Ray core tasks over the flats' blocks, and everything
-    after them (per-x reduce, duplicate pass, finalize, unmatched
-    backfill, edges, star clustering) runs on the driver's tie table.
-    Each execution costs ~0.1 s of fixed latency on a 1-CPU host, more
-    than all the scoring of a few thousand docs."""
-    import ray.data
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+def test_docmatch_barrier_budget(ray_session, corpus_dir, executions):
+    """Below reduce_driver_cap one match_documents call, with its
+    assignments, edges and clusters read back, runs no Ray Data
+    execution when x and y are bare reads or in-memory sources: the two
+    flats are one map_blocks task wave (a bare read is decoded inside
+    its tasks), key expansion, the blocking exchange and pair scoring are
+    Ray core tasks over the flats' blocks, and everything after them runs
+    on the driver's tie table and comes back as executed datasets. A
+    lazy input with an op after its read is executed once, with no
+    Sort, Repartition or Aggregate operator. Each execution costs ~0.1 s
+    of fixed latency on a 1-CPU host, more than all the scoring of a few
+    thousand docs."""
+    import ray.data as rd
 
-    calls, plans = [], []
-    materialize = ray.data.Dataset.materialize
-    execute = StreamingExecutor.execute
+    from record_matcher_ray.pipelines.docmatch import match_documents
 
-    def counted(self, *a, **k):
-        calls.append(1)
-        return materialize(self, *a, **k)
+    def run(read):
+        x, y = (read(f"{corpus_dir}/{n}.parquet") for n in ("corpus", "registry"))
+        with executions() as plans:
+            outs = _docmatch_outputs(match_documents(x, y))
+        return outs, plans
 
-    def executed(self, dag, *a, **k):
-        ops, todo = [], [dag]
-        while todo:
-            op = todo.pop()
-            ops.append(op.name)
-            todo.extend(op.input_dependencies)
-        plans.append(ops)
-        return execute(self, dag, *a, **k)
-
-    monkeypatch.setattr(ray.data.Dataset, "materialize", counted)
-    monkeypatch.setattr(StreamingExecutor, "execute", executed)
-    res = _match_fixture(corpus_dir)
-    monkeypatch.undo()
-    assert 0 < len(calls) <= 2, len(calls)
+    want, plans = run(rd.read_parquet)
+    assert plans == [], plans
+    assert want[3]["matches_accepted"] > 0
+    got, plans = run(lambda p: rd.from_arrow(pq.read_table(p)))
+    assert plans == [], plans
+    _assert_same_outputs(got, want, "from_arrow")
+    got, plans = run(lambda p: rd.read_parquet(p).map_batches(
+        lambda b: b, batch_format="pyarrow"))
+    assert len(plans) <= 2, plans
     assert not [
         p for p in plans
         if any(w in o for o in p for w in ("Sort", "Repartition", "Aggregate"))
     ], plans
-    assert res.counters["matches_accepted"] > 0
+    assert got[3] == want[3]
 
 
 def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):

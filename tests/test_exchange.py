@@ -310,6 +310,149 @@ def test_fn_sees_input_columns_without_metadata(ray_session):
     assert not got["meta"].any()
 
 
+def test_result_is_built_from_task_metadata(ray_session, monkeypatch):
+    """The reduce tasks return each block's metadata with the block, so
+    bucket_exchange never calls ray.data.from_arrow_refs (one metadata
+    task per block); its result counts and types like that form over the
+    same blocks."""
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+
+    def refuse(*a, **k):
+        raise AssertionError("from_arrow_refs called")
+
+    with monkeypatch.context() as m:
+        m.setattr(rd, "from_arrow_refs", refuse)
+        out = bucket_exchange(rd.from_pandas(_frame()), ["k"],
+                              _per_key_sums(["k"]), 7)
+    ref_form = rd.from_arrow_refs(out.to_arrow_refs())
+    assert out.count() == ref_form.count() == 40
+    assert out.schema().base_schema == ref_form.schema().base_schema
+
+
+def _doubled():
+    """fn that appends w = 2 * v (nested, so workers unpickle it by value)."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        return t.append_column("w", pc.multiply(t["v"], 2))
+
+    return fn
+
+
+def test_map_blocks_reads_a_bare_read_in_its_tasks(ray_session, executions, tmp_path):
+    """A bare read_parquet is read inside map_blocks' own tasks: no Ray
+    Data execution, the rows of ``ds.materialize()``, and no schema
+    metadata on the output."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import map_blocks
+
+    t = pa.Table.from_pandas(_frame(), preserve_index=False)
+    for i in range(3):
+        pq.write_table(t.slice(100 * i, 100), tmp_path / f"part{i}.parquet")
+    ds = rd.read_parquet(str(tmp_path))
+    with executions() as plans:
+        [out] = map_blocks([ds], _doubled())
+        got = out.to_pandas()
+    assert plans == []
+    want = ds.materialize().to_pandas()
+    want["w"] = want["v"] * 2
+    pd.testing.assert_frame_equal(_canon(got, ["v"]), _canon(want, ["v"]))
+    assert out.schema().base_schema.metadata is None
+
+
+def test_map_blocks_cuts_at_the_block_size_cap(ray_session, monkeypatch, tmp_path):
+    """Under a lowered target_max_block_size no fn call and no output
+    block holds much more than that many bytes, for a bare read of one
+    file and for in-memory blocks alike, and the rows are the uncapped
+    map's."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+    from ray.data.context import DataContext
+
+    from record_matcher_ray.core.exchange import block_refs, default_tasks, map_blocks
+
+    def fn(t: pa.Table) -> pa.Table:  # w = 2 * v, n = rows of this call
+        return t.append_column("w", pc.multiply(t["v"], 2)).append_column(
+            "n", pa.array(np.full(t.num_rows, t.num_rows)))
+
+    pq.write_table(pa.Table.from_pandas(_frame(), preserve_index=False),
+                   tmp_path / "one.parquet")
+
+    def run():
+        outs = map_blocks([rd.read_parquet(str(tmp_path)),
+                           rd.from_pandas(_frame())], fn)
+        return outs, [_canon(o.to_pandas(), ["v"]) for o in outs]
+
+    outs, want = run()
+    assert [w["n"].max() for w in want] == [300, 300]
+    d = default_tasks()  # one fn call, its output cut into ~d blocks
+    assert all(d // 2 < len(block_refs(o)) <= d for o in outs)
+    cap = 1024  # ~22 bytes per input row: ~46 rows per fn call
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", cap)
+    outs, got = run()
+    for out, g, w in zip(outs, got, want):
+        assert 1 < g["n"].max() <= 60
+        pd.testing.assert_frame_equal(g.drop(columns="n"), w.drop(columns="n"))
+        sizes = [ray.get(ref).nbytes for ref, _ in block_refs(out)]
+        assert len(sizes) >= 8 and max(sizes) <= 1.25 * cap, sizes
+
+
+def test_map_blocks_in_memory_lazy_and_empty_inputs(ray_session, executions):
+    """from_pandas blocks (pandas DataFrames) are read as Arrow with no
+    Ray Data execution; a lazy plan that is not a bare read is executed
+    once; an input without rows gives a dataset with no blocks; an error
+    of fn is raised, also from the last task alone."""
+    import ray.data as rd
+
+    from record_matcher_ray.core import exchange
+
+    df = _frame()
+    ds = rd.from_pandas([df.iloc[i:i + 30] for i in range(0, 300, 30)])
+    empty = rd.from_pandas(df.iloc[:0])
+    with executions() as plans:
+        out, none = exchange.map_blocks([ds, empty], _doubled())
+    assert plans == []
+    got = _canon(out.to_pandas(), ["v"])
+    assert got["v"].tolist() == list(range(300))
+    assert (got["w"] == 2 * got["v"]).all()
+    assert none.count() == 0 and none.num_blocks() == 0
+    with executions() as plans:
+        [lazy] = exchange.map_blocks(
+            [ds.map_batches(lambda b: b, batch_format="pyarrow")], _doubled())
+    assert len(plans) == 1, plans
+    pd.testing.assert_frame_equal(_canon(lazy.to_pandas(), ["v"]), got)
+
+    def fails_on_last(t: pa.Table) -> pa.Table:  # after a first block or not
+        if t["v"][0].as_py() >= 270:
+            raise ValueError("last block")
+        return t
+
+    with pytest.raises(Exception, match="last block"):
+        exchange.map_blocks([ds], fails_on_last)
+
+
+def test_block_refs_lets_a_lazy_input_go_past_max_rows(ray_session, executions):
+    """block_refs runs a lazy input once, streaming, and gives None as
+    soon as its rows pass max_rows; below it, every non-empty block."""
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import block_refs
+
+    df = _frame()
+    src = rd.from_pandas([df.iloc[i:i + 30] for i in range(0, 300, 30)])
+    for max_rows, want in ((None, 300), (300, 300), (299, None), (50, None)):
+        lazy = src.map_batches(lambda b: b, batch_format="pyarrow")
+        with executions() as plans:
+            got = block_refs(lazy, max_rows)
+        assert len(plans) == 1, plans
+        assert (got if got is None else sum(n for _, n in got)) == want
+    assert block_refs(src, 299) is None
+
+
 def test_bucket_ids_range_and_stability():
     from record_matcher_ray.core.exchange import bucket_ids
 

@@ -79,6 +79,41 @@ def test_minhash_dedup_join_path_matches_routing_path(ray_session):
     assert len(pr) >= 3  # the near-dup cluster {0,1,3,5} is found
 
 
+def test_minhash_candidates_from_arrow_runs_no_execution(ray_session, executions):
+    """minhash_candidates expands band keys inside the exchange's map
+    tasks (its ``prepare``): over a from_arrow input it runs no Ray Data
+    execution, and its pairs equal those of the band-key map run as a
+    ``map_batches`` pass of its own before the exchange."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import bucket_exchange
+    from record_matcher_ray.pipelines.dedup import (
+        _bucket_pairs_fn, _dedupe_pairs_bucketed, _MinhashKeys,
+        minhash_candidates)
+
+    words = "the quick brown fox jumps over the lazy dog again and again".split()
+    rng = np.random.default_rng(3)
+    texts = []
+    for i in range(60):
+        w = list(words)
+        w[rng.integers(len(w))] = f"w{i % 7}"
+        texts.append(" ".join(w) if i % 3 else f"unrelated text number {i}")
+    t = pa.table({"id": np.arange(60, dtype=np.int64), "text": texts})
+    blocks = [t.slice(i, 9) for i in range(0, len(t), 9)]
+    with executions() as plans:
+        got = minhash_candidates(rd.from_arrow(blocks), "text", "id",
+                                 max_bucket=30).to_pandas()
+    assert plans == []
+    keys = rd.from_arrow(blocks).map_batches(
+        _MinhashKeys("text", "id", 64, 16, 4, 1), batch_format="pyarrow")
+    want = _dedupe_pairs_bucketed(bucket_exchange(
+        keys, ["band_key"], _bucket_pairs_fn(30), 256)).to_pandas()
+    canon = lambda df: sorted(zip(df["a"].tolist(), df["b"].tolist()))
+    assert canon(got) == canon(want)
+    assert len(got) > 10
+
+
 def test_simhash_near_texts_close(ray_session):
     import ray.data as rd
 

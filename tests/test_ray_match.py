@@ -2,7 +2,6 @@
 Ray Datasets vs the reference RecordMatcher executed in-process on the same
 tables (both blocked/shuffled and ungrouped/broadcast paths)."""
 
-import contextlib
 import copy
 import random
 
@@ -376,29 +375,6 @@ def test_blocked_match_independent_of_bucket_count(ray_session, monkeypatch):
     assert len(both) >= 2, (set(bucket[dup]), set(bucket[dem]))
 
 
-@contextlib.contextmanager
-def _executions(monkeypatch):
-    """Record the operator names of every Ray Data execution started in
-    the ``with`` body, one list per execution."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    plans = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, dag, *a, **k):
-        ops, todo = [], [dag]
-        while todo:
-            op = todo.pop()
-            ops.append(op.name)
-            todo.extend(op.input_dependencies)
-        plans.append(ops)
-        return execute(self, dag, *a, **k)
-
-    with monkeypatch.context() as m:
-        m.setattr(StreamingExecutor, "execute", counted)
-        yield plans
-
-
 def _budget_fixture():
     import pyarrow as pa
 
@@ -415,7 +391,7 @@ def _budget_fixture():
     return table(x, "__xid__"), table(y, "__yid__"), b.build()
 
 
-def test_blocked_match_execution_budget(ray_session, monkeypatch):
+def test_blocked_match_execution_budget(ray_session, executions):
     """One blocked match_datasets call plus reading its dataset runs no
     Ray Data execution when x is an Arrow-backed or pandas-backed
     in-memory source or a materialized dataset: uniqueness, the exchange,
@@ -430,14 +406,14 @@ def test_blocked_match_execution_budget(ray_session, monkeypatch):
     materialized = rd.from_arrow(xt).map_batches(
         lambda b: b, batch_format="pyarrow").materialize()
     for x_ds in (rd.from_arrow(xt), rd.from_pandas(xt.to_pandas()), materialized):
-        with _executions(monkeypatch) as plans:
+        with executions() as plans:
             res = match_datasets(x_ds, rd.from_arrow(yt), cfg, "__xid__", "__yid__")
             n = len(res.dataset.to_pandas())
         assert n == len(xt)
         assert len(plans) == 0, plans
 
 
-def test_lazy_x_is_executed_once(ray_session, monkeypatch, tmp_path):
+def test_lazy_x_is_executed_once(ray_session, executions, tmp_path):
     """A lazy x is materialized once and that copy feeds both uniqueness
     and the exchange: one execution, and x's UDF runs once per block.
     The output equals the one over the in-memory x."""
@@ -456,7 +432,7 @@ def test_lazy_x_is_executed_once(ray_session, monkeypatch, tmp_path):
     blocks = [xt.slice(i, 10) for i in range(0, len(xt), 10)]
     lazy = rd.from_arrow(blocks).map_batches(udf, batch_format="pyarrow",
                                              batch_size=None)
-    with _executions(monkeypatch) as plans:
+    with executions() as plans:
         res = match_datasets(lazy, rd.from_arrow(yt), cfg, "__xid__", "__yid__")
         got = res.dataset.to_pandas()
     assert len(plans) == 1, plans
@@ -529,11 +505,12 @@ def test_empty_x_emits_no_block(ray_session, setup):
     assert ray.get(res.dataset.to_arrow_refs()) == []
 
 
-def test_table_ops_uniqueness_materialized_equals_lazy(ray_session, monkeypatch):
+def test_table_ops_uniqueness_materialized_equals_lazy(ray_session, executions):
     """table_ops.uniqueness gives the same floats on an in-memory input
-    (one task per block, no Ray Data execution) as on a lazy one (the
-    streaming pass). Values repeat across blocks, blanks and nulls do not
-    count, and non-string columns count their string form."""
+    (one task per block, no Ray Data execution) as on a lazy one, which
+    it executes once (no schema or count peek runs it again). Values
+    repeat across blocks, blanks and nulls do not count, and non-string
+    columns count their string form."""
     import ray.data as rd
 
     from record_matcher_ray.pipelines import table_ops
@@ -547,12 +524,14 @@ def test_table_ops_uniqueness_materialized_equals_lazy(ray_session, monkeypatch)
     ]
     cols = ["a", "n", "blank", "missing"]
     mat = rd.from_pandas(frames)
-    with _executions(monkeypatch) as plans:
+    with executions() as plans:
         got = table_ops.uniqueness(mat, cols)
     assert plans == []
-    lazy = table_ops.uniqueness(
-        rd.from_pandas(frames).map_batches(lambda b: b, batch_format="pyarrow"),
-        cols)
+    with executions() as plans:
+        lazy = table_ops.uniqueness(
+            rd.from_pandas(frames).map_batches(lambda b: b, batch_format="pyarrow"),
+            cols)
+    assert len(plans) == 1, plans
     assert got == lazy == {"a": 4 / 8, "n": 4 / 8, "blank": 0.0, "missing": 0.0}
 
 

@@ -10,9 +10,10 @@ becomes a bucket id (:func:`bucket_ids`), how rows reach their bucket
 (:func:`bucket_exchange`), and how many tasks and key groups an exchange
 is laid out over (:func:`default_tasks`, :func:`task_layout`). Stages
 that run their own Ray core tasks over a dataset's blocks read them with
-:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`;
-:func:`map_blocks` maps a function over whole inputs that way, a bare
-read included. Every import of Ray Data internals lives in this module.
+:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`
+(:func:`concat_executed` chains such results); :func:`map_blocks` maps a
+function over whole inputs that way, a bare read included. Every import
+of Ray Data internals lives in this module.
 """
 
 from __future__ import annotations
@@ -254,6 +255,21 @@ def executed_from_tables(tables: list[pa.Table]) -> MaterializedDataset:
     empty one too, so the result keeps its schema)."""
     metas = [BlockMetadataWithSchema.from_block(t) for t in tables]
     return executed_from_refs([ray.put(t) for t in tables], metas)
+
+
+def concat_executed(datasets: list[MaterializedDataset]) -> MaterializedDataset:
+    """One executed dataset holding the blocks of the executed
+    ``datasets`` in order, built from their blocks' metadata: unlike
+    ``Dataset.union`` neither the concat nor reading it is a Ray Data
+    execution."""
+    refs, metas = [], []
+    for ds in datasets:
+        bundle = ds._plan.execute()
+        for ref, md in bundle.blocks:
+            refs.append(ref)
+            metas.append(md if isinstance(md, BlockMetadataWithSchema)
+                         else BlockMetadataWithSchema(md, bundle.schema))
+    return executed_from_refs(refs, metas)
 
 
 def map_blocks(

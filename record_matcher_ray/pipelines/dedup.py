@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.pipelines.cluster import connected_components
 from record_matcher_ray.stages.blocking import MinHasher
 
@@ -1401,40 +1401,20 @@ def exact_dedup_keep_best(
     bucket (sort + group-transform, never per distinct value).
     """
 
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
+    def pairs(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(
             [pref_col, id_col], ascending=[False, True], kind="stable"
         )
         keeper = df.groupby(columns, sort=False, dropna=False)[
             id_col
-        ].transform("first")
+        ].transform("first").to_numpy(dtype=np.int64)
+        ids = df[id_col].to_numpy(dtype=np.int64)
         if emit_all:
-            return pd.DataFrame(
-                {id_col: df[id_col].to_numpy(dtype=np.int64),
-                 "keeper_id": keeper.to_numpy(dtype=np.int64)}
-            )
-        dup = df[id_col] != keeper
-        return pd.DataFrame(
-            {"keeper_id": keeper[dup].to_numpy(dtype=np.int64),
-             "dup_id": df[id_col][dup].to_numpy(dtype=np.int64)}
-        )
+            return pa.table({id_col: ids, "keeper_id": keeper})
+        dup = ids != keeper
+        return pa.table({"keeper_id": keeper[dup], "dup_id": ids[dup]})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        h = np.zeros(len(t), np.uint64)
-        with np.errstate(over="ignore"):
-            for c in columns:
-                h = mix64(
-                    h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(t[c])
-                )
-        return t.append_column("__xb__", pa.array(bucket_ids(h, n_buckets)))
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__xb__")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return bucket_exchange(ds, columns, pairs, n_buckets)
 
 
 def capture_recapture_dup_estimate(

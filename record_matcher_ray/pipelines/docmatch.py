@@ -10,9 +10,11 @@ distinct (x doc, y doc) pair of a key-hash group once
 reduce over x_id performs the argmax/status reduce after deduplicating
 pairs that surface in several groups (scores are deterministic so dedup is
 exact). Below ``reduce_driver_cap`` tie rows that reduce runs on the driver.
-Shuffle inventory (SURVEY.md §4.3): blocking keys (wide), x_id (pairs
-only, above the cap), winner_y_id (winners only), component label (edges
-only).
+Shuffle inventory (SURVEY.md §4.3): blocking keys (wide) and x_id (tie
+rows only, above the cap). The duplicate pass, the unmatched backfill and
+the clustering run on driver arrays at every size: the winner triples
+(24 B per matched x) and the x routing index (16 B per x doc) are already
+there.
 
 Skew: hot blocking keys are capped (``max_block_side``) — a key whose side
 exceeds the cap is dropped as non-discriminative (standard LSH practice: a
@@ -44,17 +46,20 @@ from record_matcher_ray.core.config import MatchConfig, MatchConfigBuilder
 from record_matcher_ray.core.exchange import (
     block_refs,
     bucket_exchange,
+    concat_executed,
     executed_from_tables,
     map_blocks,
     task_layout,
 )
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
-from record_matcher_ray.pipelines.cluster import connected_components
+from record_matcher_ray.pipelines.cluster import (
+    connected_components,
+    connected_components_star,
+)
 from record_matcher_ray.pipelines.match import (
     FLIP_DEMOTE,
     FLIP_DUPLICATE,
-    compute_flips,
     resolve_winner_arrays,
 )
 from record_matcher_ray.stages.blocking import MinHasher, batch_doc_keys
@@ -158,13 +163,13 @@ def _key_partial(t: pa.Table) -> np.ndarray:
 
 
 @ray.remote(num_cpus=0)
-def _id_partial(t: pa.Table, col: str, columns: list[str]):
-    """One block's 8 B/row int64 ``col`` and the distinct values of each of
-    ``columns`` — the only bytes that leave it. One task wave serves both
-    the routing index and the uniqueness pass."""
-    if len(t) == 0 or col not in t.column_names:
+def _id_partial(t: pa.Table, columns: list[str]):
+    """One flat block's 8 B/row int64 ``rid`` and the distinct values of
+    each of ``columns`` — the only bytes that leave it. One task wave
+    serves both the routing index and the uniqueness pass."""
+    if len(t) == 0:
         return np.empty(0, np.int64), {}
-    ids_b = np.ascontiguousarray(t[col].to_numpy(), dtype=np.int64)
+    ids_b = np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
     return ids_b, table_ops.distinct_values(t, columns)
 
 
@@ -176,14 +181,16 @@ def _sum_col_partial(t: pa.Table, col: str) -> int:
 
 
 def _winners(t: pa.Table):
-    """(n_candidates sum, winner x/y/score arrays) of one scored table —
-    drops the tie-string columns before anything ships."""
+    """(n_candidates sum, scored x ids, winner x/y/score arrays) of one
+    scored table — drops the tie-string columns before anything ships."""
     if len(t) == 0:
-        return 0, (np.empty(0, np.int64), np.empty(0, np.int64),
-                   np.empty(0, np.float64))
+        return (0, np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.int64), np.empty(0, np.float64))
     n_cand = int(pc.sum(t["n_candidates"]).as_py() or 0)
     tt = t.filter(pc.not_equal(t["winner_y_id"], -1))
-    return n_cand, (
+    return (
+        n_cand,
+        np.ascontiguousarray(t["__x_id__"].to_numpy(), np.int64),
         np.ascontiguousarray(tt["__x_id__"].to_numpy(), np.int64),
         np.ascontiguousarray(tt["winner_y_id"].to_numpy(), np.int64),
         np.ascontiguousarray(tt["winner_score"].to_numpy(), np.float64),
@@ -214,7 +221,7 @@ def _flat_route(
     flat table, projected by one task NEXT to each block: pulling whole
     blocks ships body text to the driver on a multi-node cluster."""
     refs = [ref for ref, _ in block_refs(flat)]
-    parts = ray.get([_id_partial.remote(r, "rid", list(columns)) for r in refs])
+    parts = ray.get([_id_partial.remote(r, list(columns)) for r in refs])
     return refs, _assemble_route([ids for ids, _ in parts]), [u for _, u in parts]
 
 
@@ -324,19 +331,22 @@ def match_documents(
 
     ``reduce_driver_cap``: when stage B emits at most this many tie rows
     they are pulled to the driver once, and the per-x reduce, the winner
-    triples and ``pairs_scored``, the duplicate pass, finalize, the
-    unmatched backfill, the edges and (with ``cluster_edges``) the star
-    clustering all run there on that one table, and ``assignments``,
-    ``edges`` and ``clusters`` are executed datasets over driver tables.
-    The call then runs no Ray Data execution when both inputs are bare
-    reads (``read_table``, ``ray.data.read_parquet``), materialized
-    datasets or in-memory sources: the x and y flats are one
-    ``core.exchange.map_blocks`` wave (a bare read is decoded inside its
-    tasks), and key expansion, the blocking exchange and pair scoring are
-    Ray core tasks of ``core.exchange.bucket_exchange`` over the flats'
-    blocks. Any other lazy input is executed once. Above the cap the
-    per-x reduce runs through a ``bucket_exchange`` on x_id and finalize
-    and the backfill as dataset passes."""
+    triples and finalize run there on that one table. Above it the per-x
+    reduce is a ``bucket_exchange`` on x_id, one task per scored block
+    returns its winner triples and scored x ids, and finalize is a
+    ``core.exchange.map_blocks`` over the scored blocks. Either way
+    ``pairs_scored``, the duplicate pass, the unmatched backfill (a
+    setdiff against the x routing index), the edges and (with
+    ``cluster_edges``) the star clustering run on driver arrays, and
+    ``assignments`` (the finalized blocks, then one backfill block),
+    ``edges`` and ``clusters`` are executed datasets. The call runs no
+    Ray Data execution when both inputs are bare reads (``read_table``,
+    ``ray.data.read_parquet``), materialized datasets or in-memory
+    sources: the x and y flats are one ``core.exchange.map_blocks`` wave
+    (a bare read is decoded inside its tasks), and key expansion, the
+    blocking exchange and pair scoring are Ray core tasks of
+    ``core.exchange.bucket_exchange`` over the flats' blocks. Any other
+    lazy input is executed once."""
     cfg = cfg or default_doc_config()
 
     def _tick(stage: str, info: dict) -> None:
@@ -372,20 +382,22 @@ def match_documents(
         # the right shape anyway. Consequence (documented at
         # build_doc_index): `blocks_dropped` counts only x-width
         # overflows on the delta path; assignments are unchanged.
-        xk = x_flat.map_batches(key_prepare[0], batch_format="pyarrow")
+        expand = key_prepare[0]
         yset_ref = y_prepared[2] if len(y_prepared) > 2 else None
-        if yset_ref is not None:
 
-            def _prune_x_keys(t: pa.Table) -> pa.Table:
-                ks = ray.get(yset_ref)  # zero-copy plasma numpy
-                k = t["key"].to_numpy()
-                pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
-                return t.filter(pa.array(ks[pos] == k))
+        def _x_keys(t: pa.Table) -> pa.Table:
+            t = expand(t)
+            if yset_ref is None:
+                return t
+            ks = ray.get(yset_ref)  # zero-copy plasma numpy
+            k = t["key"].to_numpy()
+            pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
+            return t.filter(pa.array(ks[pos] == k))
 
-            xk = xk.map_batches(_prune_x_keys, batch_format="pyarrow")
-        xk = xk.materialize()
+        # expansion and pruning in one map_blocks wave over the flats
+        [xk] = map_blocks([x_flat], _x_keys)
         key_parts = ray.get(
-            [_key_partial.remote(r) for r in xk.to_arrow_refs()]
+            [_key_partial.remote(r) for r, _ in block_refs(xk)]
         )
         xkeys = (
             np.unique(np.concatenate(key_parts))
@@ -715,8 +727,6 @@ def match_documents(
             }
         )
 
-    from record_matcher_ray.pipelines.joins import hash_join, semi_join
-
     def finalize_rows(t: pa.Table, dup_ids_s: np.ndarray,
                       dem_ids_s: np.ndarray) -> pa.Table:
         xids = t["__x_id__"].to_numpy()
@@ -755,160 +765,72 @@ def match_documents(
     # a block) are ABSENT from the reduce output; stage D2 surfaces them as
     # UNMATCHED rows so status accounting over assignments never silently
     # loses rows
-    def _unmatched_rows(k: pa.Table) -> pa.Table:
+    def _unmatched_rows(ids: np.ndarray) -> pa.Table:
+        n = len(ids)
         return pa.table(
             {
-                "x_id": k["x_id"].combine_chunks(),
+                "x_id": pa.array(ids, pa.int64()),
                 "match_status": pa.array(
-                    [MATCH_STATUS["unmatched"]] * len(k), pa.string()
+                    [MATCH_STATUS["unmatched"]] * n, pa.string()
                 ),
-                "winner_y_id": pa.array(np.full(len(k), -1, np.int64)),
-                "winner_score": pa.nulls(len(k), pa.float64()),
-                "rows_matched": pa.array([""] * len(k), pa.string()),
-                "match_score": pa.array([""] * len(k), pa.string()),
-                "demoted": pa.array(np.zeros(len(k), bool)),
+                "winner_y_id": pa.array(np.full(n, -1, np.int64)),
+                "winner_score": pa.nulls(n, pa.float64()),
+                "rows_matched": pa.array([""] * n, pa.string()),
+                "match_score": pa.array([""] * n, pa.string()),
+                "demoted": pa.array(np.zeros(n, bool)),
             }
         )
 
+    # Stages C-D2 run in one of two tails that differ in three places:
+    # where the per-x reduce runs, where the winner partials come from and
+    # where finalize runs. Below the cap all three run on the driver's tie
+    # table; above it the reduce is an exchange on x_id (each x's tie rows
+    # from every key group meet in one reduce_bucket call), one task next
+    # to each scored block ships only its numeric winner triples and
+    # scored ids (the tie STRINGS stay behind), and finalize is a
+    # map_blocks over the scored blocks. The rest is one body on driver
+    # arrays.
     if driver_tail:
-        # stages C-D2 on the driver's tie table: the per-x reduce, the
-        # winner triples, the duplicate pass, finalize and the backfill
-        # (a setdiff against the x routing index, sorted asc) — the same
-        # rows as the dataset forms below: reduced rows by x_id, then the
-        # backfilled ids
         scored_tbl = reduce_bucket(tie_tbl)
-        n_scored_rows = len(scored_tbl)
-        driver_d = True
-        pairs_sum, (x_w, y_w, s_w) = _winners(scored_tbl)
+        parts = [_winners(scored_tbl)]
     else:
-        # the per-x reduce over x_id buckets: each x's tie rows from
-        # every key group meet in one reduce_bucket call
         scored = bucket_exchange(pairs, ["x_id"], reduce_bucket, groups)
-        # ONE zero-copy driver pass over the materialized scored blocks
-        # reads everything stage D needs from them: the pairs_scored
-        # counter, the winner triples for the duplicate pass AND the
-        # accepted-pair edges for clustering — each was previously its own
-        # dataset round, ~6-8 s of pure barrier latency per run. Above the
-        # driver cap the distributed forms run instead.
-        n_scored_rows = scored.count()
-        driver_d = n_scored_rows <= 20_000_000  # 3 int64/f64 cols ≈ 480 MB cap
-        if driver_d:
-            # per-block remote partials: n_candidates is summed and the
-            # tie STRINGS are dropped inside a task next to each block, so
-            # only the numeric winner triples reach the driver (r2 pulled
-            # whole scored blocks — single-node-shaped)
-            parts = ray.get(
-                [_winner_partial.remote(r) for r in scored.to_arrow_refs()]
-            )
-            pairs_sum = sum(p[0] for p in parts)
-            wx_p = [p[1][0] for p in parts if len(p[1][0])]
-            wy_p = [p[1][1] for p in parts if len(p[1][1])]
-            ws_p = [p[1][2] for p in parts if len(p[1][2])]
-            x_w = np.concatenate(wx_p) if wx_p else np.empty(0, np.int64)
-            y_w = np.concatenate(wy_p) if wy_p else np.empty(0, np.int64)
-            s_w = np.concatenate(ws_p) if ws_p else np.empty(0, np.float64)
-    if driver_d:
-        counters["pairs_scored"] = pairs_sum
-        _tick("reduce", {"x_with_candidates": n_scored_rows,
-                         "pairs_scored": pairs_sum})
-        flips = resolve_winner_arrays(y_w, s_w, cfg.duplicate_threshold)
-        dup_ids = np.sort(x_w[flips == FLIP_DUPLICATE])
-        dem_ids = np.sort(x_w[flips == FLIP_DEMOTE])
-        _tick("flips", {"n_flips": len(dup_ids) + len(dem_ids)})
-    else:
-        counters["pairs_scored"] = int(sum(ray.get(
-            [_sum_col_partial.remote(r, "n_candidates")
-             for r in scored.to_arrow_refs()]
-        )))
-        _tick("reduce", {"x_with_candidates": n_scored_rows,
-                         "pairs_scored": counters["pairs_scored"]})
-        dup_ids, dem_ids = compute_flips(scored, cfg.duplicate_threshold)
-        _tick("flips", {"n_flips": len(dup_ids) + len(dem_ids)})
+        parts = ray.get(
+            [_winner_partial.remote(r) for r, _ in block_refs(scored)]
+        )
+    n_cand, *cols = zip(_winners(scored_schema.empty_table()), *parts)
+    x_ids, x_w, y_w, s_w = (np.concatenate(c) for c in cols)
+    counters["pairs_scored"] = int(sum(n_cand))
+    _tick("reduce", {"x_with_candidates": len(x_ids),
+                     "pairs_scored": counters["pairs_scored"]})
+    flips = resolve_winner_arrays(y_w, s_w, cfg.duplicate_threshold)
+    dup_ids = np.sort(x_w[flips == FLIP_DUPLICATE])
+    dem_ids = np.sort(x_w[flips == FLIP_DEMOTE])
+    _tick("flips", {"n_flips": len(dup_ids) + len(dem_ids)})
 
     # ---- stage D: duplicate pass + finalize, D2: UNMATCHED backfill -------
+    # the backfill is a setdiff against the x routing index (sorted asc);
+    # its rows follow the finalized ones. Each executed dataset costs ~2 ms
+    # to build (a stats-actor call), so the driver tail builds one.
+    miss = np.setdiff1d(x_route[0], x_ids)
+    counters["x_without_candidates"] = len(miss)
+    backfill = _unmatched_rows(miss)
     if driver_tail:
-        final_tbl = finalize_rows(scored_tbl, dup_ids, dem_ids)
-        _tick("finalize", {"rows": len(final_tbl)})
-        miss_np = np.setdiff1d(x_route[0], scored_tbl["__x_id__"].to_numpy())
-        counters["x_without_candidates"] = len(miss_np)
-        assignments = executed_from_tables([pa.concat_tables([
-            final_tbl,
-            _unmatched_rows(pa.table({"x_id": pa.array(miss_np, pa.int64())})),
-        ])])
+        assignments = executed_from_tables([pa.concat_tables(
+            [finalize_rows(scored_tbl, dup_ids, dem_ids), backfill]
+        )])
     else:
         # broadcast as two SORTED id arrays, not a dict — at multi-mention
         # corpora the flip set is ~|x|/2, and per-batch dict iteration in
         # every finalize task was Python over the whole set
         flips_ref = ray.put((dup_ids, dem_ids))
-
-        def finalize(t: pa.Table) -> pa.Table:
-            return finalize_rows(t, *ray.get(flips_ref))
-
-        assignments = scored.map_batches(
-            finalize, batch_format="pyarrow"
-        ).materialize()
-        _tick("finalize", {"rows": assignments.count()})
-        # Fast path: both id sets are skinny int64 columns of MATERIALIZED
-        # datasets — read them zero-copy from plasma and setdiff on the
-        # driver (the previous semi_join form spent 3 extra pipeline
-        # rounds, pure barrier latency at every corpus size tested).
-        # Above the driver cap fall back to the shuffle forms.
-        n_assigned = assignments.count()  # metadata (materialized above)
-        n_x = x_flat.count()
-        if n_x <= 50_000_000:  # 8 B/id → ≤400 MB of driver reads
-            # the x id set is ALREADY on the driver (x_route[0], the routing
-            # index built above — sorted asc); assignments project x_id via a
-            # per-block task next to each block (r3: the r2 form re-pulled the
-            # whole body-carrying x flats, the worst multi-node offender)
-            got_np = np.concatenate([np.empty(0, np.int64), *(
-                ids for ids, _ in ray.get(
-                    [_id_partial.remote(r, "x_id", [])
-                     for r in assignments.to_arrow_refs()]
-                ))])
-            miss_np = np.setdiff1d(x_route[0], got_np)  # sorted unique
-            backfill_tbl = _unmatched_rows(
-                pa.table({"x_id": pa.array(miss_np, pa.int64())})
-            )
-            counters["x_without_candidates"] = len(miss_np)
-            if len(miss_np):
-                assignments = assignments.union(
-                    ray.data.from_arrow(backfill_tbl)
-                ).materialize()
-        else:  # id sets beyond driver memory: shuffle forms
-            x_ids_only = x_flat.map_batches(
-                lambda t: pa.table({"x_id": pc.cast(t["rid"], pa.int64())}),
-                batch_format="pyarrow",
-            )
-            if n_assigned <= 20_000_000:
-                missing = semi_join(
-                    x_ids_only,
-                    assignments.map_batches(
-                        lambda t: pa.table({"x_id": t["x_id"].combine_chunks()}),
-                        batch_format="pyarrow",
-                    ),
-                    on="x_id",
-                    anti=True,
-                )
-            else:  # broadcast would be GBs — bounded-bucket hash join instead
-                marker = assignments.map_batches(
-                    lambda t: pa.table(
-                        {"x_id_m": t["x_id"].combine_chunks(),
-                         "present": pa.array(np.ones(len(t), np.int8))}
-                    ),
-                    batch_format="pyarrow",
-                )
-                missing = hash_join(
-                    x_ids_only, marker, "x_id", "x_id_m", how="left"
-                ).map_batches(
-                    lambda t: t.filter(pc.is_null(t["present"])).select(["x_id"]),
-                    batch_format="pyarrow",
-                )
-            backfill = missing.map_batches(
-                _unmatched_rows, batch_format="pyarrow"
-            ).materialize()
-            counters["x_without_candidates"] = backfill.count()
-            if counters["x_without_candidates"]:
-                assignments = assignments.union(backfill).materialize()
+        [finalized] = map_blocks(
+            [scored], lambda t: finalize_rows(t, *ray.get(flips_ref))
+        )
+        assignments = concat_executed(
+            [finalized, executed_from_tables([backfill])]
+        )
+    _tick("finalize", {"rows": assignments.count() - len(miss)})
     _tick("assignments", {"rows": assignments.count(),
                           "backfilled": counters["x_without_candidates"]})
 
@@ -918,35 +840,22 @@ def match_documents(
     # registry doc demote to UNMATCHED per reference semantics,
     # matcher.py:433-447) — but those demoted pairs are still true
     # same-entity links, exactly what transitive clustering must connect.
-    if driver_d:
-        # the winner arrays are already on the driver (stage-D pull):
-        # build the edge table directly — no dataset round at all
-        edges = executed_from_tables(
-            [pa.table({"u": pa.array(x_w * 2), "v": pa.array(y_w * 2 + 1)})]
-        )
-        counters["matches_accepted"] = int(len(x_w))
-    else:
-        edges = edges_from_assignments(assignments).materialize()
-        counters["matches_accepted"] = edges.count()
+    edges = executed_from_tables(
+        [pa.table({"u": pa.array(x_w * 2), "v": pa.array(y_w * 2 + 1)})]
+    )
+    counters["matches_accepted"] = int(len(x_w))
     _tick("edges", {"accepted": counters["matches_accepted"]})
 
-    if cluster_edges and driver_d:
-        # edge arrays are already driver-resident — and the winner table is
-        # one row per x (per-x argmax), so the match graph is a forest of
-        # stars: the degree-≤1 specialized kernel applies (one sort +
-        # segmented min, no unique / propagation rounds)
-        from record_matcher_ray.pipelines.cluster import (
-            connected_components_star,
-        )
-
+    clusters = None
+    if cluster_edges:
+        # the winner table is one row per x (per-x argmax), so the match
+        # graph is a forest of stars: the degree-≤1 specialized kernel
+        # applies (one sort + segmented min, no unique / propagation
+        # rounds)
         nodes, roots = connected_components_star(x_w * 2, y_w * 2 + 1)
         clusters = executed_from_tables(
             [pa.table({"node": pa.array(nodes), "component": pa.array(roots)})]
         )
-    elif cluster_edges:
-        clusters = connected_components(edges)
-    else:
-        clusters = None
     _tick("clustering", {"enabled": cluster_edges})
     return DocMatchResult(assignments, edges, clusters, counters)
 

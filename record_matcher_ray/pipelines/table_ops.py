@@ -401,20 +401,8 @@ def grouped_quantiles(
     if any(not 0.0 <= q <= 1.0 for q in qs):
         raise ValueError(f"quantiles must be in [0, 1], got {qs}")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # r3: per-column numpy hashes folded with splitmix64 — the r2 form
-        # ran a PER-ROW Python "\x1f".join over the group tuple
-        from record_matcher_ray.core.hashkernels import column_hash64, mix64
-
-        h = np.zeros(len(t), np.uint64)
-        with np.errstate(over="ignore"):
-            for c in group_cols:
-                h = mix64(
-                    h * np.uint64(0x9E3779B97F4A7C15) ^ column_hash64(t[c])
-                )
-        return t.append_column("__qb__", pa.array(bucket_ids(h, n_buckets)))
-
-    def bucket_quantiles(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_quantiles(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         vals = df[value_col].to_numpy(dtype=np.float64)
         codes, _ = pd.factorize(
             df[group_cols].astype(str).agg("\x1f".join, axis=1).to_numpy()
@@ -436,13 +424,9 @@ def grouped_quantiles(
             out[f"q_{int(round(q * 100))}"] = np.round(
                 v_s[lo] * (1 - frac) + v_s[hi] * frac, 6
             )
-        return pd.DataFrame(out)
+        return pa.Table.from_pandas(pd.DataFrame(out), preserve_index=False)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__qb__")
-        .map_groups(bucket_quantiles, batch_format="pandas")
-    )
+    return bucket_exchange(ds, group_cols, bucket_quantiles, n_buckets)
 
 
 def latest_by_key(

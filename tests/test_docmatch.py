@@ -610,30 +610,34 @@ def test_docmatch_counters_pinned(ray_session, corpus_dir, cap):
 
 
 def test_docmatch_barrier_budget(ray_session, corpus_dir, executions):
-    """Below reduce_driver_cap one match_documents call, with its
-    assignments, edges and clusters read back, runs no Ray Data
-    execution when x and y are bare reads or in-memory sources: the two
-    flats are one map_blocks task wave (a bare read is decoded inside
-    its tasks), key expansion, the blocking exchange and pair scoring are
-    Ray core tasks over the flats' blocks, and everything after them runs
-    on the driver's tie table and comes back as executed datasets. A
-    lazy input with an op after its read is executed once, with no
-    Sort, Repartition or Aggregate operator. Each execution costs ~0.1 s
-    of fixed latency on a 1-CPU host, more than all the scoring of a few
-    thousand docs."""
+    """One match_documents call, with its assignments, edges and clusters
+    read back, runs no Ray Data execution when x and y are bare reads or
+    in-memory sources, on either side of reduce_driver_cap: the two flats
+    are one map_blocks task wave (a bare read is decoded inside its
+    tasks), key expansion, the blocking exchange and pair scoring are Ray
+    core tasks over the flats' blocks, and the tail either runs on the
+    driver's tie table or as core tasks over the scored blocks, its
+    outputs executed datasets. A lazy input with an op after its read is
+    executed once, with no Sort, Repartition or Aggregate operator. Each
+    execution costs ~0.1 s of fixed latency on a 1-CPU host, more than
+    all the scoring of a few thousand docs."""
     import ray.data as rd
 
     from record_matcher_ray.pipelines.docmatch import match_documents
 
-    def run(read):
+    def run(read, **kw):
         x, y = (read(f"{corpus_dir}/{n}.parquet") for n in ("corpus", "registry"))
         with executions() as plans:
-            outs = _docmatch_outputs(match_documents(x, y))
+            outs = _docmatch_outputs(match_documents(x, y, **kw))
         return outs, plans
 
     want, plans = run(rd.read_parquet)
     assert plans == [], plans
     assert want[3]["matches_accepted"] > 0
+    # the distributed tail: the per-x reduce through its exchange
+    got, plans = run(rd.read_parquet, reduce_driver_cap=0)
+    assert plans == [], plans
+    _assert_same_outputs(got, want, "reduce_driver_cap=0")
     got, plans = run(lambda p: rd.from_arrow(pq.read_table(p)))
     assert plans == [], plans
     _assert_same_outputs(got, want, "from_arrow")
@@ -645,6 +649,30 @@ def test_docmatch_barrier_budget(ray_session, corpus_dir, executions):
         if any(w in o for o in p for w in ("Sort", "Repartition", "Aggregate"))
     ], plans
     assert got[3] == want[3]
+
+
+def test_warm_delta_runs_no_execution(ray_session, corpus_dir, tmp_path, executions):
+    """Against a warm registry index a delta call over a bare read runs
+    no Ray Data execution: the x keys are expanded and pruned in one
+    map_blocks wave over the flats. Its outputs equal the first call's."""
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.docmatch import match_documents_delta
+
+    def run():
+        x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
+        y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
+        with executions() as plans:
+            res = match_documents_delta(x, y, str(tmp_path / "regidx"),
+                                        fingerprint="warm")
+            outs = _docmatch_outputs(res)
+        return outs, plans
+
+    first, _ = run()
+    assert first[3]["matches_accepted"] > 0
+    got, plans = run()
+    assert plans == [], plans
+    _assert_same_outputs(got, first, "warm delta")
 
 
 def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):

@@ -453,6 +453,46 @@ def test_block_refs_lets_a_lazy_input_go_past_max_rows(ray_session, executions):
     assert block_refs(src, 299) is None
 
 
+def test_concat_executed_keeps_block_order_without_execution(ray_session, executions):
+    """concat_executed chains executed datasets block by block: the rows
+    keep their order, neither the concat nor reading it starts a Ray Data
+    execution, and an empty list gives a dataset without rows."""
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import (
+        bucket_exchange,
+        concat_executed,
+        executed_from_tables,
+    )
+
+    df = _frame()
+    parts = [
+        executed_from_tables([pa.Table.from_pandas(df.iloc[:100],
+                                                   preserve_index=False)]),
+        # a materialized lazy plan: blocks with plain BlockMetadata
+        rd.from_pandas(df.iloc[100:200]).map_batches(
+            lambda b: b, batch_format="pyarrow").materialize(),
+        executed_from_tables([pa.Table.from_pandas(df.iloc[200:],
+                                                   preserve_index=False)]),
+    ]
+    with executions() as plans:
+        out = concat_executed(parts)
+        got = out.to_pandas()
+        assert out.count() == 300 and out.num_blocks() == 3
+    assert plans == []
+    assert got["v"].tolist() == list(range(300))
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), df)
+    summed = bucket_exchange(rd.from_pandas(df), ["k"], _per_key_sums(["k"]), 7)
+    with executions() as plans:
+        both = concat_executed([summed, parts[0]])
+        assert both.count() == summed.count() + 100
+    assert plans == []
+    with executions() as plans:
+        empty = concat_executed([])
+        assert empty.count() == 0 and empty.num_blocks() == 0
+    assert plans == []
+
+
 def test_bucket_ids_range_and_stability():
     from record_matcher_ray.core.exchange import bucket_ids
 
@@ -488,6 +528,27 @@ def test_no_pipeline_computes_its_own_bucket():
     assert not found, (
         "bucket ids must come from core.exchange (bucket_exchange / "
         f"bucket_ids): {found}"
+    )
+
+
+# calls of bucket_ids under pipelines/ per file: each is a hand-rolled
+# bucket step that bucket_exchange could own. A count may go down, never up.
+_BUCKET_IDS_CALLS = {
+    "graph.py": 1, "joins.py": 1, "linkage.py": 1, "relational.py": 3,
+    "sampling.py": 1, "similarity.py": 1, "table_ops.py": 2, "terms.py": 1,
+}
+
+
+def test_bucket_ids_calls_do_not_grow():
+    got = {
+        path.name: path.read_text().count("bucket_ids(")
+        for path in sorted(PIPELINES.glob("*.py"))
+    }
+    grown = {name: n for name, n in got.items()
+             if n > _BUCKET_IDS_CALLS.get(name, 0)}
+    assert not grown, (
+        f"new bucket_ids calls under pipelines/ (route the step through "
+        f"core.exchange.bucket_exchange): {grown}"
     )
 
 

@@ -74,7 +74,7 @@ def _q_orders_anti_building(sf_dir: str):
 def _q_events_in_window(sf_dir: str):
     """Equi+range self join: non-signup events inside the 10 minutes after
     a signup by the SAME user, then a tiny aggregate. Shuffle key is a
-    hash bucket of the equi key; each bucket joins in one Acero call +
+    hash of the equi key; each exchange call joins in one Acero call +
     vectorized range filter; the per-pair aggregate is pre-reduced per
     block (integer cents so the sum is order-independent and hash-exact
     vs DuckDB)."""

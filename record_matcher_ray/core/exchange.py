@@ -3,14 +3,14 @@
 Every blocked stage has the same shape: hash a key, co-locate the rows
 that share it, and run a vectorized function over each co-located set.
 Grouping directly on a high-cardinality key costs one Python call per
-distinct value (~0.3 ms each, CLAUDE.md), so the key is hashed into at
-most ``n_buckets`` buckets and the function sees one whole bucket at a
-time, holding many keys. This module owns that decision: how a key
-becomes a bucket id (:func:`bucket_ids`), how rows reach their bucket
-(:func:`bucket_exchange`), and how many tasks and key groups an exchange
-is laid out over (:func:`default_tasks`, :func:`task_layout`). Stages
-that run their own Ray core tasks over a dataset's blocks read them with
-:func:`block_refs` and wrap their outputs with :func:`executed_from_refs`
+distinct value (~0.3 ms each), so the function sees runs of
+many keys at a time, sized from the rows the exchange holds: no caller
+picks a bucket count. This module owns that decision: how a key becomes
+a bucket id (:func:`bucket_ids`), how rows reach their bucket and how
+``fn`` calls are cut (:func:`bucket_exchange`), and how many tasks an
+exchange runs (:func:`default_tasks`). Stages that run their own Ray
+core tasks over a dataset's blocks read them with :func:`block_refs` and
+wrap their outputs with :func:`executed_from_refs`
 (:func:`concat_executed` chains such results); :func:`map_blocks` maps a
 function over whole inputs that way, a bare read included. Every import
 of Ray Data internals lives in this module.
@@ -38,42 +38,23 @@ from record_matcher_ray.core.hashkernels import column_hash64, mix64
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _BUCKET = "__bucket__"
-# docs per key group before a corpus earns more groups than tasks. A
-# group is one scoring call whose working set grows with its docs, while
-# each extra group re-gathers the strings of docs it shares with others.
-# Median of 2-4 runs on a 1-CPU host, 100k-entity corpus (330k docs),
-# groups → wall / peak RSS: 2 → 35 s / 3.0 GB, 8 → 37 s / 2.4 GB, 32 →
-# 45 s / 2.3 GB, 64 → 57 s / 2.3 GB; 256 groups over 64 tasks → 66 s /
-# 2.5 GB.
-_DOCS_PER_GROUP = 16384
+# the private bucket space keys hash into; partitions are runs of it
+_SPACE = 1 << 20
+# rows of a reduce task per fn call, cut at the next bucket change. A
+# call's working set grows with its rows, while each extra call pays a
+# fixed cost and re-gathers the strings its keys share with others.
+# docmatch measured its best point at 16384 docs per call (100k-entity
+# corpus, 330k docs, 1 CPU: 2 → 32 calls took 35 → 45 s but 3.0 → 2.3 GB
+# peak RSS, 256 calls 66 s / 2.5 GB), ~20 keys each: about 2^18 rows.
+_ROWS_PER_CALL = 1 << 18
 
 
-def default_tasks(tasks: int | None = None) -> int:
+def default_tasks() -> int:
     """The most map-side tasks per input of ``bucket_exchange`` and the
-    most partitions it cuts its buckets into: ``tasks`` when the caller
-    passes one, else 2 per cluster CPU; floor 1. An exchange makes (map
-    tasks × partitions) objects, so a count sized for a bigger cluster
-    is pure overhead on a small one."""
-    if tasks is None:
-        tasks = 2 * int(ray.cluster_resources().get("CPU", 1))
-    return max(1, int(tasks))
-
-
-def task_layout(
-    n_docs: int, n_buckets: int, tasks: int | None = None
-) -> tuple[int, int]:
-    """docmatch's layout → ``(tasks, groups)``: ``default_tasks(tasks)``
-    and the number of key-hash groups (one ``map_groups`` call each), the
-    smallest power of two ≥ ``max(tasks, ceil(n_docs / 16384))``, capped
-    at ``n_buckets``. Work is split in proportion to the CPUs and the
-    corpus that will process it, never to a fixed count: at 1 CPU and a
-    few thousand docs this is 2 tasks and 2 groups; 330k docs get 32
-    groups, and from ~2.1M docs on the groups reach 256.
-
-    Callers must give results that do not depend on the layout."""
-    tasks = default_tasks(tasks)
-    want = max(tasks, -(-int(n_docs) // _DOCS_PER_GROUP))
-    return tasks, max(1, min(1 << (want - 1).bit_length(), int(n_buckets)))
+    partitions it cuts its buckets into: 2 per cluster CPU, floor 1. An
+    exchange makes (map tasks × partitions) objects, so a count sized for
+    a bigger cluster is pure overhead on a small one."""
+    return max(1, 2 * int(ray.cluster_resources().get("CPU", 1)))
 
 
 def bucket_ids(h: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -111,7 +92,6 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
 def _exchange_map(
     prepare: Callable[[pa.Table], pa.Table] | None,
     keys: list[str],
-    n_buckets: int,
     parts: int,
     *blocks,
 ) -> pa.Table | list[pa.Table]:
@@ -129,24 +109,36 @@ def _exchange_map(
     if not tables:
         return pa.table({}) if parts == 1 else [pa.table({})] * parts
     t = _concat(tables).replace_schema_metadata(None)
-    b = bucket_ids(_key_hash(t, keys), n_buckets)
+    b = bucket_ids(_key_hash(t, keys), _SPACE)
     order = np.argsort(b, kind="stable")
     t = t.append_column(_BUCKET, pa.array(b)).take(order)
-    # partition p holds the whole buckets [p*n_buckets//parts, ...)
+    # partition p holds the whole buckets [p*_SPACE//parts, ...)
     cuts = np.searchsorted(
-        b[order], [i * n_buckets // parts for i in range(parts + 1)]
+        b[order], [i * _SPACE // parts for i in range(parts + 1)]
     )
     out = [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
     return out[0] if parts == 1 else out  # one return is not a list
 
 
+def _call_cuts(b: np.ndarray, rows: int) -> list[int]:
+    """Row offsets that cut the bucket-sorted ids ``b`` into ``fn`` calls:
+    each call ends at the first bucket change at or after ``rows`` rows,
+    so only the last one holds fewer."""
+    changes = np.flatnonzero(b[1:] != b[:-1]) + 1
+    cuts = [0]
+    while (i := np.searchsorted(changes, cuts[-1] + rows)) < len(changes):
+        cuts.append(int(changes[i]))
+    return [*cuts, len(b)]
+
+
 @ray.remote(num_returns=2)
 def _exchange_reduce(
-    fn: Callable[[pa.Table], pa.Table], *slices: pa.Table
+    fn: Callable[[pa.Table], pa.Table], rows: int, *slices: pa.Table
 ) -> tuple[pa.Table, BlockMetadataWithSchema]:
-    """Reduce side of :func:`bucket_exchange` for one partition: cut its
-    slices at bucket changes and call ``fn`` once per non-empty bucket.
-    → the concatenated outputs and their block metadata."""
+    """Reduce side of :func:`bucket_exchange` for one partition: sort its
+    slices by bucket and call ``fn`` on runs of whole buckets of about
+    ``rows`` rows (:func:`_call_cuts`). → the concatenated outputs and
+    their block metadata."""
     slices = [s for s in slices if s.num_rows]
     if not slices:
         empty = pa.table({})
@@ -156,7 +148,7 @@ def _exchange_reduce(
     if (b[1:] < b[:-1]).any():  # each slice is sorted, their concat is not
         order = np.argsort(b, kind="stable")
         t, b = t.take(order), b[order]
-    cuts = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(t)]
+    cuts = _call_cuts(b, rows)
     body = t.drop_columns([_BUCKET])
     outs = [
         fn(body.slice(lo, hi - lo)).replace_schema_metadata(None)
@@ -326,12 +318,11 @@ def bucket_exchange(
     ds: ray.data.Dataset | list[ray.data.Dataset],
     keys: list[str],
     fn: Callable[[pa.Table], pa.Table],
-    n_buckets: int,
     prepare: "Callable[[pa.Table], pa.Table] | list | None" = None,
 ) -> MaterializedDataset:
     """Co-locate the rows of ``ds`` that share the value tuple of ``keys``
-    and return the union of ``fn`` over each bucket, EAGERLY: the call
-    runs the exchange and returns a ``MaterializedDataset``.
+    and return the union of ``fn`` over runs of whole keys, EAGERLY: the
+    call runs the exchange and returns a ``MaterializedDataset``.
 
     A list of datasets is co-grouped (the sides of a join). ``prepare``
     (one callable, or one per input, ``None`` for none) maps each input
@@ -340,34 +331,38 @@ def bucket_exchange(
     execution of its own. The inputs' prepared schemas may differ: a
     bucket holds the union of their columns, null where a side lacks one.
 
-    ``fn`` is called once per non-empty bucket with one pyarrow table:
-    every row whose key tuple hashes to that bucket (null keys all land
-    together), in input order, without schema metadata. A bucket mixes
-    many keys, so ``fn`` separates them itself (sort + boundary diff).
-    Schema metadata is stripped on both sides of ``fn``: a ``pa.Schema``
-    carrying parquet or pandas metadata is unhashable, and Ray then warns
-    "Failed to hash the schemas" and unifies block schemas on a slow path.
+    No caller picks a layout. Keys hash into one private bucket space;
+    each reduce task sorts its rows by bucket and calls ``fn`` on
+    consecutive runs of whole buckets, cutting at the first bucket change
+    at or after every ``_ROWS_PER_CALL`` rows it holds (after
+    ``prepare``). So ``fn`` sees every row of a key tuple in one call
+    (null keys all land together), in input order, without schema
+    metadata, and one call mixes many keys: ``fn`` separates them itself
+    (sort + boundary diff), and its result must not depend on which keys
+    share a call. Schema metadata is stripped on both sides of ``fn``: a
+    ``pa.Schema`` carrying parquet or pandas metadata is unhashable, and
+    Ray then warns "Failed to hash the schemas" and unifies block schemas
+    on a slow path.
 
     The exchange is plain Ray tasks over the inputs' block refs (an input
     that is not materialized yet is materialized once): at most
     ``default_tasks()`` map tasks per input, each over a contiguous run
-    of blocks, split every row to one of ``min(n_buckets,
-    default_tasks())`` partitions of whole buckets, and one reduce task
-    per partition calls ``fn`` on its buckets. A partition that ends with
-    no rows is dropped, so the result never holds an empty block unless
-    every partition is empty."""
+    of blocks, split every row to one of ``default_tasks()`` partitions
+    of whole buckets, and one reduce task per partition calls ``fn``. A
+    partition that ends with no rows is dropped, so the result never
+    holds an empty block unless every partition is empty."""
     inputs = ds if isinstance(ds, list) else [ds]
     preps = prepare if isinstance(prepare, list) else [prepare] * len(inputs)
-    parts = min(int(n_buckets), default_tasks())
+    parts = default_tasks()
     slices = []  # per map task: its `parts` slice refs
     for d, prep in zip(inputs, preps):
-        for run in _runs(block_refs(d), default_tasks()):
+        for run in _runs(block_refs(d), parts):
             task = _exchange_map.options(num_returns=parts).remote(
-                prep, keys, n_buckets, parts, *run
+                prep, keys, parts, *run
             )
             slices.append([task] if parts == 1 else task)
     reduced = [
-        _exchange_reduce.remote(fn, *[s[p] for s in slices])
+        _exchange_reduce.remote(fn, _ROWS_PER_CALL, *[s[p] for s in slices])
         for p in range(parts if slices else 0)
     ]
     outs = list(zip([o for o, _ in reduced], ray.get([m for _, m in reduced])))

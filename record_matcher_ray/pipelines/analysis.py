@@ -926,7 +926,6 @@ def line_dedup(
     id_col: str = "doc_id",
     *,
     min_df: int = 2,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """CCNet-style line-level boilerplate removal (Wenzek et al. 2020):
     drop every line that appears in ≥ ``min_df`` DISTINCT documents
@@ -937,7 +936,7 @@ def line_dedup(
 
     Scale shape — NO broadcast (the boilerplate line set is itself
     corpus-sized on the web): two bounded hash exchanges. Lines route
-    by line-hash bucket (≤``n_buckets`` groups) where exact in-bucket
+    by line hash, where exact in-bucket
     document frequencies come from the dictionary-encode +
     boundary-diff kernel; surviving and dropped line markers then route
     BACK by doc-hash bucket and each document reassembles from
@@ -1008,11 +1007,8 @@ def line_dedup(
             "n_removed": pa.array(n_rm, pa.int64()),
         })
 
-    marked = bucket_exchange(
-        ds.map_batches(explode, batch_format="pyarrow"), ["line"], census,
-        n_buckets,
-    )
-    return bucket_exchange(marked, ["doc"], reassemble, n_buckets)
+    marked = bucket_exchange(ds, ["line"], census, prepare=explode)
+    return bucket_exchange(marked, ["doc"], reassemble)
 
 
 def chunk_documents(

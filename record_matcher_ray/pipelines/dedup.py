@@ -58,25 +58,25 @@ def _tuple_groups_sorted(t: pa.Table, columns: list[str], id_col: str):
 
 
 def exact_dedup(
-    ds: ray.data.Dataset, columns: list[str], id_col: str, n_buckets: int = 256
+    ds: ray.data.Dataset, columns: list[str], id_col: str
 ) -> ray.data.Dataset:
     """Keep the min-id row per distinct value tuple of ``columns``.
-    Hash-partition on a bounded bucket of the tuple + one vectorized
-    Arrow sort+boundary-diff per bucket (SURVEY.md §7.3)."""
+    Hash-partition on the tuple + one vectorized Arrow sort+boundary-diff
+    per ``fn`` call of many tuples (SURVEY.md §7.3)."""
 
     def pick(t: pa.Table) -> pa.Table:
         order, first, _ = _tuple_groups_sorted(t, columns, id_col)
         return t.take(pa.array(order[first]))
 
-    return bucket_exchange(ds, columns, pick, n_buckets)
+    return bucket_exchange(ds, columns, pick)
 
 
 def exact_dup_groups(
-    ds: ray.data.Dataset, columns: list[str], id_col: str, n_buckets: int = 256
+    ds: ray.data.Dataset, columns: list[str], id_col: str
 ) -> ray.data.Dataset:
     """→ (keeper_id, dup_id) pairs for every exact-duplicate row; keeper is
-    the min id per value tuple. One bounded-bucket shuffle, vectorized
-    group-first inside each bucket."""
+    the min id per value tuple. One hash exchange, vectorized group-first
+    inside each call."""
 
     def pairs(t: pa.Table) -> pa.Table:
         _, first, ids_s = _tuple_groups_sorted(t, columns, id_col)
@@ -87,15 +87,15 @@ def exact_dup_groups(
         return pa.table({"keeper_id": pa.array(keeper[dup]),
                          "dup_id": pa.array(ids_s[dup])})
 
-    return bucket_exchange(ds, columns, pairs, n_buckets)
+    return bucket_exchange(ds, columns, pairs)
 
 
 def tuple_representatives(
-    ds: ray.data.Dataset, columns: list[str], id_col: str, n_buckets: int = 256
+    ds: ray.data.Dataset, columns: list[str], id_col: str
 ) -> ray.data.Dataset:
     """→ (id, rep) for EVERY row: rep = min id among rows sharing the
     exact value tuple of ``columns`` (singletons map to themselves).
-    Same bounded-bucket exchange as exact_dup_groups; feeds
+    Same exchange as exact_dup_groups; feeds
     sampling.leakage_safe_split so all copies of a document land on the
     same train/val/test side."""
 
@@ -106,13 +106,13 @@ def tuple_representatives(
         rep = np.repeat(ids_s[bounds], sizes)
         return pa.table({id_col: pa.array(ids_s), "rep": pa.array(rep)})
 
-    return bucket_exchange(ds, columns, reps, n_buckets)
+    return bucket_exchange(ds, columns, reps)
 
 
 class _MinhashKeys:
     """Stateless band-key emitter with per-process-cached permutation state.
     Emits (int64 band_key, id); the downstream exchange groups per hash
-    BUCKET of band_key (≈n_buckets vectorized calls), never per band key.
+    run of many band keys (one vectorized call each), never per band key.
     Whole-batch vectorized: shingles, signatures and band keys all come
     from the flat-buffer kernels in core.hashkernels — the
     round-1 per-doc/per-band Python loop is gone. Docs with no shingles
@@ -199,7 +199,7 @@ def _group_pairs(
     return id_s[a_pos], id_s[b_pos]
 
 
-def _dedupe_pairs_bucketed(pairs: ray.data.Dataset, n_buckets: int = 256) -> ray.data.Dataset:
+def _dedupe_pairs_bucketed(pairs: ray.data.Dataset) -> ray.data.Dataset:
     """Distinct (a, b) via hash-bucketed groupby + local vectorized dedupe
     (a per-(a,b) groupby would make one Python call per pair)."""
 
@@ -211,7 +211,7 @@ def _dedupe_pairs_bucketed(pairs: ray.data.Dataset, n_buckets: int = 256) -> ray
         first = np.concatenate(([True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])))
         return pa.table({"a": pa.array(a_s[first]), "b": pa.array(b_s[first])})
 
-    return bucket_exchange(pairs, ["a", "b"], local_dedupe, n_buckets)
+    return bucket_exchange(pairs, ["a", "b"], local_dedupe)
 
 
 def minhash_candidates(
@@ -224,7 +224,6 @@ def minhash_candidates(
     shingle: int = 4,
     seed: int = 1,
     max_bucket: int = 200,
-    n_buckets: int = 256,
     distinct: bool = True,
 ) -> ray.data.Dataset:
     """→ candidate pairs (a, b), a < b, sharing any LSH band. Band
@@ -234,12 +233,12 @@ def minhash_candidates(
     (minhash_dedup's estimate prefilter) dedupe the much smaller
     SURVIVOR set instead."""
     pairs = bucket_exchange(
-        ds, ["band_key"], _bucket_pairs_fn(max_bucket), n_buckets,
+        ds, ["band_key"], _bucket_pairs_fn(max_bucket),
         prepare=_MinhashKeys(text_col, id_col, num_perm, bands, shingle, seed),
     )
     if not distinct:
         return pairs
-    return _dedupe_pairs_bucketed(pairs, n_buckets)
+    return _dedupe_pairs_bucketed(pairs)
 
 
 def _bucket_pairs_fn(max_bucket: int, est=None):
@@ -438,7 +437,6 @@ def _candidates_from_comb(
     *,
     bands: int,
     max_bucket: int,
-    n_buckets: int,
     distinct: bool,
     est=None,
 ) -> ray.data.Dataset:
@@ -467,10 +465,9 @@ def _candidates_from_comb(
         )
 
     pairs = bucket_exchange(
-        comb.map_batches(keys_fn, batch_format="pyarrow"), ["band_key"],
-        _bucket_pairs_fn(max_bucket, est), n_buckets,
+        comb, ["band_key"], _bucket_pairs_fn(max_bucket, est), prepare=keys_fn,
     )
-    return _dedupe_pairs_bucketed(pairs, n_buckets) if distinct else pairs
+    return _dedupe_pairs_bucketed(pairs) if distinct else pairs
 
 
 @ray.remote(num_cpus=0)
@@ -625,7 +622,6 @@ def minhash_dedup(
         sh_ids, sh_blk, sh_pos, sig_u8 = _routing_index(block_refs)
         _tick("collect", {"docs_indexed": int(len(sh_ids))})
         route_ref = ray.put((sh_ids, sh_blk, sh_pos))
-        n_bk = kw.get("n_buckets", 256)
         est = None
         if estimate_margin is not None:
             # the estimate prefilter is FUSED into pair emission (see
@@ -640,7 +636,6 @@ def minhash_dedup(
             comb,
             bands=kw.get("bands", 16),
             max_bucket=kw.get("max_bucket", 200),
-            n_buckets=n_bk,
             distinct=True,
             est=est,
         )
@@ -938,7 +933,6 @@ def simhash_near_dups(
     *,
     shingle: int = 4,
     max_hamming: int = 3,
-    n_buckets: int = 256,
     max_bucket: int = 20_000,
 ) -> ray.data.Dataset:
     """Near-dup pairs by SimHash Hamming distance: → (id_a, id_b, hamming)
@@ -950,13 +944,13 @@ def simhash_near_dups(
     EXACTLY on at least one band, so banding has 100% recall (the verify
     step only removes false positives). Scale shape: each doc emits
     ``max_hamming + 1`` (band_key, id, fp) rows; band-key groups are
-    hash-bucketed (≤``n_buckets`` Python group calls) with vectorized pair
-    emission, and the fingerprint rides the exchange (8 bytes/doc/band) so
-    verification is local — no second lookup join. Band groups larger
-    than ``max_bucket`` (degenerate fingerprints, e.g. boilerplate) are
-    skipped, like minhash_candidates' hot-bucket cap. Docs whose
-    normalized text is empty (fingerprint 0) are excluded — every empty
-    doc would otherwise pair with every other.
+    hash-exchanged (one Python call per run of many groups) with vectorized
+    pair emission, and the fingerprint rides the exchange (8 bytes/doc/band) so
+    verification is local — no second lookup join. Band groups larger than
+    ``max_bucket`` (degenerate fingerprints, e.g. boilerplate) are skipped,
+    like minhash_candidates' hot-bucket cap. Docs whose normalized text is
+    empty (fingerprint 0) are excluded — every empty doc would otherwise pair
+    with every other.
     """
     n_bands = max_hamming + 1
     base_w, extra = divmod(64, n_bands)
@@ -1014,10 +1008,7 @@ def simhash_near_dups(
              "hamming": pa.array(ham[keep])}
         )
 
-    cand = bucket_exchange(
-        fp_ds.map_batches(expand, batch_format="pyarrow"), ["band_key"],
-        bucket_pairs, n_buckets,
-    )
+    cand = bucket_exchange(fp_ds, ["band_key"], bucket_pairs, prepare=expand)
 
     # a pair can surface from several bands — dedupe on (a, b), keeping the
     # (identical) hamming of the first occurrence
@@ -1040,7 +1031,7 @@ def simhash_near_dups(
              "hamming": pa.array(h_s[first])}
         )
 
-    return bucket_exchange(cand, ["a", "b"], dedupe, n_buckets)
+    return bucket_exchange(cand, ["a", "b"], dedupe)
 
 
 def ngram_jaccard_dedup(
@@ -1050,7 +1041,6 @@ def ngram_jaccard_dedup(
     *,
     shingle: int = 4,
     jaccard_threshold: float = 60.0,
-    n_buckets: int = 256,
     max_doc_freq: int | None = None,
     max_broadcast_docs: int = 50_000_000,
     metric: str = "jaccard",
@@ -1183,10 +1173,9 @@ def ngram_jaccard_dedup(
         )
 
     partials = bucket_exchange(
-        sh.map_batches(explode, batch_format="pyarrow"), ["gram"],
-        bucket_pair_counts, n_buckets,
+        sh, ["gram"], bucket_pair_counts, prepare=explode,
     )
-    return bucket_exchange(partials, ["a", "b"], sum_and_score, n_buckets)
+    return bucket_exchange(partials, ["a", "b"], sum_and_score)
 
 
 def ngram_jaccard_decontam(
@@ -1383,7 +1372,6 @@ def exact_dedup_keep_best(
     columns: list[str],
     id_col: str,
     pref_col: str,
-    n_buckets: int = 256,
     emit_all: bool = False,
 ) -> ray.data.Dataset:
     """Policy dedup where the keeper is the group row with the HIGHEST
@@ -1396,9 +1384,9 @@ def exact_dedup_keep_best(
     assignment (singletons map to themselves, the
     `tuple_representatives` shape).
 
-    Scale shape: identical to `exact_dup_groups` — ONE bounded
-    ≤``n_buckets`` tuple-hash exchange, winner selection vectorized per
-    bucket (sort + group-transform, never per distinct value).
+    Scale shape: identical to `exact_dup_groups` — ONE tuple-hash
+    exchange, winner selection vectorized per ``fn`` call (sort +
+    group-transform, never per distinct value).
     """
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -1414,7 +1402,7 @@ def exact_dedup_keep_best(
         dup = ids != keeper
         return pa.table({"keeper_id": keeper[dup], "dup_id": ids[dup]})
 
-    return bucket_exchange(ds, columns, pairs, n_buckets)
+    return bucket_exchange(ds, columns, pairs)
 
 
 def capture_recapture_dup_estimate(

@@ -49,7 +49,6 @@ from record_matcher_ray.core.exchange import (
     concat_executed,
     executed_from_tables,
     map_blocks,
-    task_layout,
 )
 from record_matcher_ray.core.kernel import MATCH_STATUS, score_pairs_flat
 from record_matcher_ray.pipelines import table_ops
@@ -299,9 +298,7 @@ def match_documents(
     max_block_side: int = 32,
     cluster_edges: bool = True,
     progress: "Callable[[str, dict], None] | None" = None,
-    n_buckets: int = 256,
     reduce_driver_cap: int = 500_000,
-    shuffle_partitions: int | None = None,
     y_prepared: "tuple[ray.data.Dataset, ray.data.Dataset] | None" = None,
 ) -> DocMatchResult:
     """x_docs / y_docs: (doc_id, spans) tables (corpus schema). Returns
@@ -321,13 +318,6 @@ def match_documents(
     ``max_block_side``: a key whose x width or y width exceeds it is
     dropped (counted in ``blocks_dropped``). Both widths are the key's
     widths over the whole of this call's input.
-
-    ``n_buckets``: the UPPER BOUND on the key-hash groups stage B scores
-    (one ``score_bucket`` call each). The run takes its group count from
-    :func:`core.exchange.task_layout` — at least ``shuffle_partitions``
-    (default: 2 per cluster CPU), one per 16384 docs, rounded up to a
-    power of two — and caps it here. Both only decide how the work is
-    cut; results do not depend on them.
 
     ``reduce_driver_cap``: when stage B emits at most this many tie rows
     they are pulled to the driver once, and the per-x reduce, the winner
@@ -360,11 +350,6 @@ def match_documents(
         [x_flat], y_flat = _flats([x_docs], carry), y_prepared[0]
     n_x_total = x_flat.count()
     n_y_total = y_flat.count()
-    # the key-hash group count follows the cluster and the corpus
-    # (core.exchange.task_layout); each group is one score_bucket call
-    _, groups = task_layout(
-        n_x_total + n_y_total, n_buckets, shuffle_partitions
-    )
     # key expansion runs inside the stage-B exchange's map tasks, over the
     # materialized flats (no Ray Data execution of its own)
     key_inputs = [x_flat, y_flat]
@@ -585,17 +570,13 @@ def match_documents(
             n_dropped,
         )
 
-    # One score_bucket call per key-hash group: bucket_exchange's map
-    # tasks expand each flat block's keys and hash them to `groups`
-    # buckets, and its reduce tasks (2 per CPU) call score_bucket once per
-    # non-empty group. Too many groups and the calls' fixed costs dominate
-    # (256 groups on a 1-CPU host, ~3k docs: 7.4 s of pair scoring for
-    # 35,795 pairs), too few and a call's working set grows with the
-    # corpus; core.exchange.task_layout grows groups with the corpus (1
-    # per 16384 docs) up to n_buckets. The stage-B output (tie rows only)
-    # comes back materialized: the one barrier after the flats.
+    # bucket_exchange's map tasks expand each flat block's keys, and its
+    # reduce tasks (2 per CPU) call score_bucket on runs of whole keys
+    # sized by their key rows (core.exchange._ROWS_PER_CALL). The stage-B
+    # output (tie rows only) comes back materialized: the one barrier
+    # after the flats.
     pairs = bucket_exchange(
-        key_inputs, ["key"], score_bucket, groups, prepare=key_prepare
+        key_inputs, ["key"], score_bucket, prepare=key_prepare
     )
     n_tie_rows = pairs.count()
     driver_tail = n_tie_rows <= reduce_driver_cap
@@ -794,7 +775,7 @@ def match_documents(
         scored_tbl = reduce_bucket(tie_tbl)
         parts = [_winners(scored_tbl)]
     else:
-        scored = bucket_exchange(pairs, ["x_id"], reduce_bucket, groups)
+        scored = bucket_exchange(pairs, ["x_id"], reduce_bucket)
         parts = ray.get(
             [_winner_partial.remote(r) for r, _ in block_refs(scored)]
         )
@@ -903,15 +884,15 @@ def match_documents_checkpointed(
     partitions.
 
     The manifests' fingerprint folds in ``n_shards``, ``max_block_side``,
-    ``num_perm``, ``seed`` and ``n_buckets`` after the caller's
-    ``fingerprint``, so a root written under another shard layout or key
-    derivation is recomputed, never mixed in. ``**kw`` goes to
-    :func:`match_documents_delta`."""
+    ``num_perm`` and ``seed`` after the caller's ``fingerprint``, so a
+    root written under another shard layout or key derivation is
+    recomputed, never mixed in. A root written when the layout string
+    still carried a ``-b<n_buckets>`` field recomputes once. ``**kw``
+    goes to :func:`match_documents_delta`."""
     from record_matcher_ray.state.checkpoint import StageRunner, hash_partition_ids
 
     layout = (f"global-shards{n_shards}-cap{kw.get('max_block_side', 32)}"
-              f"-perm{kw.get('num_perm', 64)}-seed{kw.get('seed', 1)}"
-              f"-b{kw.get('n_buckets', 256)}")
+              f"-perm{kw.get('num_perm', 64)}-seed{kw.get('seed', 1)}")
     runner = StageRunner(root, fingerprint=f"{fingerprint}|{layout}")
     matched: list[ray.data.Dataset] = []  # the global match, on first use
 
@@ -950,7 +931,6 @@ def build_doc_index(
     cfg: MatchConfig | None = None,
     num_perm: int = 64,
     seed: int = 1,
-    n_buckets: int = 256,
     max_block_side: int = 32,
     fingerprint: str = "",
 ) -> "StageRunner":
@@ -964,17 +944,17 @@ def build_doc_index(
     10^9. Both stages are :class:`StageRunner` partitions: a second call
     with the same fingerprint skips them entirely, and a killed build
     resumes. The key-derivation parameters are folded into the manifest
-    fingerprint so an index built with different ``num_perm``/``seed``/
-    ``n_buckets`` is recomputed, never silently reused. ``n_buckets``
-    only cuts the build's exchange: the stored keys carry no key group,
-    so one index serves every task layout (an index whose keys still
-    carry a ``bucket`` column loads, and the column is ignored)."""
+    fingerprint so an index built with different ``num_perm``/``seed`` is
+    recomputed, never silently reused. The stored keys carry no key
+    group, so one index serves every task layout (an index whose keys
+    still carry a ``bucket`` column loads, and the column is ignored). An
+    index whose fingerprint still carries a ``-b<n_buckets>`` field is
+    recomputed once."""
     from record_matcher_ray.state.checkpoint import StageRunner
 
     cfg = cfg or default_doc_config()
     carry = sorted(set(cfg.x_match_columns()) | set(cfg.y_columns_needed()))
-    fp = (f"{fingerprint}|perm{num_perm}-seed{seed}-b{n_buckets}"
-          f"-cap{max_block_side}")
+    fp = f"{fingerprint}|perm{num_perm}-seed{seed}-cap{max_block_side}"
     runner = StageRunner(root, fingerprint=fp)
 
     runner.run("y_flat", lambda: _flats([y_docs], carry)[0])
@@ -987,8 +967,8 @@ def build_doc_index(
         # (non-discriminative fat band buckets), so their y rows can
         # never score — at the 1M-entity corpus they are the MAJORITY of
         # the raw key mass (common filler-text bands) and sorting them
-        # per bucket dominated the delta's scoring wall. One ≤n_buckets
-        # exchange, one-time. Consequence (documented): a delta run's
+        # per bucket dominated the delta's scoring wall. One exchange,
+        # one-time. Consequence (documented): a delta run's
         # `blocks_dropped` counter no longer counts ny-overflow groups —
         # assignments are unchanged (those groups never emit pairs).
         def drop_fat(t: pa.Table) -> pa.Table:
@@ -1004,7 +984,7 @@ def build_doc_index(
 
         return bucket_exchange(
             read_partition(root, "y_flat", "all"), ["key"], drop_fat,
-            n_buckets, prepare=KeyExpander(1, num_perm, seed),
+            prepare=KeyExpander(1, num_perm, seed),
         )
 
     runner.run("y_keys", keys_fn)
@@ -1035,7 +1015,6 @@ def _load_y_prepared(
     *,
     num_perm: int,
     seed: int,
-    n_buckets: int,
     max_block_side: int,
     fingerprint: str,
 ):
@@ -1045,14 +1024,13 @@ def _load_y_prepared(
     Shared by the delta and checkpointed paths."""
     runner = build_doc_index(
         y_docs, root, cfg=cfg, num_perm=num_perm, seed=seed,
-        n_buckets=n_buckets, fingerprint=fingerprint,
-        max_block_side=max_block_side,
+        fingerprint=fingerprint, max_block_side=max_block_side,
     )
     from record_matcher_ray.state.checkpoint import read_partition
 
     carry = sorted(set(cfg.x_match_columns()) | set(cfg.y_columns_needed()))
-    cache_key = (root, fingerprint, num_perm, seed, n_buckets,
-                 tuple(carry), max_block_side)
+    cache_key = (root, fingerprint, num_perm, seed, tuple(carry),
+                 max_block_side)
     cached = _DELTA_INDEX_CACHE.get("entry")
     if cached is not None and cached[0] == cache_key:
         return runner, cached[1]
@@ -1093,7 +1071,6 @@ def match_documents_delta(
     cfg: MatchConfig | None = None,
     num_perm: int = 64,
     seed: int = 1,
-    n_buckets: int = 256,
     fingerprint: str = "",
     **kw,
 ) -> DocMatchResult:
@@ -1109,13 +1086,12 @@ def match_documents_delta(
     cfg = cfg or default_doc_config()
     runner, y_prepared = _load_y_prepared(
         y_docs, root, cfg, num_perm=num_perm, seed=seed,
-        n_buckets=n_buckets,
         max_block_side=kw.get("max_block_side", 32),
         fingerprint=fingerprint,
     )
     res = match_documents(
         x_new_docs, None, cfg, num_perm=num_perm, seed=seed,
-        n_buckets=n_buckets, y_prepared=y_prepared, **kw
+        y_prepared=y_prepared, **kw
     )
     res.runner = runner
     return res
@@ -1127,7 +1103,6 @@ def pairs_by_key_tag(
     *,
     num_perm: int = 64,
     seed: int = 1,
-    n_buckets: int = 256,
     max_block_side: int = 32,
 ) -> pd.DataFrame:
     """Diagnostic histogram for skew probes (CLAUDE.md rule: probe
@@ -1175,7 +1150,7 @@ def pairs_by_key_tag(
         return pa.table(out, schema=hist_schema)
 
     parts = bucket_exchange(
-        _flats([x_docs, y_docs], []), ["key"], hist, n_buckets,
+        _flats([x_docs, y_docs], []), ["key"], hist,
         prepare=[KeyExpander(0, num_perm, seed), KeyExpander(1, num_perm, seed)],
     ).to_pandas()
     if parts.empty:

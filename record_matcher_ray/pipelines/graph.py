@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 
 
 def pagerank(
@@ -164,7 +164,6 @@ def triangle_count(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    n_buckets: int = 64,
     max_broadcast_nodes: int = 50_000_000,
     max_pairs_per_bucket: int = 50_000_000,
 ) -> pd.DataFrame:
@@ -182,7 +181,7 @@ def triangle_count(
     Scale shape: three bounded exchanges — (1) distinct-edge dedupe via a
     `groupby(packed_key).count()` hash aggregate (block-local np.unique
     first, so raw duplicates never shuffle), (2) wedge generation grouped
-    by a ≤``n_buckets`` hash bucket of the oriented source (in-bucket:
+    by a hash of the oriented source (in-bucket:
     one lexsort, vectorized neighbor-pair expansion by rank offset), (3)
     closure check: wedge candidates pre-counted per pair, unioned with
     the (materialized-once) edge keys and resolved per key-hash bucket by
@@ -286,7 +285,7 @@ def triangle_count(
             raise ValueError(
                 f"wedge bucket would expand to {total} candidate pairs "
                 f"(> max_pairs_per_bucket={max_pairs_per_bucket}); raise "
-                f"n_buckets or the cap, or pre-filter hub nodes."
+                f"the cap, or pre-filter hub nodes."
             )
         vs, ws = [], []
         gmax = int(g.max()) if len(g) else 0
@@ -317,10 +316,7 @@ def triangle_count(
              "m": pa.array(m.astype(np.int64))}
         )
 
-    wedges = bucket_exchange(
-        edges.map_batches(orient, batch_format="pyarrow"), ["s"], wedge_group,
-        n_buckets,
-    )
+    wedges = bucket_exchange(edges, ["s"], wedge_group, prepare=orient)
 
     def tag_edge(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -342,9 +338,9 @@ def triangle_count(
             tot = 0
         return pa.table({"tri": pa.array([tot], pa.int64())})
 
-    tagged = [edges.map_batches(tag_edge, batch_format="pyarrow"), wedges]
     tri = int(
-        bucket_exchange(tagged, ["ck"], close_group, n_buckets)
+        bucket_exchange([edges, wedges], ["ck"], close_group,
+                        prepare=[tag_edge, None])
         .to_pandas()["tri"].sum()
     )
     return pd.DataFrame(
@@ -441,7 +437,6 @@ def label_propagation(
     dst_col: str = "dst",
     *,
     iters: int = 4,
-    n_buckets: int = 64,
     max_broadcast_nodes: int = 50_000_000,
 ) -> pd.DataFrame:
     """Synchronous label propagation (Raghavan et al. 2007, LPA) →
@@ -456,13 +451,12 @@ def label_propagation(
 
     Scale shape: per round the label vector is broadcast (``ray.put``,
     the `pagerank` layout with the same ``max_broadcast_nodes`` guard)
-    and counting runs as TWO bounded exchanges, both integer-exact:
-    per-block (dst, label) packed-key partial counts →
-    ``groupby(key).sum`` → ≤``n_buckets`` dst-hash argmax (lexsorted,
-    vectorized). No driver pull of edges; the driver holds only the
-    O(nodes) label vector, exactly like `pagerank`'s rank vector.
+    and counting runs as ONE integer-exact dst-hash exchange: per-block
+    (dst, label) packed-key partial counts, merged and argmaxed per dst
+    inside each ``fn`` call (lexsorted, vectorized). No driver pull of
+    edges; the driver holds only the O(nodes) label vector, exactly like
+    `pagerank`'s rank vector.
     """
-    from ray.data.aggregate import Sum
 
     def node_partial(t: pa.Table) -> pa.Table:
         s = t[src_col].to_numpy().astype(np.int64)
@@ -513,26 +507,19 @@ def label_propagation(
             starts = np.nonzero(firstm)[0]
             cnt = np.diff(np.append(starts, len(ks))).astype(np.int64)
             return pa.table({"key": pa.array(ks[firstm]),
-                             "cnt": pa.array(cnt)})
-
-        counts = (
-            edges.map_batches(count_partial, batch_format="pyarrow")
-            .groupby("key")
-            .aggregate(Sum("cnt", alias_name="cnt"))
-        )
-
-        def bucket(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "__gb__",
-                pa.array(bucket_ids(t["key"].to_numpy() // nn, n_buckets)),
-            )
+                             "cnt": pa.array(cnt),
+                             "dst": pa.array(ks[firstm] // nn)})
 
         def argmax(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                z = pa.array([], pa.int64())
-                return pa.table({"node_idx": z, "new_lab": z})
+            # merge the blocks' partial counts of each (dst, label) key
             key = t["key"].to_numpy()
-            cnt = t["cnt"].to_numpy()
+            order = np.argsort(key, kind="stable")
+            ks = key[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], ks[1:] != ks[:-1]))
+            )
+            key = ks[starts]
+            cnt = np.add.reduceat(t["cnt"].to_numpy()[order], starts)
             dst = key // nn
             lbl = key % nn
             order = np.lexsort((lbl, -cnt, dst))
@@ -543,13 +530,9 @@ def label_propagation(
                  "new_lab": pa.array(lbl[order][firstm])}
             )
 
-        upd = (
-            counts.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__gb__")
-            .map_groups(lambda t: argmax(t.drop_columns(["__gb__"])),
-                        batch_format="pyarrow")
-            .to_pandas()
-        )
+        upd = bucket_exchange(
+            edges, ["dst"], argmax, prepare=count_partial
+        ).to_pandas()
         nxt = lab.copy()
         nxt[upd["node_idx"].to_numpy(dtype=np.int64)] = \
             upd["new_lab"].to_numpy(dtype=np.int64)

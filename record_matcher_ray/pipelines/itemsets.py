@@ -8,8 +8,8 @@ report the exact basket count — plus the normalized affinity readouts
 this is the co-occurrence signal behind "documents that cite both A and
 B", tag-affinity mining, and template detection over shingle pairs.
 
-Scale shape: baskets hash-bucket by basket id (≤ ``n_buckets`` groups
-ride the first exchange — the CLAUDE.md per-group rule), each bucket
+Scale shape: baskets hash-exchange by basket id (many baskets per ``fn``
+call, never one per basket), each call
 vectorizes per-basket pair enumeration (sorted-distinct items, so pairs
 are emitted once per basket with item_a < item_b) and pre-aggregates its
 pair counts locally; one ``groupby(item_a, item_b).sum`` merges the
@@ -103,7 +103,6 @@ def basket_pairs(
     *,
     min_support: int = 2,
     max_basket: int = 256,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """→ rows (item_a, item_b, support): exact number of distinct
     baskets containing BOTH items, for pairs with support ≥
@@ -134,10 +133,7 @@ def basket_pairs(
         )
 
     pairs = (
-        bucket_exchange(
-            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_pairs,
-            n_buckets,
-        )
+        bucket_exchange(ds, ["bk"], gen_pairs, prepare=project)
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"))
     )
@@ -156,7 +152,6 @@ def item_cooccurrence_similarity(
     *,
     min_support: int = 2,
     max_basket: int = 256,
-    n_buckets: int = 64,
     ndigits: int = 9,
     max_items: int = 2_000_000,
 ) -> ray.data.Dataset:
@@ -233,10 +228,7 @@ def item_cooccurrence_similarity(
         )
 
     merged = (
-        bucket_exchange(
-            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_partials,
-            n_buckets,
-        )
+        bucket_exchange(ds, ["bk"], gen_partials, prepare=project)
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"))
         .materialize()
@@ -315,7 +307,6 @@ def adamic_adar_items(
     *,
     min_support: int = 2,
     max_basket: int = 256,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Adamic–Adar item affinity (Adamic & Adar 2003, the classic
     link-prediction weight): for items a < b,
@@ -333,12 +324,11 @@ def adamic_adar_items(
     per-pair sum is EXACT int64 (order/partition invariant); the aa
     readout is one int→double cast, one double division, half-up 6dp.
 
-    Scale shape: identical to `basket_pairs` — one ≤``n_buckets``
-    basket-hash exchange with the ``max_basket`` quadratic-blowup cap
-    (dropped baskets are deterministic and mirrored by the oracle),
-    per-basket pair enumeration fully vectorized with weights segment-
-    summed via sorted ``np.add.reduceat`` (exact, no float bincount),
-    then one bounded ``groupby(item_a, item_b)`` merge.
+    Scale shape: identical to `basket_pairs` — one basket-hash exchange with
+    the ``max_basket`` quadratic-blowup cap (dropped baskets are deterministic
+    and mirrored by the oracle), per-basket pair enumeration fully vectorized
+    with weights segment- summed via sorted ``np.add.reduceat`` (exact, no
+    float bincount), then one bounded ``groupby(item_a, item_b)`` merge.
     """
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
@@ -397,10 +387,7 @@ def adamic_adar_items(
         )
 
     pairs = (
-        bucket_exchange(
-            ds.map_batches(project, batch_format="pyarrow"), ["bk"], gen_pairs,
-            n_buckets,
-        )
+        bucket_exchange(ds, ["bk"], gen_pairs, prepare=project)
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("support", alias_name="support"),
                    Sum("aa_units", alias_name="aa_units"))

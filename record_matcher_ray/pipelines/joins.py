@@ -19,7 +19,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.dataset import MaterializedDataset
 
-from record_matcher_ray.core.exchange import block_refs, bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import block_refs, bucket_exchange
 
 _J_SIDE = "__jside__"
 
@@ -54,7 +54,6 @@ def hash_join(
     left_on: str,
     right_on: str,
     how: str = "inner",
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Equi-join; output columns = left columns + right columns (right key
     dropped; non-key right columns must not collide with left names).
@@ -62,9 +61,8 @@ def hash_join(
     ``left_on`` output column carries the COALESCED join key (SQL
     ``USING(key)`` semantics) so right-only rows keep their key.
 
-    Scale shape: the shuffle key is a ≤``n_buckets`` hash bucket — never the
-    raw join key — so the per-group Python overhead is bounded by the bucket
-    count (CLAUDE.md rule), and each bucket is joined in one vectorized
+    Scale shape: the shuffle key is a hash of the join key, and each
+    ``fn`` call joins its many keys in one vectorized
     Acero ``pa.Table.join`` call. Null join keys follow SQL semantics: they
     match nothing (inner drops them; left keeps the row null-padded).
     """
@@ -144,8 +142,9 @@ def hash_join(
             cols[left_on] = pc.cast(j["__jkey__"].combine_chunks(), key_type)
         return pa.table({c: cols[c] for c in out_names}).cast(out_schema)
 
-    return bucket_exchange([left, right], ["__jkey__"], bucket_join, n_buckets,
-                           prepare=[prep_l, prep_r])
+    return bucket_exchange(
+        [left, right], ["__jkey__"], bucket_join, prepare=[prep_l, prep_r],
+    )
 
 
 def range_join(
@@ -157,7 +156,6 @@ def range_join(
     left_on: str | None = None,
     right_on: str | None = None,
     closed: str = "left",
-    n_buckets: int = 256,
     bucket_width: float | None = None,
     max_bucket_pairs: int = 50_000_000,
 ) -> ray.data.Dataset:
@@ -169,8 +167,8 @@ def range_join(
 
     - **equi + range** (``left_on``/``right_on`` set — the common shape,
       e.g. events within an order window OF THE SAME CUSTOMER): both sides
-      shuffle once on a ≤``n_buckets`` HASH BUCKET of the equi key (never
-      the raw key — CLAUDE.md rule), each bucket equi-joins in one
+      shuffle once on a HASH of the equi key (many keys per
+      call), each call equi-joins in one
       vectorized Acero call and the range predicate filters the joined
       block. Fan-out is bounded by per-key row counts, as in any equi
       join.
@@ -242,7 +240,7 @@ def range_join(
             return out.select(out_names).cast(out_schema)
 
         return bucket_exchange(
-            [left, right], ["__jkey__"], bucket_join, n_buckets,
+            [left, right], ["__jkey__"], bucket_join,
             prepare=[prep(0, left_on, lcols, rcols),
                      prep(1, right_on, rcols, lcols)],
         )
@@ -347,13 +345,12 @@ def asof_join(
     left_on: str,
     right_on: str,
     direction: str = "backward",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """As-of join (most recent right row at or before each left row's
-    ``left_on``, per ``by`` key): hash-bucket both sides on the key, one
-    ``pd.merge_asof`` per bucket over the sorted bucket (the Ray-portable
-    pattern for range/as-of joins). Non-key column names must be disjoint."""
-    from record_matcher_ray.core.hashkernels import column_hash64
+    ``left_on``, per ``by`` key): one hash exchange on the key co-locates
+    both sides, and each ``fn`` call runs one ``pd.merge_asof`` over its
+    many keys (the Ray-portable pattern for range/as-of joins). Non-key
+    column names must be disjoint."""
     lschema = _arrow_schema(left)
     rschema = _arrow_schema(right)
     lcols = list(lschema.names)
@@ -361,56 +358,38 @@ def asof_join(
     overlap = (set(lcols) - {by}) & (set(rcols) - {by})
     if overlap:
         raise ValueError(f"asof_join column collision: {overlap}")
+    by_type = lschema.field(by).type  # both sides hash the key as one type
 
-    # explicit combined wire schema (r3: the tag stage is pyarrow — the r2
-    # pandas tag paid a per-batch Arrow→pandas copy; pd.merge_asof remains
-    # the per-bucket kernel below, which is where pandas earns its copy)
-    by_type = lschema.field(by).type
-    fields = [("__aside__", pa.int8()), ("__ab__", pa.int64())]
-    fields += [(c, lschema.field(c).type) for c in lcols]
-    fields += [(c, rschema.field(c).type) for c in rcols if c != by]
-    wire = pa.schema(fields)
-
-    def tag(side, own_schema, own_cols):
+    def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            key = pc.cast(t[by], by_type)
-            cols = {
-                "__aside__": pa.array(np.full(len(t), side, np.int8)),
-                "__ab__": pa.array(
-                    bucket_ids(column_hash64(key), n_buckets)),
-            }
-            for f in wire:
-                if f.name in cols:
-                    continue
-                if f.name == by:
-                    cols[by] = key.combine_chunks() if isinstance(
-                        key, pa.ChunkedArray) else key
-                elif f.name in own_cols:
-                    cols[f.name] = pc.cast(t[f.name], f.type).combine_chunks()
-                else:
-                    cols[f.name] = pa.nulls(len(t), f.type)
-            return pa.table({f.name: cols[f.name] for f in wire})
+            t = t.set_column(t.schema.get_field_index(by), by,
+                             pc.cast(t[by], by_type))
+            return t.append_column(
+                "__aside__", pa.array(np.full(len(t), side, np.int8)))
 
         return fn
 
-    lt = left.map_batches(tag(0, lschema, set(lcols)), batch_format="pyarrow")
-    rt = right.map_batches(tag(1, rschema, set(rcols)), batch_format="pyarrow")
+    def side(t: pa.Table, mask, schema: pa.Schema) -> pd.DataFrame:
+        """One side's rows and columns of a call (a column is absent when
+        the call holds no row of its side)."""
+        t = t.filter(mask)
+        return pa.table({
+            f.name: t[f.name] if f.name in t.column_names
+            else pa.nulls(len(t), f.type) for f in schema
+        }).to_pandas()
 
-    # build the union frame with both sides' columns (missing → NaN)
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df["__aside__"] == 0][lcols + ["__ab__"]].drop(columns="__ab__")
-        r = df[df["__aside__"] == 1][rcols]
-        l = l.sort_values(left_on, kind="stable")
-        r = r.sort_values(right_on, kind="stable")
-        if len(l) == 0:
-            return pd.DataFrame(columns=lcols + [c for c in rcols if c != by])
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        lmask = pc.equal(t["__aside__"], 0)
         out = pd.merge_asof(
-            l, r, by=by, left_on=left_on, right_on=right_on, direction=direction
+            side(t, lmask, lschema).sort_values(left_on, kind="stable"),
+            side(t, pc.invert(lmask), rschema).sort_values(right_on,
+                                                          kind="stable"),
+            by=by, left_on=left_on, right_on=right_on, direction=direction,
         )
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return lt.union(rt).groupby("__ab__").map_groups(
-        merge_bucket, batch_format="pandas"
+    return bucket_exchange(
+        [left, right], [by], merge_bucket, prepare=[tag(0), tag(1)]
     )
 
 
@@ -499,7 +478,6 @@ def bloom_semi_join(
     *,
     bits_log2: int = 22,
     k: int = 6,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """EXACT semi join for key sides too large to broadcast raw (the
     :func:`semi_join` cap): (1) each key block folds into a fixed-size
@@ -549,10 +527,10 @@ def bloom_semi_join(
         return pa.table({"__key__": u})
 
     distinct_keys = bucket_exchange(
-        keys.select_columns([key_col]), [key_col], uniq, n_buckets
+        keys.select_columns([key_col]), [key_col], uniq
     )
     return hash_join(survivors, distinct_keys, on, "__key__",
-                     how="inner", n_buckets=n_buckets)
+                     how="inner")
 
 
 def estimate_join_cardinality(
@@ -560,8 +538,6 @@ def estimate_join_cardinality(
     right: "ray.data.Dataset",
     left_on: str,
     right_on: str,
-    *,
-    n_buckets: int = 256,
 ) -> "pd.DataFrame":
     """EXACT equi-join output cardinality WITHOUT running the join — the
     pre-flight a 100-TB pipeline runs before committing to an exchange
@@ -572,8 +548,8 @@ def estimate_join_cardinality(
     reading).
 
     Scale shape: per-block per-key count partials (bounded by each
-    block's distinct keys, raw rows never shuffle), one ≤``n_buckets``
-    key-hash exchange co-locating both sides' counts, per-bucket exact
+    block's distinct keys, raw rows never shuffle), one key-hash
+    exchange co-locating both sides' counts, per-bucket exact
     integer products — output is five numbers. The DuckDB GROUP BY +
     join replay is hash-exact."""
     import pandas as pd
@@ -621,7 +597,7 @@ def estimate_join_cardinality(
             "mx": pa.array([max(prod) if prod else 0], pa.int64()),
         })
 
-    parts = bucket_exchange(both, ["k"], reduce_bucket, n_buckets).to_pandas()
+    parts = bucket_exchange(both, ["k"], reduce_bucket).to_pandas()
     if parts.empty:
         return pd.DataFrame({"n_left": [0], "n_right": [0],
                              "n_shared_keys": [0], "join_rows": [0],

@@ -6,8 +6,8 @@ reference's ``records_match`` (reference matcher.py:92 scores pairs the
 caller already grouped; these operators produce those pairs at scale).
 
 All three follow the repo's bucketed-exchange contract (CLAUDE.md): the
-shuffle key is always a ≤``n_buckets`` hash bucket, never a raw
-high-cardinality key; per-group work is vectorized over np boundaries.
+shuffle key is always hashed by ``core.exchange``, never grouped on raw;
+per-group work is vectorized over np boundaries.
 
 * :func:`edit_distance_self_join` — Ed-Join/PassJoin-style exact
   similarity join: q-gram candidate generation with the count-filter
@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.hashkernels import (
     column_hash64,
     mix64,
@@ -48,12 +48,16 @@ from record_matcher_ray.core.hashkernels import (
 )
 from record_matcher_ray.pipelines.dedup import _group_pairs
 
-def _non_null(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
-    """Drop rows whose ``col`` is null (SQL join semantics for block and
-    cluster keys: a null key groups with nothing)."""
-    return ds.map_batches(
-        lambda t: t.filter(pc.is_valid(t[col])), batch_format="pyarrow"
-    )
+def _non_null(col: str, columns: list[str] | None = None):
+    """An exchange ``prepare`` keyed on ``col``: the ``columns`` (all when
+    None) of the rows whose ``col`` is not null (SQL join semantics for
+    block and cluster keys: a null key groups with nothing)."""
+
+    def prepare(t: pa.Table) -> pa.Table:
+        t = t if columns is None else t.select(columns)
+        return t.filter(pc.is_valid(t[col]))
+
+    return prepare
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +125,6 @@ def edit_distance_self_join(
     *,
     max_dist: int = 2,
     q: int = 2,
-    n_buckets: int = 256,
     max_gram_freq: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT edit-distance similarity self-join: every unordered id pair
@@ -202,9 +205,7 @@ def edit_distance_self_join(
             {"uhash": pa.array(u[sel]), "txt": t["txt"].take(pa.array(sel))}
         )
 
-    uniq = bucket_exchange(
-        members, ["uhash"], distinct_strings, n_buckets
-    ).materialize()
+    uniq = bucket_exchange(members, ["uhash"], distinct_strings).materialize()
 
     # ---- intra-group exact-dup pairs (dist 0) ---------------------------
     def dup_pairs(t: pa.Table) -> pa.Table:
@@ -222,7 +223,7 @@ def edit_distance_self_join(
              "dist": pa.array(np.zeros(len(a), np.int64))}
         )
 
-    zero_pairs = bucket_exchange(members, ["uhash"], dup_pairs, n_buckets)
+    zero_pairs = bucket_exchange(members, ["uhash"], dup_pairs)
 
     # ---- candidate keys over distinct strings ---------------------------
     def expand_keys(t: pa.Table) -> pa.Table:
@@ -326,15 +327,10 @@ def edit_distance_self_join(
              "dist": pa.array(d[keep])}
         )
 
-    cand = bucket_exchange(
-        uniq.map_batches(expand_keys, batch_format="pyarrow"), ["key"],
-        key_pairs, n_buckets,
-    )
+    cand = bucket_exchange(uniq, ["key"], key_pairs, prepare=expand_keys)
     # small (verified distinct-string pairs); materializing also lets the
     # all-pruned case short-circuit the joins below
-    accepted = bucket_exchange(
-        cand, ["ua", "ub"], verify, n_buckets
-    ).materialize()
+    accepted = bucket_exchange(cand, ["ua", "ub"], verify).materialize()
     if accepted.count() == 0:
         return zero_pairs
 
@@ -350,8 +346,8 @@ def edit_distance_self_join(
         batch_format="pyarrow",
     )
     expanded = hash_join(
-        hash_join(accepted, mem_a, "ua", "ua", n_buckets=n_buckets),
-        mem_b, "ub", "ub", n_buckets=n_buckets,
+        hash_join(accepted, mem_a, "ua", "ua"),
+        mem_b, "ub", "ub",
     )
 
     def order_ids(t: pa.Table) -> pa.Table:
@@ -466,7 +462,6 @@ def fellegi_sunter_link(
     m_probs: list[float] | None = None,
     t_upper: float = 4.0,
     t_lower: float = 0.0,
-    n_buckets: int = 64,
     max_block: int | None = None,
 ) -> ray.data.Dataset:
     """Fellegi-Sunter probabilistic linkage over within-block pairs →
@@ -480,8 +475,8 @@ def fellegi_sunter_link(
     emitted score is rounded half-up to 6 decimals.
 
     Pairs come from equality blocking on ``block_col`` (null blocks drop,
-    SQL join semantics). The exchange key is a ≤``n_buckets`` hash of the
-    block value; within a bucket, block boundaries vectorize via
+    SQL join semantics). The exchange key is a hash of the block
+    value; within a call, block boundaries vectorize via
     _group_pairs. ``max_block`` caps pathological blocks (pairs then
     under-count — counted semantics like minhash's hot-bucket caps; off
     by default so the oracle stays exact). m-probabilities default to
@@ -530,7 +525,8 @@ def fellegi_sunter_link(
         )
 
     return bucket_exchange(
-        _non_null(proj, block_col), [block_col], score_block, n_buckets,
+        ds, [block_col], score_block,
+        prepare=_non_null(block_col, [id_col, block_col, *fields]),
     )
 
 
@@ -544,7 +540,6 @@ def metablock_wep_pairs(
     id_col: str,
     attr_cols: list[str],
     *,
-    n_buckets: int = 256,
     max_block: int | None = None,
     max_partial_rows: int = 50_000_000,
 ) -> ray.data.Dataset:
@@ -648,12 +643,11 @@ def metablock_wep_pairs(
         )
 
     partial_pairs = bucket_exchange(
-        ds.map_batches(token_instances, batch_format="pyarrow"), ["tok"],
-        bucket_pair_counts, n_buckets,
+        ds, ["tok"], bucket_pair_counts, prepare=token_instances,
     )
     # two consumers: global mean + the pruning filter
     edges = bucket_exchange(
-        partial_pairs, ["x", "y"], combine_pairs, n_buckets
+        partial_pairs, ["x", "y"], combine_pairs,
     ).materialize()
 
     @ray.remote
@@ -692,7 +686,6 @@ def band_self_join(
     id_col: str,
     eps: float,
     *,
-    n_buckets: int = 256,
     max_cell: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT numeric band self-join: every unordered id pair whose
@@ -711,7 +704,7 @@ def band_self_join(
     semantics). ``max_cell`` caps degenerate cells (pairs under-count,
     counted semantics; off by default so the oracle stays exact).
 
-    Scale shape: 3 instances/row ride one ≤``n_buckets`` exchange;
+    Scale shape: 3 instances/row ride one exchange;
     exchange volume is 3N rows of three scalars regardless of value
     skew (the cap bounds in-cell pair blowup).
     """
@@ -783,11 +776,8 @@ def band_self_join(
              "diff": pa.array(d[sel])}
         )
 
-    pairs = bucket_exchange(
-        ds.map_batches(expand_cells, batch_format="pyarrow"), ["cell"],
-        cell_pairs, n_buckets,
-    )
-    return bucket_exchange(pairs, ["x_id", "y_id"], dedupe, n_buckets)
+    pairs = bucket_exchange(ds, ["cell"], cell_pairs, prepare=expand_cells)
+    return bucket_exchange(pairs, ["x_id", "y_id"], dedupe)
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +791,6 @@ def survivorship(
     ds: ray.data.Dataset,
     cluster_col: str,
     rules: list[tuple[str, str]],
-    *,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Golden-record survivorship: collapse each entity cluster to ONE
     canonical row → (cluster, n_members, <col> per rule). Rules pick the
@@ -818,7 +806,7 @@ def survivorship(
     keys, …).
 
     Scale shape: one bucketed exchange on hash(cluster) (cluster values
-    co-locate, ≤``n_buckets`` groups); inside a bucket every rule is
+    co-locate, many per call); inside a call every rule is
     vectorized over sorted (cluster, value-code) runs — no per-cluster
     Python. Output is one row per cluster.
     """
@@ -907,17 +895,14 @@ def survivorship(
             )
         return pa.table(out)
 
-    return bucket_exchange(
-        _non_null(ds, cluster_col), [cluster_col], fold, n_buckets,
-    )
+    return bucket_exchange(ds, [cluster_col], fold,
+                           prepare=_non_null(cluster_col))
 
 
 def blocking_quality(
     cand: ray.data.Dataset,
     truth: ray.data.Dataset,
     n_records: int,
-    *,
-    n_buckets: int = 64,
 ) -> "pd.DataFrame":
     """Blocking evaluation metrics (the standard ER triple — Christen,
     "Data Matching", 2012): given candidate pairs and ground-truth match
@@ -977,9 +962,7 @@ def blocking_quality(
              "nh": pa.array([nh], pa.int64())}
         )
 
-    parts = bucket_exchange(
-        both, ["x", "y"], bucket_counts, n_buckets
-    ).to_pandas()
+    parts = bucket_exchange(both, ["x", "y"], bucket_counts).to_pandas()
     n_cand = int(parts["nc"].sum()) if len(parts) else 0
     n_truth = int(parts["nt"].sum()) if len(parts) else 0
     n_hit = int(parts["nh"].sum()) if len(parts) else 0
@@ -1007,7 +990,6 @@ def token_sort_similarity_pairs(
     ds: ray.data.Dataset,
     text_col: str,
     *,
-    n_buckets: int = 64,
     max_token_freq: int | None = None,
 ) -> ray.data.Dataset:
     """Token-sort Levenshtein similarity for every DISTINCT value pair
@@ -1153,15 +1135,9 @@ def token_sort_similarity_pairs(
              "ts_sim": pa.array(sim.astype(np.float64))}
         )
 
-    vals = bucket_exchange(
-        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
-        dedupe_vals, n_buckets,
-    )
-    pairs = bucket_exchange(
-        vals.map_batches(token_keys, batch_format="pyarrow"), ["key"],
-        key_pairs, n_buckets,
-    )
-    return bucket_exchange(pairs, ["ua", "ub"], score, n_buckets)
+    vals = bucket_exchange(ds, ["uh"], dedupe_vals, prepare=distinct_vals)
+    pairs = bucket_exchange(vals, ["key"], key_pairs, prepare=token_keys)
+    return bucket_exchange(pairs, ["ua", "ub"], score)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1153,6 @@ def compare_vectors(
     block_col: str,
     specs: list[tuple[str, str]],
     *,
-    n_buckets: int = 64,
     max_block: int | None = None,
 ) -> ray.data.Dataset:
     """Per-pair comparison vectors for within-block candidate pairs —
@@ -1202,8 +1177,7 @@ def compare_vectors(
                 f"compare_vectors spec {kind!r} for {col!r}: must be one "
                 f"of {_CMP_KINDS}"
             )
-    cols = [id_col, block_col] + [c for c, _ in specs]
-    proj = ds.select_columns(list(dict.fromkeys(cols)))
+    cols = list(dict.fromkeys([id_col, block_col] + [c for c, _ in specs]))
 
     def featurize(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1244,9 +1218,8 @@ def compare_vectors(
                 out[name] = pa.array(np.abs(v[pa_] - v[pb_]))
         return pa.table(out)
 
-    return bucket_exchange(
-        _non_null(proj, block_col), [block_col], featurize, n_buckets,
-    )
+    return bucket_exchange(ds, [block_col], featurize,
+                           prepare=_non_null(block_col, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -1260,7 +1233,6 @@ def jw_prefix_join(
     *,
     threshold: float = 75.0,
     prefix_len: int = 2,
-    n_buckets: int = 64,
     max_block: int | None = None,
 ) -> ray.data.Dataset:
     """Prefix-blocked Jaro-Winkler self-join over DISTINCT values →
@@ -1344,11 +1316,8 @@ def jw_prefix_join(
              "jw_sim": pa.array(sim[keep])}
         )
 
-    names = bucket_exchange(
-        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
-        dedupe_vals, n_buckets,
-    )
-    return bucket_exchange(names, ["pfx"], block_pairs, n_buckets)
+    names = bucket_exchange(ds, ["uh"], dedupe_vals, prepare=distinct_vals)
+    return bucket_exchange(names, ["pfx"], block_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1366,7 +1335,6 @@ def em_fellegi_sunter(
     init_m: float = 0.9,
     init_u: float = 0.1,
     init_lambda: float = 0.1,
-    n_buckets: int = 64,
     max_block: int | None = None,
     ndigits: int = 9,
 ) -> "pd.DataFrame":
@@ -1391,9 +1359,9 @@ def em_fellegi_sunter(
     `list_reduce` ordered folds (CLAUDE.md toolbox).
 
     Scale shape: identical to :func:`fellegi_sunter_link`'s exchange
-    (≤``n_buckets`` block-hash groups, vectorized in-bucket pair
-    enumeration, optional ``max_block`` cap) but the shuffle OUTPUT is
-    ≤ 2^k · n_buckets tiny count rows — pattern counting is the rare
+    (block-hash exchange, vectorized in-bucket pair enumeration,
+    optional ``max_block`` cap) but the shuffle OUTPUT is ≤ 2^k tiny
+    count rows per ``fn`` call — pattern counting is the rare
     all-pairs statistic whose exchange volume is independent of corpus
     size. EM itself touches only the count table.
     """
@@ -1403,8 +1371,6 @@ def em_fellegi_sunter(
         raise ValueError(f"need 1..20 comparison fields, got {k}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    proj = ds.select_columns([id_col, block_col, *fields])
-
     def pattern_counts(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1432,8 +1398,8 @@ def em_fellegi_sunter(
 
     rows = (
         bucket_exchange(
-            _non_null(proj, block_col), [block_col], pattern_counts,
-            n_buckets,
+            ds, [block_col], pattern_counts,
+            prepare=_non_null(block_col, [id_col, block_col, *fields]),
         )
         .groupby("pattern")
         .sum("c")
@@ -1507,7 +1473,6 @@ def pairwise_eval(
     *,
     a_col: str = "a",
     b_col: str = "b",
-    n_buckets: int = 64,
     ndigits: int = 9,
 ) -> "pd.DataFrame":
     """Pairwise linkage quality vs labeled pairs — the BASELINE.md
@@ -1521,11 +1486,10 @@ def pairwise_eval(
     denominators report 0.0 (the strict-grader convention).
 
     Scale shape: both pair streams canonicalize + tag locally, one
-    ≤``n_buckets`` tuple-hash exchange co-locates every copy of a pair,
-    each bucket reduces to THREE integers (vectorized lexsort dedup +
-    side-set intersection), and the driver sums ≤ n_buckets partial
-    triples — exchange volume is the pair-stream size, driver volume is
-    constants.
+    tuple-hash exchange co-locates every copy of a pair, each ``fn``
+    call reduces to THREE integers (vectorized lexsort dedup + side-set
+    intersection), and the driver sums one partial triple per call —
+    exchange volume is the pair-stream size, driver volume is constants.
     """
     import pandas as pd
 
@@ -1572,7 +1536,7 @@ def pairwise_eval(
                          "fp": pa.array([fp], pa.int64()),
                          "fn": pa.array([fn_], pa.int64())})
 
-    parts = bucket_exchange(both, ["lo", "hi"], partial, n_buckets).to_pandas()
+    parts = bucket_exchange(both, ["lo", "hi"], partial).to_pandas()
     if len(parts) == 0 or "tp" not in parts.columns:
         parts = pd.DataFrame({"tp": [0], "fp": [0], "fn": [0]})
     tp = int(parts["tp"].sum())
@@ -1602,7 +1566,6 @@ def fellegi_sunter_link_tf(
     m_probs: list[float] | None = None,
     t_upper: float = 4.0,
     t_lower: float = 0.0,
-    n_buckets: int = 64,
     max_block: int | None = None,
     max_field_cardinality: int = 10_000_000,
 ) -> ray.data.Dataset:
@@ -1617,7 +1580,7 @@ def fellegi_sunter_link_tf(
     every float is pinned order (field-order sum, one ln per term) so
     the SQL oracle replays scores bit-for-bit.
 
-    Scale shape: same ≤``n_buckets`` block-hash exchange and vectorized
+    Scale shape: same block-hash exchange and vectorized
     in-bucket pair enumeration as the base linker; per-field value
     counts are field-cardinality-bounded aggregates broadcast once as a
     sorted (string-cast value, count) lookup (``max_field_cardinality``
@@ -1720,7 +1683,8 @@ def fellegi_sunter_link_tf(
         )
 
     return bucket_exchange(
-        _non_null(proj, block_col), [block_col], score_block, n_buckets,
+        ds, [block_col], score_block,
+        prepare=_non_null(block_col, [id_col, block_col, *fields]),
     )
 
 
@@ -1731,7 +1695,6 @@ def monge_elkan_join(
     block_col: str,
     *,
     threshold: float = 80.0,
-    n_buckets: int = 64,
     max_block: int | None = None,
     max_tokens: int = 16,
 ) -> ray.data.Dataset:
@@ -1752,19 +1715,16 @@ def monge_elkan_join(
     (a + b)/2, rounded to 6; threshold compares the rounded score.
     Token-less rows pair with nothing.
 
-    Scale shape: one ≤``n_buckets`` block-hash exchange; within a
-    bucket, tokenization happens once per row, pair token cross-
-    products are bounded by ``max_tokens``² and ``max_block``, and all
-    scoring is the vectorized JW kernel + segmented max/mean (no
-    per-pair Python).
+    Scale shape: one block-hash exchange; within a call, tokenization happens
+    once per row, pair token cross-products are bounded by ``max_tokens``² and
+    ``max_block``, and all scoring is the vectorized JW kernel + segmented
+    max/mean (no per-pair Python).
     """
     import pandas as pd
 
     from record_matcher_ray.functions.scorers import (
         jaro_winkler_elementwise,
     )
-
-    proj = ds.select_columns([id_col, block_col, text_col])
 
     cap = int(max_tokens)
     thr = float(threshold)
@@ -1864,7 +1824,8 @@ def monge_elkan_join(
         )
 
     return bucket_exchange(
-        _non_null(proj, block_col), [block_col], score_block, n_buckets,
+        ds, [block_col], score_block,
+        prepare=_non_null(block_col, [id_col, block_col, text_col]),
     )
 
 
@@ -1872,8 +1833,6 @@ def merge_conflict_report(
     ds: ray.data.Dataset,
     cluster_col: str,
     value_cols: list[str],
-    *,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Survivorship AUDIT: per entity cluster, how contested is each
     field? → rows (cluster, n_members, nd_<col>… , n_conflict_cols)
@@ -1883,23 +1842,16 @@ def merge_conflict_report(
     records (which merge rules are actually resolving disagreements,
     which clusters need review). Null clusters drop.
 
-    Scale shape: one ≤``n_buckets`` cluster-hash exchange; each bucket
-    reduces with ONE vectorized pandas groupby (size + nunique per
+    Scale shape: one cluster-hash exchange; each ``fn`` call reduces its
+    many clusters with ONE vectorized pandas groupby (size + nunique per
     column) — no per-cluster Python.
     """
     import pandas as pd
 
     cols = list(value_cols)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[cluster_col]))
-        return t.append_column(
-            "__mcb__",
-            pa.array(bucket_ids(column_hash64(t[cluster_col]), n_buckets)),
-        )
-
-    def report(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(cluster_col, sort=False)
+    def report(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().groupby(cluster_col, sort=False)
         out = pd.DataFrame({"cluster": list(g.groups.keys())})
         out["n_members"] = g.size().to_numpy().astype(np.int64)
         nconf = np.zeros(len(out), np.int64)
@@ -1908,13 +1860,11 @@ def merge_conflict_report(
             out[f"nd_{c}"] = nd
             nconf += (nd > 1).astype(np.int64)
         out["n_conflict_cols"] = nconf
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.select_columns([cluster_col, *cols])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__mcb__")
-        .map_groups(report, batch_format="pandas")
+    return bucket_exchange(
+        ds, [cluster_col], report,
+        prepare=_non_null(cluster_col, [cluster_col, *cols]),
     )
 
 
@@ -1925,7 +1875,6 @@ def greedy_max_matching(
     score_col: str,
     *,
     rounds: int = 3,
-    n_buckets: int = 64,
     max_matched_broadcast: int = 50_000_000,
 ):
     """One-to-one matching over a scored pair stream by LOCAL-MAX
@@ -2017,10 +1966,9 @@ def greedy_max_matching(
         if remaining.count() == 0:
             break
         nom = bucket_exchange(
-            remaining.map_batches(explode, batch_format="pyarrow"),
-            ["__node__"], nominate, n_buckets,
+            remaining, ["__node__"], nominate, prepare=explode,
         )
-        m = bucket_exchange(nom, [a_col, b_col], mutual, n_buckets).to_pandas()
+        m = bucket_exchange(nom, [a_col, b_col], mutual).to_pandas()
         if len(m) == 0:
             break
         if len(m) > max_matched_broadcast:
@@ -2182,7 +2130,6 @@ def soft_tfidf_join(
     threshold: float = 40.0,
     prefix_len: int = 2,
     max_tokens: int = 16,
-    n_buckets: int = 64,
     max_block: int | None = None,
     max_vocab: int = 20_000_000,
 ) -> ray.data.Dataset:
@@ -2288,8 +2235,7 @@ def soft_tfidf_join(
         return ts, start, cnt
 
     m = bucket_exchange(
-        ds.map_batches(distinct_vals, batch_format="pyarrow"), ["uh"],
-        dedupe_vals, n_buckets,
+        ds, ["uh"], dedupe_vals, prepare=distinct_vals,
     ).materialize()
     n_names = m.count()
 
@@ -2400,7 +2346,7 @@ def soft_tfidf_join(
              "st_sim": pa.array(st[keep])}
         )
 
-    return bucket_exchange(m, ["pfx"], score_block, n_buckets)
+    return bucket_exchange(m, ["pfx"], score_block)
 
 
 def sorted_neighborhood_pairs(
@@ -2409,7 +2355,6 @@ def sorted_neighborhood_pairs(
     id_col: str,
     *,
     window: int = 8,
-    n_buckets: int = 256,
     carry_cols: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Sorted-neighborhood blocking (Hernández & Stolfo, SIGMOD 1995 —
@@ -2428,7 +2373,7 @@ def sorted_neighborhood_pairs(
 
     Scale shape: one global sort (`relational.global_row_number`'s
     two-pass dense ranks), then each row ships to ~2 window-aligned
-    range groups hashed into ≤``n_buckets`` buckets; pairs are emitted
+    range groups, hash-exchanged; pairs are emitted
     vectorized per rank gap (window-1 shifted compares, no per-row
     Python). Exchange is O(rows), pair output O(rows · window).
     """
@@ -2525,10 +2470,7 @@ def sorted_neighborhood_pairs(
         return ray.data.from_arrow(emit(pa.schema(
             [(c, known.get(c, pa.int64())) for c in [id_col, *carry]]
         ).empty_table()))
-    return bucket_exchange(
-        rn.map_batches(to_groups, batch_format="pyarrow"), ["__g__"], emit,
-        n_buckets,
-    )
+    return bucket_exchange(rn, ["__g__"], emit, prepare=to_groups)
 
 
 def auc_score(
@@ -2551,7 +2493,7 @@ def auc_score(
 
     Parity recipe: scores quantize once to integer units
     (``floor(v·scale + 0.5)``); per-(quantized score, label) counts
-    reduce through one ≤256-bucket exchange as exact integers; the
+    reduce through one hash exchange as exact integers; the
     numerator accumulates in Python arbitrary precision and ONE double
     division + round(``ndigits``) produces the result — the DuckDB
     window replay is hash-exact. Null scores/labels drop.
@@ -2589,10 +2531,7 @@ def auc_score(
             "__c__": pa.array(np.bincount(codes, weights=c).astype(np.int64)),
         })
 
-    parts = bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), ["__k__"], merge,
-        256,
-    ).to_pandas()
+    parts = bucket_exchange(ds, ["__k__"], merge, prepare=partial).to_pandas()
     if len(parts) > max_distinct:
         raise ValueError(
             f"auc_score: {len(parts)} distinct (score,label) cells exceed "
@@ -2647,7 +2586,7 @@ def bcubed_eval(
     (n, b3_precision, b3_recall, b3_f1).
 
     Parity recipe: the (pred, truth) contingency cells reduce through
-    one ≤256-bucket exchange as exact integer counts; each cluster's
+    one hash exchange as exact integer counts; each cluster's
     Σ n² numerator stays an exact Python int, its single double
     division and the ascending-cluster-id fold are pinned-order (the
     DuckDB ``list_reduce`` replay is hash-exact), and the final P/R/F
@@ -2690,8 +2629,7 @@ def bcubed_eval(
         })
 
     cells = bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), ["__p__", "__t__"],
-        merge, 256,
+        ds, ["__p__", "__t__"], merge, prepare=partial,
     ).to_pandas()
     if len(cells) > max_distinct:
         raise ValueError(
@@ -2732,7 +2670,6 @@ def blocking_scheme_sweep(
     truth: ray.data.Dataset,
     id_col: str,
     *,
-    n_buckets: int = 256,
     max_truth_pairs: int = 5_000_000,
 ) -> "pd.DataFrame":
     """Blocking-scheme SELECTION — evaluate several candidate blocking
@@ -2748,14 +2685,13 @@ def blocking_scheme_sweep(
     → DataFrame, one row per scheme, sorted by scheme name.
 
     Scale shape: ``n_cand`` NEVER materializes pairs — each scheme costs
-    one bounded tuple-hash exchange (≤``n_buckets`` groups) whose
-    buckets contribute Σ C(m,2) from exact per-tuple group sizes (the
-    dedup sort+boundary-diff kernel). ``n_hit`` touches only records
-    REFERENCED BY TRUTH: the truth-id set broadcasts once, the matching
-    records' key tuples come back through a narrow semi-join pass, and
-    the per-pair tuple comparison runs on that truth-sized table
-    driver-side (guarded by ``max_truth_pairs``). Corpus size enters
-    only through the counting exchanges.
+    one tuple-hash exchange whose ``fn`` calls contribute Σ C(m,2) from exact
+    per-tuple group sizes (the dedup sort+boundary-diff kernel). ``n_hit``
+    touches only records REFERENCED BY TRUTH: the truth-id set broadcasts once,
+    the matching records' key tuples come back through a narrow semi-join pass,
+    and the per-pair tuple comparison runs on that truth-sized table
+    driver-side (guarded by ``max_truth_pairs``). Corpus size enters only
+    through the counting exchanges.
     """
     import pandas as pd
 
@@ -2778,7 +2714,7 @@ def blocking_scheme_sweep(
             return pa.table({"c": pa.array([tot], pa.int64())})
 
         parts = bucket_exchange(
-            ds.select_columns([id_col] + cols), cols, bucket_pairs, n_buckets
+            ds.select_columns([id_col] + cols), cols, bucket_pairs,
         ).to_pandas()
         n_cand[name] = int(parts["c"].sum())
 

@@ -13,12 +13,12 @@ Dataflow (SURVEY.md §4.3):
    columns; a bucket reads the other side's as null.
 3. **blocking exchange + scoring + duplicate pass** — co-group the two
    sides with `core.exchange.bucket_exchange` (Ray core tasks over the
-   inputs' block refs, no sort) on the blocking key, `default_tasks()`
-   hash buckets: every x-row lands with exactly
-   its reference candidate set, so the per-x argmax reduce is
-   bucket-local (no second wide shuffle). One flat `score_keyed` kernel
-   call per bucket enumerates each key's pairs by sort + boundary
-   search, so a bucket's many keys cost one Python call, and a hot key's
+   inputs' block refs, no sort) on the blocking key: every x-row lands
+   with exactly its reference candidate set, so the per-x argmax reduce
+   is bucket-local (no second wide shuffle). One flat `score_keyed`
+   kernel call per run of whole keys the exchange hands over enumerates
+   each key's pairs by sort + boundary search, so many keys cost one
+   Python call, and a hot key's
    pairs are scored in bounded chunks of whole x rows. The duplicate
    pass (matcher.py:408-447) is bucket-local too: an x can only win a y
    of its own key, so every winner-y group is whole inside the bucket
@@ -57,7 +57,6 @@ from record_matcher_ray.core.config import MatchConfig
 from record_matcher_ray.core.exchange import (
     block_refs,
     bucket_exchange,
-    default_tasks,
     executed_from_refs,
     map_blocks,
 )
@@ -154,9 +153,9 @@ def compute_flips(
     enough to broadcast by contract. Under ``driver_cap`` winner rows the
     narrow (24 B/row) projection is pulled to the driver and resolved in
     ONE vectorized pass — no shuffle round. Above the cap, winners go
-    through ``bucket_exchange`` on winner_y_id over ``default_tasks()``
-    buckets (one vectorized call per bucket, not one Python call per y
-    group). ``scored`` needs x_id_col / winner_y_id / winner_score."""
+    through ``bucket_exchange`` on winner_y_id (one vectorized call per
+    run of whole keys, not one Python call per y group). ``scored`` needs
+    x_id_col / winner_y_id / winner_score."""
     flip_schema = pa.schema([("x_id", pa.int64()), ("flip", pa.int8())])
 
     def resolve_bucket(t: pa.Table) -> pa.Table:
@@ -173,8 +172,7 @@ def compute_flips(
     ).select([x_id_col, "winner_y_id", "winner_score"]))
     n_won = winners.count()
     if n_won > driver_cap:
-        winners = bucket_exchange(winners, ["winner_y_id"], resolve_bucket,
-                                  default_tasks())
+        winners = bucket_exchange(winners, ["winner_y_id"], resolve_bucket)
     # concat the block refs, never iter_batches on the driver: driver
     # batch loops are fault-bound
     parts = [t for t in ray.get([r for r, _ in block_refs(winners)]) if len(t)]
@@ -266,8 +264,8 @@ def match_datasets(
     matcher.py:393-396).
 
     Blocked rows reach their scoring task through one hash-bucket
-    exchange on the blocking key (``core.exchange``, ``default_tasks()``
-    buckets), and each bucket is one ``score_keyed`` call. A hot key costs
+    exchange on the blocking key (``core.exchange``), and each run of
+    whole keys it hands over is one ``score_keyed`` call. A hot key costs
     no special path: its pairs are scored in bounded chunks of whole x
     rows. Ambiguous tie strings order by (first passing column, y rid).
 
@@ -406,7 +404,7 @@ def _match_shuffled(
         )
 
     return bucket_exchange(
-        [x_ds, y_ds], [_KEY], score_bucket, default_tasks(),
+        [x_ds, y_ds], [_KEY], score_bucket,
         prepare=[x_prepare, y_prepare],
     )
 

@@ -21,7 +21,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.pipelines.joins import broadcast_lookup
 
 
@@ -143,24 +143,17 @@ def events_tumbling_window(sf_dir: str, window_s: int = 3600) -> pd.DataFrame:
     return out.sort_values(["event_type", "win"]).reset_index(drop=True)
 
 
-def topk_per_group(
-    sf_dir: str, k: int = 2, n_buckets: int = 64
-) -> pd.DataFrame:
-    """Top-k orders by totalprice per customer — grouped top-k via
-    hash-bucketed groupby + vectorized within-bucket ranking (no per-group
-    Python calls)."""
+def topk_per_group(sf_dir: str, k: int = 2) -> pd.DataFrame:
+    """Top-k orders by totalprice per customer — grouped top-k via one
+    hash exchange + vectorized ranking of many customers per call (no
+    per-group Python calls)."""
     ds = _read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
 
-    def bucketed(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b__"] = bucket_ids(df["o_custkey"].to_numpy(np.int64), n_buckets)
-        return df
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
+    def topk(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(
             ["o_custkey", "o_totalprice", "o_orderkey"],
             ascending=[True, False, True], kind="stable",
         )
@@ -169,34 +162,23 @@ def topk_per_group(
         out = out.copy()
         out["o_totalprice"] = out["o_totalprice"].round(2)
         out["rnk"] = out["rnk"].astype("int64")
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.map_batches(bucketed, batch_format="pandas")
-        .groupby("__b__")
-        .map_groups(topk, batch_format="pandas")
-        .to_pandas()
-    )
+    return bucket_exchange(ds, ["o_custkey"], topk).to_pandas()
 
 
-def sessionize_events(
-    sf_dir: str, gap_s: int = 1800, n_buckets: int = 64
-) -> pd.DataFrame:
+def sessionize_events(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
     """Session windows per user (new session when the gap to the previous
     event exceeds ``gap_s``). Ordering assumption: events sorted by
-    (ts, event_id) within each user — done inside the per-bucket transform;
-    tumbling/associative state only, so buckets are independent."""
+    (ts, event_id) within each user — done inside the exchange's ``fn``;
+    tumbling/associative state only, so users are independent."""
     ds = _read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def bucketed(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b__"] = bucket_ids(df["user_id"].to_numpy(np.int64), n_buckets)
-        return df
-
-    def sessions(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="stable").copy()
+    def sessions(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(["user_id", "ts", "event_id"],
+                                       kind="stable")
         epoch = df["ts"].astype("int64") // 1_000_000  # seconds
         new_user = df["user_id"].ne(df["user_id"].shift())
         brk = new_user | (epoch - epoch.shift() > gap_s)
@@ -212,14 +194,9 @@ def sessionize_events(
         out["end_us"] = out["end_us"].astype("int64")
         out["sum_value"] = out["sum_value"].round(2)
         out["n_events"] = out["n_events"].astype("int64")
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.map_batches(bucketed, batch_format="pandas")
-        .groupby("__b__")
-        .map_groups(sessions, batch_format="pandas")
-        .to_pandas()
-    )
+    return bucket_exchange(ds, ["user_id"], sessions).to_pandas()
 
 
 def last_error_asof(sf_dir: str) -> pd.DataFrame:
@@ -412,7 +389,6 @@ def funnel_steps(
     user_col: str = "user_id",
     ts_col: str = "ts",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Ordered funnel: for each user, how many of ``steps`` they completed
     IN ORDER (greedy earliest-completion semantics: step k+1 must occur
@@ -420,8 +396,8 @@ def funnel_steps(
     (user_col, steps_completed ≥ 1) for users who performed step 1.
 
     Scale shape: rows not matching any step are dropped at the source;
-    the only exchange hash-buckets users into ≤``n_buckets`` groups
-    (never one group per user — CLAUDE.md rule); inside a bucket one
+    the only exchange hashes users, many per ``fn`` call (never one
+    call per user); inside a call one
     lexsort orders (user, ts) and each funnel step is a single
     vectorized masked segmented-min (``np.minimum.reduceat``) over the
     bucket, so cost is O(K · bucket rows), no per-user Python.
@@ -486,10 +462,7 @@ def funnel_steps(
              "steps_completed": pa.array(done[hit])}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [user_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [user_col], local, prepare=prep)
 
 
 def _per_key_sorted(
@@ -515,15 +488,14 @@ def rolling_mean(
     id_col: str = "event_id",
     frame_rows: int = 3,
     cents_scale: float = 100.0,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Trailing row-frame mean per key (SQL ``ROWS BETWEEN frame_rows
     PRECEDING AND CURRENT ROW`` ordered by (ts, id)) → rows
     (id_col, roll_mean rounded to 6dp) — the smoothing / feature-window
     primitive for event streams.
 
-    Scale shape: the shuffle key is a ≤``n_buckets`` hash bucket of the
-    key, each bucket computes every key's windows in one vectorized pass
+    Scale shape: the shuffle key is a hash of the key, each ``fn`` call
+    computes every key's windows in one vectorized pass
     (lexsort + segment-clamped prefix sums); values are quantized once to
     integer units so the window sum is EXACT (order-invariant), and the
     mean is two pinned-order double ops — bit-replayable by the DuckDB
@@ -560,10 +532,7 @@ def rolling_mean(
              "roll_mean": pa.array(mean)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], windows,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], windows, prepare=prep)
 
 
 def interarrival(
@@ -571,7 +540,6 @@ def interarrival(
     key_col: str = "user_id",
     ts_col: str = "ts",
     id_col: str = "event_id",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key lag delta: for each event, microseconds since the key's
     previous event (ordered by (ts, id); a key's first event → null) —
@@ -600,10 +568,7 @@ def interarrival(
              "delta_us": pa.array(d, pa.int64(), mask=first)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], deltas,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], deltas, prepare=prep)
 
 
 def retention_cohorts(
@@ -674,16 +639,15 @@ def transition_counts(
     ts_col: str = "ts",
     type_col: str = "event_type",
     id_col: str = "event_id",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key ordered bigram (Markov transition) counts: for each key's
     event sequence ordered by (ts, id), count global (src_type →
     dst_type) transitions → rows (src, dst, n). The sequence-statistics
     primitive behind session Markov models / next-event features.
 
-    Scale shape: the shuffle key is a ≤``n_buckets`` hash bucket of the
-    key (every row of a key lands in ONE bucket, so each bucket sees
-    complete sequences); inside a bucket one lexsort orders (key, ts,
+    Scale shape: the shuffle key is a hash of the key (every row of a key
+    lands in ONE ``fn`` call, so each call sees complete sequences);
+    inside a call one lexsort orders (key, ts,
     id) and transitions reduce to a bincount over factorized type-pair
     codes — the bucket's partial is bounded by its TYPE VOCABULARY
     squared, not its row count. The final exchange merges tiny (src,
@@ -726,10 +690,7 @@ def transition_counts(
              "n": pa.array(cnt[nz].astype(np.int64))}
         )
 
-    parts = bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    parts = bucket_exchange(ds, [key_col], local, prepare=prep)
     return parts.groupby(["src", "dst"]).aggregate(Sum("n", alias_name="n"))
 
 
@@ -824,15 +785,14 @@ def ntile_by_group(
     id_col: str,
     k: int = 4,
     cents_scale: float = 100.0,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """SQL ``ntile(k) OVER (PARTITION BY group ORDER BY val, id)`` →
     rows (id_col, tile): equal-frequency banding per group (quartiles /
     deciles), ties broken by id so both engines band identically. The
     stratification primitive for balanced eval splits.
 
-    Scale shape: one hash-bucketed exchange on the group key (≤
-    ``n_buckets`` groups — CLAUDE.md rule), one lexsort per bucket,
+    Scale shape: one hash exchange on the group key (many groups per
+    ``fn`` call), one lexsort per call,
     then the ntile formula is pure vectorized index math (the first
     ``n % k`` tiles get ``n//k + 1`` rows — the SQL distribution).
     Values are quantized to integer units for a total order identical
@@ -875,10 +835,7 @@ def ntile_by_group(
              "tile": pa.array(tile.astype(np.int64))}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [group_col], local, prepare=prep)
 
 
 def value_intervals(
@@ -887,7 +844,6 @@ def value_intervals(
     ts_col: str = "ts",
     val_col: str = "event_type",
     id_col: str = "event_id",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """SCD2-style history build: per key ordered by (ts, id), collapse
     consecutive runs of equal ``val_col`` into validity intervals →
@@ -943,10 +899,7 @@ def value_intervals(
              "valid_to": pa.array(nxt, mask=~same_key)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def pivot_counts(
@@ -1011,7 +964,6 @@ def time_weighted_avg(
     val_col: str = "value",
     id_col: str = "event_id",
     cents_scale: float = 100.0,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Time-weighted average per key (TWAP): each value holds from its
     event until the next (left-continuous step function), so
@@ -1020,7 +972,7 @@ def time_weighted_avg(
     keys are omitted (no holding interval — the SQL inner-join
     semantics). The stream-analytics primitive for sensor/price data.
 
-    Scale shape: one ≤``n_buckets`` key-hash exchange; inside a bucket
+    Scale shape: one key-hash exchange; inside a ``fn`` call
     one lexsort + shifted diffs produce every holding interval, and the
     weighted sums are EXACT integers: an int64 ``reduceat`` fast path
     guarded by a float overflow probe (Σ|c·gap| < 2⁶² per key), with a
@@ -1090,10 +1042,7 @@ def time_weighted_avg(
                               pa.float64(), from_pandas=True)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def resample_counts(
@@ -1102,7 +1051,6 @@ def resample_counts(
     ts_col: str = "ts",
     *,
     window_us: int = 86_400_000_000,
-    n_buckets: int = 64,
     max_rows_per_bucket: int = 50_000_000,
 ) -> ray.data.Dataset:
     """Per-key time-series gap-fill (resample): → rows (key_col, win,
@@ -1113,27 +1061,18 @@ def resample_counts(
     timestamps).
 
     Scale shape: each block pre-reduces to (key, win, n) partials (one
-    lexsort — raw events never shuffle), the exchange key is a
-    ≤``n_buckets`` hash bucket of the key, and inside a bucket the full
-    window range is expanded vectorized (multi-arange + scatter of the
-    observed counts). Expansion volume = Σ spans is guarded per bucket
-    with an actionable error — a single sensor with a 10-year gap at 1 ms
-    windows is a data bug, not a reason to OOM.
+    lexsort — raw events never shuffle), one hash exchange on the key,
+    and inside each ``fn`` call the full window range of its many keys is
+    expanded vectorized (multi-arange + scatter of the observed counts).
+    Expansion volume = Σ spans is guarded per call with an actionable
+    error — a single sensor with a 10-year gap at 1 ms windows is a data
+    bug, not a reason to OOM.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64
-
     if window_us <= 0:
         raise ValueError(f"window_us must be positive, got {window_us}")
     wu = np.int64(window_us)
 
     def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:  # keep key type stable for the exchange schema
-            return pa.table(
-                {key_col: t[key_col],
-                 "win": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64()),
-                 "__rb__": pa.array([], pa.int64())}
-            )
         # normalize the unit first — from_items/pandas sources may carry
         # s/ms/ns timestamps; the SQL mirror is epoch_us
         ts = pc.cast(
@@ -1151,17 +1090,14 @@ def resample_counts(
         idx = np.flatnonzero(first)
         cnt = np.diff(np.append(idx, len(cs)))
         ku = pa.array(uniq).take(pa.array(cs[idx]))
-        bucket = bucket_ids(
-            column_hash64(pa.chunked_array([pa.array(uniq)])), n_buckets
-        )
         return pa.table(
             {key_col: ku,
              "win": pa.array(ws[idx]),
-             "n": pa.array(cnt.astype(np.int64)),
-             "__rb__": pa.array(bucket[cs[idx]])}
+             "n": pa.array(cnt.astype(np.int64))}
         )
 
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
+    def expand(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         key = df[key_col].to_numpy()
         win = df["win"].to_numpy(dtype=np.int64)
         n = df["n"].to_numpy(dtype=np.int64)
@@ -1200,20 +1136,13 @@ def resample_counts(
         krank = np.cumsum(kfirst) - 1
         full_n[off[krank] + (ws - lo[krank])] = ns
         out_key = pd.Series(uniq).iloc[cs[kidx]].reset_index(drop=True)
-        return pd.DataFrame(
-            {key_col: np.repeat(out_key.to_numpy(), span),
-             "win": full_win,
-             "n_events": full_n}
+        return pa.Table.from_pandas(
+            pd.DataFrame({key_col: np.repeat(out_key.to_numpy(), span),
+                          "win": full_win, "n_events": full_n}),
+            preserve_index=False,
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__rb__")
-        .map_groups(
-            lambda df: expand(df.drop(columns=["__rb__"])),
-            batch_format="pandas",
-        )
-    )
+    return bucket_exchange(ds, [key_col], expand, prepare=partial)
 
 
 def running_total(
@@ -1223,14 +1152,13 @@ def running_total(
     val_col: str = "value",
     id_col: str = "event_id",
     cents_scale: float = 100.0,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key cumulative sum (SQL ``SUM(v) OVER (PARTITION BY key ORDER
     BY ts, id ROWS UNBOUNDED PRECEDING)``) → rows (id_col, run_total
     rounded to 6dp) — the balance / lifetime-value primitive.
 
-    Scale shape: same as ``rolling_mean`` — ≤``n_buckets`` key-hash
-    exchange, one lexsort per bucket, values quantized once to integer
+    Scale shape: same as ``rolling_mean`` — key-hash exchange, one
+    lexsort per ``fn`` call, values quantized once to integer
     units so the prefix sum is EXACT, one pinned-order double division.
     """
 
@@ -1262,10 +1190,7 @@ def running_total(
              "run_total": pa.array(tot)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], windows,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], windows, prepare=prep)
 
 
 def percent_rank_by_group(
@@ -1273,7 +1198,6 @@ def percent_rank_by_group(
     group_col: str,
     val_col: str,
     id_col: str,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """SQL ``percent_rank() OVER (PARTITION BY group ORDER BY val)`` per
     row → (id_col, group_col, pct_rank): (min_rank − 1) / (n_group − 1),
@@ -1281,7 +1205,7 @@ def percent_rank_by_group(
     0.0. No rounding needed — both sides divide the same two small exact
     integers, so the doubles are bit-identical.
 
-    Scale shape: ≤``n_buckets`` group-hash exchange; inside a bucket one
+    Scale shape: group-hash exchange; inside a ``fn`` call one
     lexsort resolves every group (boundary flags give segment sizes and
     tie-run min-ranks via a running maximum — no per-group Python).
     """
@@ -1320,7 +1244,6 @@ def percent_rank_by_group(
 
     return bucket_exchange(
         ds.select_columns([id_col, group_col, val_col]), [group_col], local,
-        n_buckets,
     )
 
 
@@ -1331,7 +1254,6 @@ def rolling_active(
     *,
     window_days: int = 7,
     day_us: int = 86_400_000_000,
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Trailing-window distinct actives per day (the DAU/WAU/MAU
     primitive): → DataFrame (day, n_active) for EVERY day in the
@@ -1346,7 +1268,7 @@ def rolling_active(
 
     Scale shape: blocks pre-reduce to distinct (key, day) pairs; one
     hash aggregate dedupes them globally; interval merging is a
-    ≤``n_buckets`` key-hash exchange with one lexsort per bucket; the
+    key-hash exchange with one lexsort per ``fn`` call; the
     ±1 deltas pre-aggregate per block (bincount) before the final
     day-keyed exchange, so the driver only ever sees O(#distinct days)
     rows regardless of corpus size.
@@ -1412,7 +1334,7 @@ def rolling_active(
     lo_day, hi_day = int(rng["min(d)"]), int(rng["max(d)"])
 
     day_deltas = (
-        bucket_exchange(pairs, [key_col], deltas, n_buckets)
+        bucket_exchange(pairs, [key_col], deltas)
         .groupby("day")
         .aggregate(Sum("delta", alias_name="delta"))
         .to_pandas()
@@ -1507,7 +1429,6 @@ def sequence_pattern_counts(
     ts_col: str = "ts",
     id_col: str = "event_id",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """MATCH_RECOGNIZE-lite sequence mining: per key, order events by
     (ts, id), encode each event type to one ASCII char via ``codes``
@@ -1517,7 +1438,7 @@ def sequence_pattern_counts(
     'l(e+)p' finds login→errors→purchase arcs a step-funnel can't.
 
     Scale shape: rows shrink to (key, ts, id, char) before the single
-    ≤``n_buckets`` key-hash exchange; inside a bucket one lexsort orders
+    key-hash exchange; inside a ``fn`` call one lexsort orders
     every key and the per-key strings are zero-copy byte-slices of one
     uint8 array; the regex engine (C) runs once per key. Both Python
     ``re`` and DuckDB's RE2 count non-overlapping leftmost matches, so
@@ -1567,10 +1488,7 @@ def sequence_pattern_counts(
              "n_matches": pa.array(n_m)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], scan,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], scan, prepare=prep)
 
 
 def cube_aggregate(
@@ -1642,7 +1560,6 @@ def ewma_by_key(
     val_col: str = "value",
     id_col: str = "event_id",
     alpha: float = 0.2,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Exponentially weighted moving average per key: fold the key's
     events in (ts, id) order through ``s ← α·x + (1−α)·s`` (seeded with
@@ -1656,7 +1573,7 @@ def ewma_by_key(
     β is computed as ``1.0 − α`` on BOTH sides (1−0.2 is NOT the double
     literal 0.8); readout is the repo's signed half-up 6dp.
 
-    Scale shape: one ≤``n_buckets`` key-hash exchange; inside a bucket
+    Scale shape: one key-hash exchange; inside a ``fn`` call
     one lexsort orders every key's segment and the fold runs as
     max-segment-length vectorized sweeps ACROSS keys (gather at
     ``starts + j``), so per-row work is O(1) with no Python per-row
@@ -1700,10 +1617,7 @@ def ewma_by_key(
              "ewma": pa.array(ew)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def cusum_by_key(
@@ -1715,7 +1629,6 @@ def cusum_by_key(
     target: float = 0.0,
     slack: float = 0.5,
     threshold: float = 5.0,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-key two-sided CUSUM drift detector (Page 1954): fold the
     key's values in (ts, id) order through
@@ -1735,8 +1648,8 @@ def cusum_by_key(
     runs on identical doubles both sides; readout is the repo's signed
     half-up 6dp.
 
-    Scale shape: identical to `ewma_by_key` — one ≤``n_buckets``
-    key-hash exchange, one lexsort per bucket, the fold runs as
+    Scale shape: identical to `ewma_by_key` — one key-hash exchange,
+    one lexsort per ``fn`` call, the fold runs as
     max-segment-length vectorized sweeps ACROSS keys; null keys/values
     drop (mirrored by the oracle's WHERE).
     """
@@ -1787,10 +1700,7 @@ def cusum_by_key(
              "alarm": pa.array(alarm)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def interval_union_by_key(
@@ -1799,7 +1709,6 @@ def interval_union_by_key(
     ts_col: str = "ts",
     id_col: str = "event_id",
     duration_us: int = 3_600_000_000,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Gaps-and-islands interval union per key: each event opens an
     interval [ts, ts + duration_us); overlapping or touching intervals
@@ -1812,7 +1721,7 @@ def interval_union_by_key(
     replay (running max of interval end, new island when start exceeds
     it) with no float pinning.
 
-    Scale shape: one ≤``n_buckets`` key-hash exchange; inside a bucket
+    Scale shape: one key-hash exchange; inside a ``fn`` call
     one lexsort orders every key's intervals and the running max runs
     as max-segment-length vectorized sweeps ACROSS keys (the
     `ewma_by_key` layout); island stats close with order-independent
@@ -1859,10 +1768,7 @@ def interval_union_by_key(
              "n_events": pa.array(cnt)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def attribute_conversions(
@@ -1874,7 +1780,6 @@ def attribute_conversions(
     conversion: str = "purchase",
     channels: tuple[str, ...] = ("click", "view"),
     lookback_us: int = 604_800_000_000,
-    n_buckets: int = 64,
     touch: str = "last",
 ) -> ray.data.Dataset:
     """Last-touch (or, with ``touch="first"``, first-touch) marketing
@@ -1890,7 +1795,7 @@ def attribute_conversions(
     ``last_value(... IGNORE NULLS)`` window replay with the identical
     (ts, id) frame and lookback cut.
 
-    Scale shape: one ≤``n_buckets`` key-hash exchange; the
+    Scale shape: one key-hash exchange; the
     carry-last-channel state sweeps vectorized ACROSS keys per row
     rank (the `ewma_by_key` lockstep layout — no per-row Python).
     """
@@ -1985,10 +1890,7 @@ def attribute_conversions(
              "lag_us": pa.array(lag, pa.int64(), mask=miss)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [key_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [key_col], local, prepare=prep)
 
 
 def late_event_audit(

@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Max, Sum
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.hashkernels import mix64
 
 _TWO64 = 1 << 64
@@ -101,41 +101,33 @@ def stratified_cap(
     cap: int,
     id_col: str,
     seed: int = 0,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Keep at most ``cap`` rows per ``group_col`` value, chosen by
     sample-hash order (ties by id) — deterministic per-group downsampling
     for balancing skewed categories.
 
-    One bounded exchange: rows bucket by a hash of the group value (≤
-    ``n_buckets`` groups ride the shuffle, never one per distinct value —
-    the CLAUDE.md per-group rule), then each bucket ranks its rows with a
-    vectorized pandas groupby-cumcount. Equivalent SQL:
-    ``row_number() OVER (PARTITION BY g ORDER BY sample_hash(id), id)
-    <= cap``."""
+    One hash exchange on the group value, then each ``fn`` call ranks the
+    rows of its many groups with one vectorized pandas groupby-cumcount
+    (never one call per distinct value: per-call overhead stays bounded).
+    Equivalent SQL: ``row_number() OVER (PARTITION BY g ORDER BY
+    sample_hash(id), id) <= cap``."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     s = seed
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = bucket_ids(column_hash64(t[group_col]), n_buckets)
-        return t.append_column("__sb__", pa.array(b))
-
-    def rank_keep(df: pd.DataFrame) -> pd.DataFrame:
+    def rank_keep(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         h = sample_hash(df[id_col].to_numpy(), s)
         df = df.assign(__sh__=h).sort_values(
             ["__sh__", id_col], kind="stable"
         )
         rank = df.groupby(group_col, sort=False, dropna=False).cumcount()
-        return df[rank.to_numpy() < cap].drop(columns=["__sb__", "__sh__"])
+        return pa.Table.from_pandas(
+            df[rank.to_numpy() < cap].drop(columns=["__sh__"]),
+            preserve_index=False,
+        )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__sb__")
-        .map_groups(rank_keep, batch_format="pandas")
-    )
+    return bucket_exchange(ds, [group_col], rank_keep)
 
 
 def deterministic_shuffle(
@@ -379,7 +371,6 @@ def pack_sequences(
     *,
     capacity: int = 2048,
     bucket_size: int = 64,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Training **sequence packing**: assign each document to a
     fixed-capacity token bin (next-fit in id order), the step that turns
@@ -395,7 +386,7 @@ def pack_sequences(
     packing is a pure function of (ids, lengths, capacity, bucket_size),
     independent of physical partitioning, and each bucket packs
     independently, so the whole operator is one bounded hash exchange
-    (≤``n_buckets`` groups) plus per-bucket scans. The cross-bucket
+    plus per-bucket scans. The cross-bucket
     padding cost vs one global scan is ≤ one partial bin per bucket —
     the price of parallelism, stated not hidden.
 
@@ -446,9 +437,7 @@ def pack_sequences(
             "truncated": pa.array(ln > capacity),
         })
 
-    return bucket_exchange(
-        ds.map_batches(tag, batch_format="pyarrow"), ["pb"], pack, n_buckets
-    )
+    return bucket_exchange(ds, ["pb"], pack, prepare=tag)
 
 
 def packing_stats(

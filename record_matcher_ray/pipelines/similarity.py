@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from record_matcher_ray.core.exchange import bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 
 
 def _merge_topk(
@@ -335,13 +335,12 @@ def embedding_near_dups(
     id_col: str = "vec_id",
     n_centroids: int = 16,
     nprobe: int = 2,
-    n_pair_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Approximate embedding-cosine near-duplicate pairs: every vector is
     assigned to its ``nprobe`` NEAREST centroids (multi-probe — closes the
     round-1 recall hole where boundary pairs straddling a single-probe
     bucket split were never compared), all-pairs cosine within each bucket,
-    keep sim >= threshold, then a bounded-bucket distinct pass drops the
+    keep sim >= threshold, then a pair-hash distinct pass drops the
     pairs found in more than one probed bucket. → Dataset(a, b, cos_sim).
 
     Recall rises with ``nprobe`` (2 catches same-plus-next-centroid
@@ -390,23 +389,14 @@ def embedding_near_dups(
     )
 
     # distinct (a, b) — multi-probe emits a pair once per shared bucket;
-    # bounded-bucket shuffle + vectorized first-per-pair (CLAUDE.md rule)
-    def add_pb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__pb__"] = bucket_ids(
-            (df["a"].to_numpy() * np.int64(1000003)) ^ df["b"].to_numpy(),
-            n_pair_buckets,
+    # one pair-hash exchange + vectorized first-per-pair
+    def local_distinct(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(
+            t.to_pandas().drop_duplicates(subset=["a", "b"]),
+            preserve_index=False,
         )
-        return df
 
-    def local_distinct(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["a", "b"]).drop(columns="__pb__")
-
-    return (
-        raw.map_batches(add_pb, batch_format="pandas")
-        .groupby("__pb__")
-        .map_groups(local_distinct, batch_format="pandas")
-    )
+    return bucket_exchange(raw, ["a", "b"], local_distinct)
 
 
 # ---- distributed fixed-point k-means -----------------------------------

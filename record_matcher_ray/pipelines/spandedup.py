@@ -10,10 +10,10 @@ Scale shape
 Window hashing is one vectorized sweep per batch (core.hashkernels
 .window_hashes — rolling polynomial hash, no per-row Python). The only
 all-to-all exchange (core.exchange.bucket_exchange) carries
-(window_hash, doc_id, payload) rows — never text — keyed by a ≤256
-bucket of the window hash, never the raw hash, so per-group Python overhead is bounded by the
-bucket count (CLAUDE.md rule) and each bucket resolves duplicate status
-in one vectorized sort/boundary pass. Per-doc aggregation is a second
+(window_hash, doc_id, payload) rows — never text — keyed by the window
+hash, and each ``fn`` call resolves duplicate status for a run of many
+hashes in one vectorized sort/boundary pass (no per-key
+Python). Per-doc aggregation is a second
 bounded-key exchange of doc-level partials. Nothing is materialized on
 the driver; output streams.
 
@@ -42,7 +42,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from record_matcher_ray.core.exchange import bucket_exchange, default_tasks
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.hashkernels import (
     normalize_utf8,
     utf8_view,
@@ -68,8 +68,6 @@ def duplicated_window_stats(
     window: int = 16,
     stride: int = 1,
     min_docs: int = 2,
-    n_buckets: int = 256,
-    shuffle_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """→ Dataset[id_col, n_windows, n_dup_windows, dup_frac] per document
     with ≥1 window. ``dup_frac`` counts window OCCURRENCES (a window
@@ -138,11 +136,7 @@ def duplicated_window_stats(
             }
         )
 
-    parts = default_tasks(shuffle_partitions)
-    partials = bucket_exchange(
-        ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
-        ["__h__"], bucket_resolve, n_buckets,
-    )
+    partials = bucket_exchange(ds, ["__h__"], bucket_resolve, prepare=emit)
     agg = partials.groupby(id_col).aggregate(
         Sum("n_windows", alias_name="n_windows"),
         Sum("n_dup_windows", alias_name="n_dup_windows"),
@@ -166,8 +160,6 @@ def duplicate_spans(
     window: int = 16,
     stride: int = 1,
     min_docs: int = 2,
-    n_buckets: int = 256,
-    shuffle_partitions: int | None = None,
     as_lists: bool = False,
 ) -> ray.data.Dataset:
     """→ Dataset[id_col, span_start, span_end]: maximal merged byte spans
@@ -282,16 +274,9 @@ def duplicate_spans(
             }
         )
 
-    parts = default_tasks(shuffle_partitions)
-    marked = bucket_exchange(
-        ds.map_batches(emit, batch_format="pyarrow").repartition(parts),
-        ["__h__"], bucket_mark, n_buckets,
-    )
+    marked = bucket_exchange(ds, ["__h__"], bucket_mark, prepare=emit)
     # the merge stage re-keys the surviving windows by document
-    return bucket_exchange(
-        marked.repartition(max(parts // 2, 1)), [id_col], bucket_merge,
-        n_buckets,
-    )
+    return bucket_exchange(marked, [id_col], bucket_merge)
 
 
 def strip_duplicate_spans(
@@ -302,8 +287,6 @@ def strip_duplicate_spans(
     window: int = 16,
     stride: int = 1,
     min_docs: int = 2,
-    n_buckets: int = 256,
-    shuffle_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """→ Dataset[id_col, text_col]: the NORMALIZED text of every document
     with its cross-document duplicated spans cut out (the "remove
@@ -319,9 +302,7 @@ def strip_duplicate_spans(
 
     spans = duplicate_spans(
         ds, text_col, id_col,
-        window=window, stride=stride, min_docs=min_docs,
-        n_buckets=n_buckets, shuffle_partitions=shuffle_partitions,
-        as_lists=True,
+        window=window, stride=stride, min_docs=min_docs, as_lists=True,
     )
 
     def norm_only(t: pa.Table) -> pa.Table:
@@ -332,7 +313,6 @@ def strip_duplicate_spans(
     joined = hash_join(
         ds.map_batches(norm_only, batch_format="pyarrow"),
         spans, id_col, id_col, how="left",
-        n_buckets=n_buckets,
     )
 
     def cut(t: pa.Table) -> pa.Table:

@@ -337,7 +337,6 @@ def robust_zscore(
     *,
     scale: float = 100.0,
     ndigits: int = 6,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Median/MAD robust z-score — the outlier-resistant twin of
     ``zscore_by_group`` (a single extreme value drags mean/std but not
@@ -353,8 +352,8 @@ def robust_zscore(
     `lo·(1−frac) + hi·frac` interpolations agree BIT-for-bit and the one
     final division is pinned-order.
 
-    Scale shape: two exact ``grouped_quantiles`` passes (≤``n_buckets``
-    hash-bucket exchanges carrying only (group, value)), each group-stat
+    Scale shape: two exact ``grouped_quantiles`` passes (hash exchanges
+    carrying only (group, value)), each group-stat
     table broadcast (``_ZSCORE_MAX_GROUPS`` cap) into a zero-shuffle
     readout. Exact quantiles are not mergeable — for unbounded streams
     swap in the histogram sketch (`sketches.approx_quantiles`). ``ds`` is
@@ -374,7 +373,7 @@ def robust_zscore(
 
     med_df = grouped_quantiles(
         ds.map_batches(quant, batch_format="pyarrow"),
-        [group_col], "__c__", (0.5,), n_buckets=n_buckets,
+        [group_col], "__c__", (0.5,),
     ).to_pandas()
     # Empty input: the quantile pass yields a column-less frame.
     med = ({} if med_df.empty
@@ -394,7 +393,7 @@ def robust_zscore(
 
     mad_df = grouped_quantiles(
         ds.map_batches(absdev, batch_format="pyarrow"),
-        [group_col], "__a__", (0.5,), n_buckets=n_buckets,
+        [group_col], "__a__", (0.5,),
     ).to_pandas()
     mad = ({} if mad_df.empty
            else dict(zip(mad_df[group_col], mad_df["q_50"])))
@@ -1032,7 +1031,6 @@ def gini_by_group(
     *,
     scale: float = 100.0,
     ndigits: int = 6,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Gini inequality coefficient per group over non-negative values
     (the mean-difference form on sorted ranks):
@@ -1049,8 +1047,8 @@ def gini_by_group(
     pinned-order double chain, signed half-up ``ndigits``. Groups with
     Σx ≤ 0 emit NULL gini.
 
-    Scale shape: ONE ≤``n_buckets`` group-hash exchange; inside a
-    bucket one lexsort orders every group's values and the sums are
+    Scale shape: ONE group-hash exchange; inside a ``fn`` call one
+    lexsort orders every group's values and the sums are
     chunked exact-int folds (int64-safe per the `_exact_sum` bound).
     """
     import math
@@ -1120,10 +1118,7 @@ def gini_by_group(
              "gini": pa.array(out_gini, pa.float64())}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [group_col], local, prepare=prep)
 
 
 def theil_by_group(
@@ -1133,7 +1128,6 @@ def theil_by_group(
     *,
     scale: float = 100.0,
     ndigits: int = 6,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Theil T inequality index per group over non-negative values:
 
@@ -1152,8 +1146,8 @@ def theil_by_group(
     tie-break. Readout signed half-up ``ndigits``; groups with S ≤ 0
     emit NULL.
 
-    Scale shape: ONE ≤``n_buckets`` group-hash exchange; inside a
-    bucket one lexsort orders every group's values and the fold runs as
+    Scale shape: ONE group-hash exchange; inside a ``fn`` call one
+    lexsort orders every group's values and the fold runs as
     max-segment-length lockstep sweeps across groups (`ewma_by_key`
     layout).
     """
@@ -1221,10 +1215,7 @@ def theil_by_group(
                                mask=~ok_g)}
         )
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [group_col], local, prepare=prep)
 
 
 def ks_test_two_sample(
@@ -1253,7 +1244,7 @@ def ks_test_two_sample(
     empty side yields NULL d.
 
     Scale shape: per-block (value, label) count partials through one
-    ≤256-bucket exchange, then a driver fold over DISTINCT values
+    hash exchange, then a driver fold over DISTINCT values
     (``max_distinct`` guard — the documented driver-side shape)."""
     import math
 
@@ -1283,10 +1274,7 @@ def ks_test_two_sample(
             "__c__": pa.array(np.bincount(codes, weights=c).astype(np.int64)),
         })
 
-    cells = bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), ["__k__"], merge,
-        256,
-    ).to_pandas()
+    cells = bucket_exchange(ds, ["__k__"], merge, prepare=partial).to_pandas()
     if len(cells) > max_distinct:
         raise ValueError(
             f"ks_test_two_sample: {len(cells)} distinct cells exceed "
@@ -1327,7 +1315,7 @@ def _contingency_cells(
 ) -> pd.DataFrame:
     """Exact observed contingency cells of two categorical columns (nulls
     drop) → DataFrame (__a__, __b__, __c__), one row per OBSERVED (a, b)
-    pair: per-block partial counts merged through one ≤256-bucket
+    pair: per-block partial counts merged through one hash
     exchange, so raw rows never shuffle."""
 
     def count(a: np.ndarray, b: np.ndarray, w) -> pa.Table:
@@ -1353,8 +1341,7 @@ def _contingency_cells(
                      t["__c__"].to_numpy())
 
     return bucket_exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), ["__a__", "__b__"],
-        merge, 256,
+        ds, ["__a__", "__b__"], merge, prepare=partial
     ).to_pandas()
 
 
@@ -1391,7 +1378,7 @@ def chi_square_independence(
     — hash-exact against the DuckDB ``list_reduce`` replay whenever every
     cell is observed.
 
-    Scale shape: per-block pre-aggregated cell partials, one ≤256-bucket
+    Scale shape: per-block pre-aggregated cell partials, one hash
     exchange, then a driver fold over the distinct observed cells."""
     import math
 
@@ -1561,7 +1548,6 @@ def spearman_by_group(
     *,
     scale: float = 100.0,
     ndigits: int = 6,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Spearman rank correlation per group — the monotone-association
     twin of `grouped_corr` (Pearson), robust to outliers and nonlinear
@@ -1575,9 +1561,9 @@ def spearman_by_group(
     the DuckDB rank()-window replay is hash-exact. Values quantize once
     (``floor(v·scale + 0.5)``) so ties cut identically both sides.
 
-    Scale shape: one ≤``n_buckets`` group-hash exchange; within a
-    bucket ranks come from two argsorts per group (vectorized boundary
-    diffs, no per-row Python)."""
+    Scale shape: one group-hash exchange; within a ``fn`` call ranks come
+    from two argsorts per group (vectorized boundary diffs, no per-row
+    Python)."""
     import math
 
     def prep(t: pa.Table) -> pa.Table:
@@ -1658,7 +1644,4 @@ def spearman_by_group(
             "rho": pa.array(out_rho, pa.float64()),
         })
 
-    return bucket_exchange(
-        ds.map_batches(prep, batch_format="pyarrow"), [group_col], local,
-        n_buckets,
-    )
+    return bucket_exchange(ds, [group_col], local, prepare=prep)

@@ -22,7 +22,7 @@ import ray
 import ray.data
 from ray.data.block import BlockAccessor
 
-from record_matcher_ray.core.exchange import block_refs, bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import block_refs, bucket_exchange
 
 
 def column_names(ds: ray.data.Dataset) -> set[str]:
@@ -159,7 +159,6 @@ def filter_by_quantile(
     q_lo: float = 0.0,
     q_hi: float = 1.0,
     group_cols: list[str] | None = None,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Keep rows whose ``value_col`` lies inside the exact
     [``q_lo``, ``q_hi``] quantile band — globally or per group. The
@@ -179,7 +178,7 @@ def filter_by_quantile(
     gcols = list(group_cols or [])
     if gcols:
         thr_ds = grouped_quantiles(
-            ds, gcols, value_col, qs=(q_lo, q_hi), n_buckets=n_buckets
+            ds, gcols, value_col, qs=(q_lo, q_hi)
         )
     else:
         with_all = ds.map_batches(
@@ -189,7 +188,7 @@ def filter_by_quantile(
             batch_format="pyarrow",
         )
         thr_ds = grouped_quantiles(
-            with_all, ["__all__"], value_col, qs=(q_lo, q_hi), n_buckets=1
+            with_all, ["__all__"], value_col, qs=(q_lo, q_hi)
         )
     lo_name = f"q_{int(round(q_lo * 100))}"
     hi_name = f"q_{int(round(q_hi * 100))}"
@@ -242,7 +241,6 @@ def winsorize_by_quantile(
     q_lo: float = 0.01,
     q_hi: float = 0.99,
     group_cols: list[str] | None = None,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Clip instead of drop: values outside the exact [``q_lo``, ``q_hi``]
     quantile band are clamped to the band edge — the outlier-taming twin
@@ -258,7 +256,7 @@ def winsorize_by_quantile(
     gcols = list(group_cols or [])
     if gcols:
         thr_ds = grouped_quantiles(
-            ds, gcols, value_col, qs=(q_lo, q_hi), n_buckets=n_buckets
+            ds, gcols, value_col, qs=(q_lo, q_hi)
         )
     else:
         with_all = ds.map_batches(
@@ -268,7 +266,7 @@ def winsorize_by_quantile(
             batch_format="pyarrow",
         )
         thr_ds = grouped_quantiles(
-            with_all, ["__all__"], value_col, qs=(q_lo, q_hi), n_buckets=1
+            with_all, ["__all__"], value_col, qs=(q_lo, q_hi)
         )
     lo_name = f"q_{int(round(q_lo * 100))}"
     hi_name = f"q_{int(round(q_hi * 100))}"
@@ -339,34 +337,24 @@ def group_by(ds: ray.data.Dataset, column_map: dict[str, str]) -> ray.data.Datas
 
 
 def duplicated_by_column(
-    ds: ray.data.Dataset, column: str, n_buckets: int = 256
+    ds: ray.data.Dataset, column: str
 ) -> ray.data.Dataset:
     """O5 — rows whose non-blank value in ``column`` occurs more than once
     (records.py:135-153).
 
-    Scale shape: the shuffle key is a ≤``n_buckets`` hash bucket of the
-    value — never the raw (potentially billion-cardinality) column — and
-    each bucket resolves duplicate groups in one vectorized pass
-    (value_counts), per the CLAUDE.md per-group-overhead rule."""
+    Scale shape: one hash exchange on the value, and each ``fn`` call
+    resolves the duplicate groups of its many values in one vectorized
+    pass (value_counts), never one Python call per value."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from record_matcher_ray.core.hashkernels import column_hash64
-
-        b = bucket_ids(column_hash64(t[column]), n_buckets)
-        return t.append_column("__db__", pa.array(b))
-
-    def keep_dups(df: pd.DataFrame) -> pd.DataFrame:
+    def keep_dups(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         vals = df[column]
         blank = vals.isna() | (vals.astype(str) == "")
         counts = vals.map(vals.value_counts())
         keep = (~blank) & (counts > 1)
-        return df.loc[keep].drop(columns="__db__")
+        return pa.Table.from_pandas(df.loc[keep], preserve_index=False)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__db__")
-        .map_groups(keep_dups, batch_format="pandas")
-    )
+    return bucket_exchange(ds, [column], keep_dups)
 
 
 def adjusted_uniqueness(
@@ -383,13 +371,12 @@ def grouped_quantiles(
     group_cols: list[str],
     value_col: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.75),
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Exact per-group quantiles (numpy/DuckDB ``quantile_cont`` linear
     interpolation) → one row per group: (group_cols..., q_<pct>...).
 
-    Scale shape: the shuffle key is a hash BUCKET of the group key (≤
-    ``n_buckets``), never the raw group column; inside a bucket all of its
+    Scale shape: the shuffle key is a hash of the group key, never the
+    raw group column; inside a ``fn`` call all of its
     groups are resolved in one vectorized pass (lexsort + boundary scan +
     interpolated gather — no per-group Python). Exactness requires each
     bucket's rows to fit one worker; for unbounded value streams use a
@@ -426,7 +413,7 @@ def grouped_quantiles(
             )
         return pa.Table.from_pandas(pd.DataFrame(out), preserve_index=False)
 
-    return bucket_exchange(ds, group_cols, bucket_quantiles, n_buckets)
+    return bucket_exchange(ds, group_cols, bucket_quantiles)
 
 
 def latest_by_key(
@@ -434,7 +421,6 @@ def latest_by_key(
     key_cols: str | list[str],
     order_col: str,
     tie_col: str | None = None,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """CDC / upsert compaction: keep, per key, the single row with the
     maximum ``order_col`` (latest version), ties broken by maximum
@@ -445,8 +431,8 @@ def latest_by_key(
     key (vectorized lexsort + group-boundary scan — no per-key Python)
     BEFORE the exchange, so at most one row per (key, block) rides the
     shuffle regardless of how many stale versions a block holds. The
-    shuffle key is a ≤``n_buckets`` hash bucket of the key tuple — never
-    the raw (potentially billion-cardinality) key — and each bucket
+    shuffle key is a hash of the key tuple — never the raw (potentially
+    billion-cardinality) key — and each ``fn`` call
     re-runs the same vectorized winner pass over its pre-reduced rows.
     """
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
@@ -473,10 +459,7 @@ def latest_by_key(
         last = np.concatenate([diff, [True]])  # max (order, tie) per key
         return t.take(pa.array(idx[last]))
 
-    return bucket_exchange(
-        ds.map_batches(winners, batch_format="pyarrow"), key_cols, winners,
-        n_buckets,
-    )
+    return bucket_exchange(ds, key_cols, winners, prepare=winners)
 
 
 def snapshot_diff(
@@ -484,7 +467,6 @@ def snapshot_diff(
     new_ds: ray.data.Dataset,
     id_col: str = "doc_id",
     content_col: str = "text",
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Incremental corpus diff between two snapshots → one row per id:
     (id_col, status ∈ {added, removed, changed, unchanged}) — the
@@ -493,7 +475,7 @@ def snapshot_diff(
     Scale shape: content is hashed LOCALLY (mix64-finalized 64-bit) and
     dropped before the exchange, so only (id, hash, side) ≈ 17 B/row ride
     the shuffle regardless of document size; the shuffle key is a
-    ≤``n_buckets`` hash bucket of the id, and each bucket resolves all its
+    hash of the id, and each ``fn`` call resolves all its
     ids in one vectorized pass. Hash equality stands in for content
     equality (collision odds ~n²/2⁶⁵ — the same contract as exact_dedup).
     Ids must be unique per snapshot; duplicates are represented by their
@@ -545,7 +527,7 @@ def snapshot_diff(
              "status": pa.array(_STATUS[st], pa.string())}
         )
 
-    return bucket_exchange(u, [id_col], resolve, n_buckets)
+    return bucket_exchange(u, [id_col], resolve)
 
 
 def distinct_count_by(
@@ -639,7 +621,6 @@ def mode_by_group(
     ds: ray.data.Dataset,
     group_col: str,
     val_col: str,
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Most frequent value per group → rows (group_col, mode_val,
     n_mode), ties broken by the SMALLEST value (binary/codepoint order —
@@ -647,37 +628,26 @@ def mode_by_group(
     exactly). The categorical-imputation / dominant-label primitive.
 
     Scale shape: each block pre-reduces to its (group, val, n) counts
-    (factorize + bincount — raw rows never shuffle), the exchange key is
-    a ≤``n_buckets`` hash bucket of the group, and inside a bucket one
-    lexsort merges partial counts and picks every group's winner
-    vectorized.
+    (factorize + bincount — raw rows never shuffle), one hash exchange on
+    the group, and inside each ``fn`` call one lexsort merges partial
+    counts and picks every group's winner vectorized.
     """
-    from record_matcher_ray.core.hashkernels import column_hash64
 
     def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {group_col: t[group_col], val_col: t[val_col],
-                 "n": pa.array([], pa.int64()),
-                 "__mb__": pa.array([], pa.int64())}
-            )
         gc, gu = pd.factorize(t[group_col].to_numpy(zero_copy_only=False))
         vc, vu = pd.factorize(t[val_col].to_numpy(zero_copy_only=False))
         key = gc.astype(np.int64) * len(vu) + vc
         uk, n = np.unique(key, return_counts=True)
         gi = (uk // len(vu)).astype(np.int64)
         vi = (uk % len(vu)).astype(np.int64)
-        bucket = bucket_ids(
-            column_hash64(pa.chunked_array([pa.array(gu)])), n_buckets
-        )
         return pa.table(
             {group_col: pa.array(gu).take(pa.array(gi)),
              val_col: pa.array(vu).take(pa.array(vi)),
-             "n": pa.array(n.astype(np.int64)),
-             "__mb__": pa.array(bucket[gi])}
+             "n": pa.array(n.astype(np.int64))}
         )
 
-    def winner(df: pd.DataFrame) -> pd.DataFrame:
+    def winner(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         g = df[group_col].to_numpy()
         v = df[val_col].to_numpy()
         n = df["n"].to_numpy(dtype=np.int64)
@@ -698,20 +668,13 @@ def mode_by_group(
         vorder = np.lexsort((vs, -tot, gi))
         gfirst = np.concatenate(([True], gi[vorder][1:] != gi[vorder][:-1]))
         win = vorder[gfirst]
-        return pd.DataFrame(
-            {group_col: gu[gi[win]],
-             "mode_val": vs[win],
-             "n_mode": tot[win]}
+        return pa.Table.from_pandas(
+            pd.DataFrame({group_col: gu[gi[win]], "mode_val": vs[win],
+                          "n_mode": tot[win]}),
+            preserve_index=False,
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__mb__")
-        .map_groups(
-            lambda df: winner(df.drop(columns=["__mb__"])),
-            batch_format="pandas",
-        )
-    )
+    return bucket_exchange(ds, [group_col], winner, prepare=partial)
 
 
 def explode_list(
@@ -877,8 +840,6 @@ def window_dedupe(
     ts_col: str,
     id_col: str,
     window_s: int,
-    *,
-    n_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Streaming-style windowed deduplication: keep the FIRST row (by
     timestamp, ties by id) per (key tuple, fixed time window) →
@@ -886,8 +847,8 @@ def window_dedupe(
     :func:`latest_by_key` — the standard at-least-once-delivery /
     telemetry-burst collapse (one event per user+type per hour).
 
-    win = floor(epoch_us / window_us); keys ride one ≤``n_buckets``
-    tuple-hash exchange (never the raw composite key), and each bucket
+    win = floor(epoch_us / window_us); keys ride one tuple-hash
+    exchange (never the raw composite key), and each ``fn`` call
     resolves winners in ONE lexsort + run-boundary pass. Null keys group
     together like SQL PARTITION BY (NULL is a partition value there).
     """
@@ -928,7 +889,7 @@ def window_dedupe(
         out["win"] = pa.array(win[sel])
         return pa.table(out)
 
-    return bucket_exchange(proj, list(key_cols), pick, n_buckets)
+    return bucket_exchange(proj, list(key_cols), pick)
 
 
 def union_by_name(

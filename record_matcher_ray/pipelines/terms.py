@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
-from record_matcher_ray.core.exchange import bucket_exchange, bucket_ids
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.core.hashkernels import normalize_utf8
 
 
@@ -181,7 +181,6 @@ def inverted_index(
     id_col: str = "doc_id",
     min_df: int = 1,
     max_postings: int = 1_000,
-    n_buckets: int = 256,
 ) -> ray.data.Dataset:
     """Build an inverted index: → rows (term, df, postings:list<int64>)
     with postings = the first ``max_postings`` doc ids ascending (df stays
@@ -190,8 +189,8 @@ def inverted_index(
 
     Scale shape: each block emits its DISTINCT (term, doc) pairs (local
     dedupe — a block's output is bounded by its vocabulary × docs, not its
-    token count); the exchange key is a ≤``n_buckets`` hash bucket of the
-    term, never the raw term; each bucket assembles all its posting lists
+    token count); the exchange key is a hash of the term, never the raw
+    term; each ``fn`` call assembles all its posting lists
     in one vectorized pass (factorize + lexsort + offset slicing — no
     per-term Python). The distinct pair stream IS the index, so exchange
     volume is the information-theoretic minimum for exact postings.
@@ -246,10 +245,7 @@ def inverted_index(
              "postings": postings}
         )
 
-    return bucket_exchange(
-        ds.map_batches(pairs, batch_format="pyarrow"), ["term"], assemble,
-        n_buckets,
-    )
+    return bucket_exchange(ds, ["term"], assemble, prepare=pairs)
 
 
 def bm25_scores(
@@ -485,7 +481,6 @@ def tfidf_cosine_pairs(
     max_df: int = 1000,
     tf_cap: int = 4096,
     idf_scale: int = 1024,
-    n_term_buckets: int = 256,
     max_vocab: int = 5_000_000,
     max_docs: int = 2_000_000,
     ndigits: int = 6,
@@ -515,7 +510,7 @@ def tfidf_cosine_pairs(
     `hashed_tfidf` dimensions); (2) per-doc norms, local per row
     (``max_docs`` broadcast guard — the scale path joins norms through
     `joins.hash_join` instead); (3) postings hash-bucketed BY TERM
-    (≤``n_term_buckets`` groups), per-term pair enumeration vectorized
+    (many terms per call), per-term pair enumeration vectorized
     with local (a, b) pre-aggregation, then ONE groupby(a, b) sum whose
     volume is the candidate-pair count, capped by max_df.
     """
@@ -704,10 +699,7 @@ def tfidf_cosine_pairs(
     pow10 = 10.0 ** int(ndigits)
 
     pairs = (
-        bucket_exchange(
-            ds.map_batches(posting_partial, batch_format="pyarrow"), ["g"],
-            bucket_pairs, n_term_buckets,
-        )
+        bucket_exchange(ds, ["g"], bucket_pairs, prepare=posting_partial)
         .groupby(["a", "b"])
         .aggregate(Sum("dot", alias_name="dot"))
     )
@@ -738,7 +730,6 @@ def top_terms_by_group(
     *,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-group top-k terms by occurrence → rows (grp, term, n_occ,
     rnk), rnk 1..k per group ordered (n_occ desc, term asc) — the
@@ -746,12 +737,10 @@ def top_terms_by_group(
     source drift eyeballing). Null groups drop.
 
     Scale shape: raw tokens never shuffle — each block pre-aggregates
-    (group, term) counts, one vocabulary×groups-bounded
-    ``groupby(grp, term).sum`` merges them, and the top-k pass is the
-    standard ≤``n_buckets`` group-hash exchange with one vectorized
-    lexsort + cumcount per bucket (CLAUDE.md per-group rule).
+    (group, term) counts inside one group-hash exchange, and each ``fn``
+    call merges the counts of its many groups and ranks them with one
+    vectorized sort + cumcount (no per-group Python call).
     """
-    from record_matcher_ray.core.hashkernels import column_hash64
 
     def partial(batch: pa.Table) -> pa.Table:
         ok = pc.is_valid(batch[group_col])
@@ -776,19 +765,11 @@ def top_terms_by_group(
              "n_occ": pa.array(cnt.astype(np.int64))}
         )
 
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["grp", "term"])
-        .aggregate(Sum("n_occ", alias_name="n_occ"))
-    )
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = bucket_ids(column_hash64(t["grp"]), n_buckets)
-        return t.append_column("__gb__", pa.array(b))
-
     kk = int(k)
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
+    def topk(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().groupby(["grp", "term"], as_index=False)[
+            "n_occ"].sum()
         df = df.sort_values(
             ["grp", "n_occ", "term"], ascending=[True, False, True],
             kind="stable",
@@ -796,13 +777,9 @@ def top_terms_by_group(
         df["rnk"] = df.groupby("grp", sort=False).cumcount() + 1
         out = df[df["rnk"] <= kk][["grp", "term", "n_occ", "rnk"]].copy()
         out["rnk"] = out["rnk"].astype("int64")
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        cells.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__gb__")
-        .map_groups(topk, batch_format="pandas")
-    )
+    return bucket_exchange(ds, ["grp"], topk, prepare=partial)
 
 
 def term_kl_divergence(

@@ -534,14 +534,15 @@ def _assert_same_outputs(got, want, label):
 
 
 def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
-    """The task layout (blocks before each sort, key-hash groups) only
-    decides how the work is cut: every explicit (shuffle_partitions,
-    n_buckets), with the per-x reduce on the driver or through its
-    exchange, gives the default layout's outputs, and so do flats cut
-    into small blocks."""
+    """The task layout (tasks and partitions per exchange, rows per
+    scoring call) only decides how the work is cut: every forced
+    (default_tasks, _ROWS_PER_CALL), with the per-x reduce on the driver
+    or through its exchange, gives the default layout's outputs, and so
+    do flats cut into small blocks."""
     import ray.data as rd
     from ray.data.context import DataContext
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.docmatch import match_documents
 
     def run(**kw):
@@ -557,13 +558,15 @@ def test_docmatch_results_do_not_depend_on_layout(ray_session, corpus_dir):
         m.setattr(DataContext.get_current(), "target_max_block_size", 16 << 10)
         _assert_same_outputs(run(), want, "16 KiB blocks")
     for parts in (1, 2, 64):
-        for buckets in (2, 256):
+        for rows in (64, 1 << 40):  # many scoring calls, or one per task
             # reduce_driver_cap=0 sends the per-x reduce through its
             # xb exchange instead of the driver
             for cap in ((0, 500_000) if parts == 2 else (500_000,)):
-                kw = dict(shuffle_partitions=parts, n_buckets=buckets,
-                          reduce_driver_cap=cap)
-                _assert_same_outputs(run(**kw), want, str(kw))
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(exchange, "default_tasks", lambda p=parts: p)
+                    m.setattr(exchange, "_ROWS_PER_CALL", rows)
+                    got = run(reduce_driver_cap=cap)
+                _assert_same_outputs(got, want, f"{parts} {rows} {cap}")
 
 
 def _match_fixture(corpus_dir, **kw):
@@ -675,13 +678,19 @@ def test_warm_delta_runs_no_execution(ray_session, corpus_dir, tmp_path, executi
     _assert_same_outputs(got, first, "warm delta")
 
 
-def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):
-    """The stage-B exchange cuts the key rows at the group boundaries, so
-    at 2 groups fed 8 blocks both reduce partitions hold keys and no
-    operator emits a column-less block: Ray logs each such block as a
-    schema change ("... new schema: ."). A sort sampled on the group
-    column made a partition per input block, most of them empty."""
+def test_docmatch_stage_b_partitions_are_key_groups(
+    ray_session, corpus_dir, monkeypatch
+):
+    """The stage-B exchange cuts the key rows at bucket boundaries, so at
+    2 partitions both reduce partitions hold keys and no operator emits a
+    column-less block: Ray logs each such block as a schema change ("...
+    new schema: ."). A sort sampled on the group column made a partition
+    per input block, most of them empty."""
     import logging
+
+    from record_matcher_ray.core import exchange
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 2)
 
     class Grab(logging.Handler):
         def __init__(self):
@@ -695,20 +704,20 @@ def test_docmatch_stage_b_partitions_are_key_groups(ray_session, corpus_dir):
     logger = logging.getLogger("ray.data")
     logger.addHandler(grab)
     try:
-        _match_fixture(corpus_dir, shuffle_partitions=8, n_buckets=2,
-                       cluster_edges=False)
+        _match_fixture(corpus_dir, cluster_edges=False)
     finally:
         logger.removeHandler(grab)
     assert not [m for m in grab.messages if "different schema" in m]
 
 
 def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path):
-    """The registry index is built at n_buckets=256 and its keys carry
-    no key group; a delta run groups them to its own, smaller group
-    count and equals the unsharded run laid out at that count."""
+    """The registry index is built under the default layout and its keys
+    carry no key group; a delta run under another layout (1 task, 64
+    rows per scoring call) regroups them and equals the unsharded run
+    laid out the same way."""
     import ray.data as rd
 
-    from record_matcher_ray.core.exchange import task_layout
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.docmatch import (
         match_documents,
         match_documents_delta,
@@ -716,18 +725,15 @@ def test_docmatch_delta_regroups_stored_index(ray_session, corpus_dir, tmp_path)
 
     x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
     y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
-    n_docs = x.count() + y.count()
     root = str(tmp_path / "regidx")
     for parts in (None, 1):
-        _, groups = task_layout(n_docs, 256, parts)
-        assert groups < 256
-        delta = match_documents_delta(
-            x, y, root, fingerprint="layout", n_buckets=256,
-            shuffle_partitions=parts,
-        )
-        full = match_documents(x, y, n_buckets=groups,
-                               shuffle_partitions=parts)
-        got, want = _docmatch_outputs(delta), _docmatch_outputs(full)
+        with pytest.MonkeyPatch.context() as m:
+            if parts is not None:
+                m.setattr(exchange, "default_tasks", lambda: parts)
+                m.setattr(exchange, "_ROWS_PER_CALL", 64)
+            delta = match_documents_delta(x, y, root, fingerprint="layout")
+            full = match_documents(x, y)
+            got, want = _docmatch_outputs(delta), _docmatch_outputs(full)
         # the index drops y-overflow keys at build time, so a delta's
         # blocks_dropped counts x-width overflows only (build_doc_index)
         for c in (got[3], want[3]):
@@ -751,7 +757,7 @@ def test_docmatch_delta_ignores_stored_key_group(ray_session, corpus_dir, tmp_pa
     y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
     _, (y_flat, yk, yset_ref) = _load_y_prepared(
         y, str(tmp_path / "regidx"), default_doc_config(), num_perm=64,
-        seed=1, n_buckets=256, max_block_side=32, fingerprint="old-index",
+        seed=1, max_block_side=32, fingerprint="old-index",
     )
 
     def with_group(t: pa.Table) -> pa.Table:

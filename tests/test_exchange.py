@@ -43,16 +43,21 @@ def _canon(df, cols):
     return df.sort_values(cols).reset_index(drop=True)
 
 
-@pytest.mark.parametrize("n_buckets", [1, 7, 256])
+@pytest.mark.parametrize("rows_per_call", [1, 7, 256])
 @pytest.mark.parametrize("blocks", [1, 16])
-def test_output_independent_of_buckets_and_blocks(ray_session, n_buckets, blocks):
+def test_output_independent_of_buckets_and_blocks(
+    ray_session, monkeypatch, rows_per_call, blocks
+):
+    """The same sums whether fn sees one bucket per call (1 row), a few,
+    or a whole partition, over 1 or 16 input blocks."""
     import ray.data as rd
 
-    from record_matcher_ray.core.exchange import bucket_exchange
+    from record_matcher_ray.core import exchange
 
+    monkeypatch.setattr(exchange, "_ROWS_PER_CALL", rows_per_call)
     df = _frame()
     ds = rd.from_pandas(df).repartition(blocks)
-    got = bucket_exchange(ds, ["k"], _per_key_sums(["k"]), n_buckets).to_pandas()
+    got = exchange.bucket_exchange(ds, ["k"], _per_key_sums(["k"])).to_pandas()
     want = df.groupby("k")["v"].sum().reset_index()
     pd.testing.assert_frame_equal(_canon(got, ["k"]), _canon(want, ["k"]))
 
@@ -64,8 +69,7 @@ def test_multi_column_keys(ray_session):
 
     df = _frame()
     got = bucket_exchange(
-        rd.from_pandas(df).repartition(8), ["k", "s"],
-        _per_key_sums(["k", "s"]), 7,
+        rd.from_pandas(df).repartition(8), ["k", "s"], _per_key_sums(["k", "s"])
     ).to_pandas()
     want = df.groupby(["k", "s"])["v"].sum().reset_index()
     pd.testing.assert_frame_equal(
@@ -82,8 +86,8 @@ def test_co_group_list_equals_union(ray_session):
     left = rd.from_pandas(df.iloc[:120]).repartition(3)
     right = rd.from_pandas(df.iloc[120:]).repartition(5)
     fn = _per_key_sums(["k"])
-    got = bucket_exchange([left, right], ["k"], fn, 7).to_pandas()
-    want = bucket_exchange(left.union(right), ["k"], fn, 7).to_pandas()
+    got = bucket_exchange([left, right], ["k"], fn).to_pandas()
+    want = bucket_exchange(left.union(right), ["k"], fn).to_pandas()
     pd.testing.assert_frame_equal(_canon(got, ["k"]), _canon(want, ["k"]))
 
 
@@ -102,7 +106,7 @@ def test_null_keys_reach_fn_together(ray_session):
         v = b.filter(b["k"].is_null())["v"]
         return pa.table({"n": pa.array([len(v)], pa.int64())})
 
-    got = bucket_exchange(ds, ["k"], null_rows, 16).to_pandas()
+    got = bucket_exchange(ds, ["k"], null_rows).to_pandas()
     counts = got["n"].to_numpy()
     assert counts.sum() == 3
     assert sorted(counts[counts > 0].tolist()) == [3]
@@ -114,9 +118,8 @@ def test_empty_input_gives_empty_output(ray_session):
     from record_matcher_ray.core.exchange import bucket_exchange
 
     df = _frame().iloc[:0]
-    got = bucket_exchange(
-        rd.from_pandas(df), ["k"], _per_key_sums(["k"]), 7
-    ).to_pandas()
+    got = bucket_exchange(rd.from_pandas(df), ["k"], _per_key_sums(["k"])
+                          ).to_pandas()
     assert len(got) == 0
 
 
@@ -129,22 +132,24 @@ class _GrabWarnings(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def test_partitions_are_whole_buckets(ray_session):
-    """4 input blocks over 2 buckets give 2 partitions, one bucket each:
-    no empty partition, so no column-less block for Ray to log as a
-    schema change ("... new schema: ."). A sort sampled on the bucket
-    column made one partition per input block, two of them empty."""
+def test_partitions_are_whole_buckets(ray_session, monkeypatch):
+    """4 input blocks over 2 partitions give 2 non-empty blocks: no empty
+    partition, so no column-less block for Ray to log as a schema change
+    ("... new schema: ."). A sort sampled on the bucket column made one
+    partition per input block, two of them empty."""
     import ray
     import ray.data as rd
 
-    from record_matcher_ray.core.exchange import bucket_exchange
+    from record_matcher_ray.core import exchange
 
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 2)
     ds = rd.from_pandas(_frame(200)).repartition(4)
     grab = _GrabWarnings()
     logger = logging.getLogger("ray.data")
     logger.addHandler(grab)
     try:
-        out = bucket_exchange(ds, ["k"], _per_key_sums(["k"]), 2).materialize()
+        out = exchange.bucket_exchange(
+            ds, ["k"], _per_key_sums(["k"])).materialize()
     finally:
         logger.removeHandler(grab)
     sizes = [len(t) for t in ray.get(out.to_arrow_refs())]
@@ -153,34 +158,40 @@ def test_partitions_are_whole_buckets(ray_session):
 
 
 def test_fn_called_once_per_bucket(ray_session, monkeypatch):
-    """16 buckets over 2 partitions: each partition holds many buckets,
-    and fn still sees each non-empty bucket once, with all its rows."""
+    """2 partitions at 50 rows per call: each partition holds many
+    buckets, fn sees each non-empty bucket in exactly one call, with all
+    its rows, and a call ends at the first bucket change at or after 50
+    rows (only a partition's last call holds fewer)."""
     import ray.data as rd
 
     from record_matcher_ray.core import exchange
 
-    monkeypatch.setattr(exchange, "default_tasks", lambda tasks=None: 2)
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 2)
+    monkeypatch.setattr(exchange, "_ROWS_PER_CALL", 50)
     df = _frame()
 
+    def bucket_of(t: pa.Table) -> np.ndarray:
+        return exchange.bucket_ids(exchange._key_hash(t, ["k"]), exchange._SPACE)
+
     def probe(b: pa.Table) -> pa.Table:
-        ids = np.unique(
-            exchange.bucket_ids(exchange._key_hash(b, ["k"]), 16)
-        )
-        return pa.table({"bucket": pa.array(ids[:1]),
-                         "n_ids": pa.array([len(ids)]),
-                         "rows": pa.array([len(b)]),
-                         "v": pa.array([int(pc.sum(b["v"]).as_py())])})
+        ids = bucket_of(b)
+        assert (np.diff(ids) >= 0).all()  # the call is sorted by bucket
+        ends = np.flatnonzero(ids[1:] != ids[:-1]) + 1  # bucket changes
+        return pa.table({"first": [int(ids[0])], "last": [int(ids[-1])],
+                         "rows": [len(b)],
+                         "early_cut": [int((ends >= 50).any())],
+                         "v": [int(pc.sum(b["v"]).as_py())]})
 
     got = exchange.bucket_exchange(
-        rd.from_pandas(df).repartition(4), ["k"], probe, 16
-    ).to_pandas().sort_values("bucket").reset_index(drop=True)
-    want = df.assign(bucket=exchange.bucket_ids(
-        exchange._key_hash(pa.Table.from_pandas(df), ["k"]), 16
-    )).groupby("bucket").agg(rows=("v", "size"), v=("v", "sum")).reset_index()
-    assert (got["n_ids"] == 1).all()
-    assert got["bucket"].tolist() == want["bucket"].tolist()
-    assert got["rows"].tolist() == want["rows"].tolist()
-    assert got["v"].tolist() == want["v"].tolist()
+        rd.from_pandas(df).repartition(4), ["k"], probe
+    ).to_pandas().sort_values("first").reset_index(drop=True)
+    # calls cover disjoint bucket ranges: no bucket spans two calls
+    assert (got["first"].to_numpy()[1:] > got["last"].to_numpy()[:-1]).all()
+    assert not got["early_cut"].any()  # no call runs on past a due cut
+    assert (got["rows"] >= 50).sum() >= len(got) - 2  # ≤ 1 short per part
+    assert 2 < len(got) < len(np.unique(bucket_of(pa.Table.from_pandas(df))))
+    assert got["rows"].sum() == len(df)
+    assert got["v"].sum() == df["v"].sum()
 
 
 def _exchange_warnings(run):
@@ -195,22 +206,23 @@ def _exchange_warnings(run):
     return out, [m for m in grab.messages if "different schema" in m]
 
 
-def test_one_populated_bucket_gives_one_block(ray_session):
-    """8 input blocks whose rows all share one key, 16 buckets: the
+def test_one_populated_bucket_gives_one_block(ray_session, monkeypatch):
+    """8 input blocks whose rows all share one key, 16 partitions: the
     partitions that receive no rows are dropped, so the result is one
     block and Ray logs no schema change for a column-less block."""
     import ray
     import ray.data as rd
 
-    from record_matcher_ray.core.exchange import bucket_exchange
+    from record_matcher_ray.core import exchange
 
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 16)
     df = _frame(160).assign(k=3)
     ds = rd.from_arrow([
         pa.Table.from_pandas(df.iloc[i:i + 20], preserve_index=False)
         for i in range(0, 160, 20)
     ])
-    out, warned = _exchange_warnings(lambda: bucket_exchange(
-        ds, ["k"], _per_key_sums(["k"]), 16
+    out, warned = _exchange_warnings(lambda: exchange.bucket_exchange(
+        ds, ["k"], _per_key_sums(["k"])
     ).map_batches(lambda t: t, batch_format="pyarrow").materialize())
     sizes = [len(t) for t in ray.get(out.to_arrow_refs())]
     assert sizes == [1], sizes
@@ -234,7 +246,7 @@ def test_empty_and_columnless_blocks_are_skipped(ray_session):
         return b.append_column("k2", pc.multiply(b["k"], 2))
 
     got = bucket_exchange(
-        ds, ["k2"], _per_key_sums(["k2"]), 7, prepare=prepare
+        ds, ["k2"], _per_key_sums(["k2"]), prepare=prepare
     ).to_pandas()
     want = df.assign(k2=df["k"] * 2).groupby("k2")["v"].sum().reset_index()
     pd.testing.assert_frame_equal(_canon(got, ["k2"]), _canon(want, ["k2"]))
@@ -255,10 +267,9 @@ def test_map_tasks_per_input_follow_default_tasks(ray_session, monkeypatch):
             submit = real.options(**kw)
 
             class One:
-                def remote(self, prepare, keys, n_buckets, parts, *blocks):
+                def remote(self, prepare, keys, parts, *blocks):
                     runs.append(len(blocks))
-                    return submit.remote(prepare, keys, n_buckets, parts,
-                                         *blocks)
+                    return submit.remote(prepare, keys, parts, *blocks)
 
             return One()
 
@@ -267,7 +278,7 @@ def test_map_tasks_per_input_follow_default_tasks(ray_session, monkeypatch):
     left = rd.from_arrow([t.slice(i, 1) for i in range(300)])
     right = rd.from_arrow([t.slice(i, 1) for i in range(300)])
     got = exchange.bucket_exchange(
-        [left, right], ["k"], _per_key_sums(["k"]), 16
+        [left, right], ["k"], _per_key_sums(["k"])
     ).to_pandas()
     assert sum(runs) == 600
     assert len(runs) <= 2 * exchange.default_tasks(), runs
@@ -285,7 +296,7 @@ def test_empty_inputs_give_an_empty_materialized_result(ray_session):
     empty = _frame().iloc[:0]
     for ds in (rd.from_pandas(empty),
                [rd.from_pandas(empty), rd.from_pandas(empty).repartition(2)]):
-        out = bucket_exchange(ds, ["k"], _per_key_sums(["k"]), 7)
+        out = bucket_exchange(ds, ["k"], _per_key_sums(["k"]))
         assert isinstance(out, MaterializedDataset)
         assert out.count() == 0
 
@@ -305,7 +316,7 @@ def test_fn_sees_input_columns_without_metadata(ray_session):
              "meta": pa.array([b.schema.metadata is not None])}
         )
 
-    got = bucket_exchange(ds, ["k"], probe, 4).to_pandas()
+    got = bucket_exchange(ds, ["k"], probe).to_pandas()
     assert set(got["names"]) == {"k,s,v"}
     assert not got["meta"].any()
 
@@ -325,7 +336,7 @@ def test_result_is_built_from_task_metadata(ray_session, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(rd, "from_arrow_refs", refuse)
         out = bucket_exchange(rd.from_pandas(_frame()), ["k"],
-                              _per_key_sums(["k"]), 7)
+                              _per_key_sums(["k"]))
     ref_form = rd.from_arrow_refs(out.to_arrow_refs())
     assert out.count() == ref_form.count() == 40
     assert out.schema().base_schema == ref_form.schema().base_schema
@@ -482,7 +493,7 @@ def test_concat_executed_keeps_block_order_without_execution(ray_session, execut
     assert plans == []
     assert got["v"].tolist() == list(range(300))
     pd.testing.assert_frame_equal(got.reset_index(drop=True), df)
-    summed = bucket_exchange(rd.from_pandas(df), ["k"], _per_key_sums(["k"]), 7)
+    summed = bucket_exchange(rd.from_pandas(df), ["k"], _per_key_sums(["k"]))
     with executions() as plans:
         both = concat_executed([summed, parts[0]])
         assert both.count() == summed.count() + 100
@@ -532,11 +543,8 @@ def test_no_pipeline_computes_its_own_bucket():
 
 
 # calls of bucket_ids under pipelines/ per file: each is a hand-rolled
-# bucket step that bucket_exchange could own. A count may go down, never up.
-_BUCKET_IDS_CALLS = {
-    "graph.py": 1, "joins.py": 1, "linkage.py": 1, "relational.py": 3,
-    "sampling.py": 1, "similarity.py": 1, "table_ops.py": 2, "terms.py": 1,
-}
+# bucket step that bucket_exchange owns. A count may go down, never up.
+_BUCKET_IDS_CALLS = {}
 
 
 def test_bucket_ids_calls_do_not_grow():
@@ -552,35 +560,86 @@ def test_bucket_ids_calls_do_not_grow():
     )
 
 
-@pytest.mark.parametrize(
-    "n_docs, n_buckets, tasks, want",
-    [
-        (0, 256, 64, (64, 64)),  # 32 CPUs, small corpus
-        (2_300_000, 256, 64, (64, 256)),  # 32 CPUs, 1M-entity corpus
-        (3_000, 256, 2, (2, 2)),  # 1 CPU, small corpus
-        (330_000, 256, 2, (2, 32)),  # groups grow with the corpus
-        (10**9, 256, 2, (2, 256)),  # ... up to n_buckets
-        (0, 7, 64, (64, 7)),  # n_buckets caps a non-power-of-two too
-        (0, 256, 0, (1, 1)),  # floors
-        (0, 256, 3, (3, 4)),  # groups round up to a power of two
-    ],
-)
-def test_task_layout(n_docs, n_buckets, tasks, want):
-    from record_matcher_ray.core.exchange import task_layout
-
-    assert task_layout(n_docs, n_buckets, tasks) == want
+_LAYOUT_KNOB = re.compile(r"^(\w*_buckets|shuffle_partitions)$")
 
 
-def test_default_tasks_follows_cluster_cpus(ray_session):
+def test_no_pipeline_takes_a_layout_knob():
+    """bucket_exchange sizes its own partitions and fn calls: no function
+    under pipelines/ takes a bucket count or a partition count."""
+    import ast
+
+    found = []
+    for path in sorted(PIPELINES.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = fn.args
+                found += [f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
+                          for p in a.posonlyargs + a.args + a.kwonlyargs
+                          if _LAYOUT_KNOB.match(p.arg)]
+    assert not found, f"layout knobs under pipelines/: {found}"
+
+
+def test_no_lazy_map_feeds_an_exchange():
+    """A bucket_exchange input that is a lazy map, a repartition or a union
+    is a Ray Data execution of its own; the map belongs in prepare=."""
+    import ast
+
+    found = []
+    for path in sorted(PIPELINES.glob("*.py")):
+        src = path.read_text()
+        for node in ast.walk(ast.parse(src)):
+            if not (isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "id", None) == "bucket_exchange"):
+                continue
+            first = ast.get_source_segment(src, node.args[0])
+            if any(op in first for op in (".map_batches(", ".repartition(",
+                                          ".union(")):
+                found.append(f"{path.name}:{node.lineno}: {first}")
+    assert not found, (
+        f"pass the map as bucket_exchange's prepare= instead: {found}"
+    )
+
+
+# the groupby().map_groups sites whose fn assumes ONE group per call
+_MAP_GROUPS = {"joins.py": 1, "similarity.py": 1, "sketches.py": 1}
+
+
+def test_map_groups_only_where_fn_takes_one_group():
+    got = {}
+    for path in sorted(PIPELINES.glob("*.py")):
+        n = path.read_text().count(".map_groups(")
+        if n:
+            got[path.name] = n
+    assert got == _MAP_GROUPS, (
+        f"route the groupby through core.exchange.bucket_exchange: {got}"
+    )
+
+
+def test_default_tasks_follows_cluster_cpus(ray_session, monkeypatch):
     import ray
 
-    from record_matcher_ray.core.exchange import default_tasks, task_layout
+    from record_matcher_ray.core import exchange
 
-    assert default_tasks() == 2 * int(ray.cluster_resources()["CPU"])
-    assert (default_tasks(5), default_tasks(0)) == (5, 1)
-    tasks, groups = task_layout(0, 256)
-    assert tasks == default_tasks()
-    assert groups >= tasks and groups & (groups - 1) == 0
+    assert exchange.default_tasks() == 2 * int(ray.cluster_resources()["CPU"])
+    monkeypatch.setattr(exchange.ray, "cluster_resources", lambda: {"CPU": 0})
+    assert exchange.default_tasks() == 1  # floor
+
+
+@pytest.mark.parametrize(
+    "ids, rows, want",
+    [
+        ([0, 0, 1, 1, 2], 1, [0, 2, 4, 5]),  # one call per bucket
+        ([0, 0, 1, 1, 2], 3, [0, 4, 5]),  # cut at the change after 3 rows
+        ([0, 0, 1, 1, 2], 2, [0, 2, 4, 5]),  # a change at exactly 2 rows
+        ([5] * 10, 3, [0, 10]),  # one bucket is never split
+        (list(range(7)), 100, [0, 7]),  # one call per partition
+        ([0, 1, 1, 1, 1, 2, 3], 2, [0, 5, 7]),  # counted from the last cut
+    ],
+)
+def test_call_cuts(ids, rows, want):
+    from record_matcher_ray.core.exchange import _call_cuts
+
+    assert _call_cuts(np.array(ids), rows) == want
 
 
 # task counts laid out for one cluster size: a literal repartition count,
@@ -619,8 +678,8 @@ def _layout_floors(path: pathlib.Path) -> list[str]:
 def test_no_pipeline_hardcodes_a_task_count():
     found = [h for p in sorted(PIPELINES.glob("*.py")) for h in _layout_floors(p)]
     assert not found, (
-        "task counts must come from core.exchange.default_tasks / "
-        f"task_layout: {found}"
+        "task counts must come from core.exchange (bucket_exchange sizes "
+        f"its own partitions and fn calls): {found}"
     )
 
 

@@ -108,7 +108,7 @@ def test_minhash_candidates_from_arrow_runs_no_execution(ray_session, executions
     keys = rd.from_arrow(blocks).map_batches(
         _MinhashKeys("text", "id", 64, 16, 4, 1), batch_format="pyarrow")
     want = _dedupe_pairs_bucketed(bucket_exchange(
-        keys, ["band_key"], _bucket_pairs_fn(30), 256)).to_pandas()
+        keys, ["band_key"], _bucket_pairs_fn(30))).to_pandas()
     canon = lambda df: sorted(zip(df["a"].tolist(), df["b"].tolist()))
     assert canon(got) == canon(want)
     assert len(got) > 10
@@ -1403,10 +1403,13 @@ def test_rolling_mean_and_interarrival(ray_session):
                                   want_gap.to_numpy(dtype=float)[m])
 
 
-def test_transition_counts_vs_pandas(ray_session):
+def test_transition_counts_vs_pandas(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.relational import transition_counts
+
+    monkeypatch.setattr(exchange, "_ROWS_PER_CALL", 64)  # many calls/task
 
     rng = np.random.RandomState(47)
     n = 3_000
@@ -1418,7 +1421,7 @@ def test_transition_counts_vs_pandas(ray_session):
     )
     ds = rd.from_pandas(df).repartition(7)
     got = (
-        transition_counts(ds, n_buckets=16)
+        transition_counts(ds)
         .to_pandas()
         .sort_values(["src", "dst"])
         .reset_index(drop=True)
@@ -1440,10 +1443,13 @@ def test_transition_counts_vs_pandas(ray_session):
     )
 
 
-def test_transition_counts_string_keys(ray_session):
+def test_transition_counts_string_keys(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.relational import transition_counts
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 4)
 
     df = pd.DataFrame(
         {"event_id": [1, 2, 3, 4, 5],
@@ -1452,7 +1458,7 @@ def test_transition_counts_string_keys(ray_session):
          "event_type": ["x", "y", "x", "x", "y"]}
     )
     got = (
-        transition_counts(rd.from_pandas(df), n_buckets=4)
+        transition_counts(rd.from_pandas(df))
         .to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
     )
     want = pd.DataFrame(
@@ -1586,10 +1592,13 @@ def test_ntile_by_group_distribution(ray_session):
     assert sorted(got[df.loc[df["g"] == "tiny", "id"]].tolist()) == [1, 2]
 
 
-def test_value_intervals_runs(ray_session):
+def test_value_intervals_runs(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.relational import value_intervals
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 4)
 
     df = pd.DataFrame(
         {"event_id": [1, 2, 3, 4, 5, 6, 7],
@@ -1598,7 +1607,7 @@ def test_value_intervals_runs(ray_session):
          "event_type": ["a", "a", "b", "a", "x", "x", "z"]}
     )
     out = (
-        value_intervals(rd.from_pandas(df).repartition(3), n_buckets=4)
+        value_intervals(rd.from_pandas(df).repartition(3))
         .to_pandas()
         .sort_values(["user_id", "valid_from"])
         .reset_index(drop=True)
@@ -2258,6 +2267,7 @@ class TestSortedNeighborhoodPairs:
         import ray.data
 
         import record_matcher_ray.pipelines.relational as rel
+        from record_matcher_ray.core import exchange
         from record_matcher_ray.pipelines.linkage import (
             sorted_neighborhood_pairs,
         )
@@ -2276,10 +2286,11 @@ class TestSortedNeighborhoodPairs:
 
         grn = rel.global_row_number
         monkeypatch.setattr(rel, "global_row_number", spy)
+        monkeypatch.setattr(exchange, "default_tasks", lambda: 7)
         for blocks in (1, 16):
             out = sorted_neighborhood_pairs(
                 ray.data.from_items(rows, override_num_blocks=blocks),
-                ["v", "id"], "id", window=6, n_buckets=7,
+                ["v", "id"], "id", window=6,
             ).to_pandas()
             got = set(
                 zip(out["x_id"], out["y_id"], out["gap"])

@@ -347,32 +347,35 @@ def test_ray_equals_local_api(ray_session, fixture):
 
 
 def test_blocked_match_independent_of_bucket_count(ray_session, monkeypatch):
-    """The blocked match resolves its duplicate pass inside each blocking
-    bucket, so its rows and summary must not depend on how many buckets
-    the exchange makes. The fixture flips rows both to DUPLICATE and
-    (demoted) to UNMATCHED in at least two buckets of the 8-bucket run;
-    strict semantics keeps a demoted row's copied value, which tells it
-    apart from a row that never matched."""
+    """The blocked match resolves its duplicate pass inside each scoring
+    call, so its rows and summary must not depend on how the exchange
+    cuts the keys: 1, 2 or 8 partitions, and one call per bucket. The
+    fixture flips rows both to DUPLICATE and (demoted) to UNMATCHED in
+    at least two partitions of the 8-partition run; strict semantics
+    keeps a demoted row's copied value, which tells it apart from a row
+    that never matched."""
     import pyarrow as pa
 
-    from record_matcher_ray.core.exchange import _key_hash, bucket_ids
-    from record_matcher_ray.pipelines import match
+    from record_matcher_ray.core import exchange
 
     x, y = _random_tables(42, nx=400, ny=60)
     runs = {}
-    for n in (1, 2, 8):
-        monkeypatch.setattr(match, "default_tasks", lambda tasks=None, n=n: n)
+    for n, rows in ((1, 1 << 40), (2, 1 << 40), (8, 1 << 40), (8, 1)):
+        monkeypatch.setattr(exchange, "default_tasks", lambda n=n: n)
+        monkeypatch.setattr(exchange, "_ROWS_PER_CALL", rows)
         df, summary = _run_ray(x, y, _grouped_setup, strict_semantics=True)
-        runs[n] = (df, _canonical(df), dict(summary))
+        runs[n, rows] = (df, _canonical(df), dict(summary))
     monkeypatch.undo()
-    assert runs[1][1:] == runs[2][1:] == runs[8][1:]
+    first = next(iter(runs.values()))
+    assert all(r[1:] == first[1:] for r in runs.values())
 
-    df = runs[8][0]
-    bucket = bucket_ids(_key_hash(pa.table({"k": df["city"].tolist()}), ["k"]), 8)
+    df = runs[8, 1 << 40][0]
+    h = exchange._key_hash(pa.table({"k": df["city"].tolist()}), ["k"])
+    part = exchange.bucket_ids(h, exchange._SPACE) * 8 // exchange._SPACE
     dup = df["match_status"].to_numpy() == "DUPLICATE"
     dem = (df["match_status"].to_numpy() == "UNMATCHED") & df["gotten"].notna().to_numpy()
-    both = set(bucket[dup]) & set(bucket[dem])
-    assert len(both) >= 2, (set(bucket[dup]), set(bucket[dem]))
+    both = set(part[dup]) & set(part[dem])
+    assert len(both) >= 2, (set(part[dup]), set(part[dem]))
 
 
 def _budget_fixture():

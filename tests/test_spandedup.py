@@ -76,14 +76,17 @@ def _brute_spans(w=16, min_docs=2):
     return spans
 
 
-def test_duplicated_window_stats(ray_session):
+def test_duplicated_window_stats(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.spandedup import duplicated_window_stats
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 4)
 
     ds = rd.from_pandas(pd.DataFrame(DOCS, columns=["doc_id", "text"]))
     got = duplicated_window_stats(
-        ds, window=16, min_docs=2, shuffle_partitions=4
+        ds, window=16, min_docs=2
     ).to_pandas()
     want = _brute_stats()
     assert set(got["doc_id"]) == set(want)  # empty docs drop out
@@ -103,14 +106,17 @@ def test_duplicated_window_stats(ray_session):
         assert r["dup_frac"] == 1.0
 
 
-def test_duplicate_spans(ray_session):
+def test_duplicate_spans(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.spandedup import duplicate_spans
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 4)
 
     ds = rd.from_pandas(pd.DataFrame(DOCS, columns=["doc_id", "text"]))
     got = duplicate_spans(
-        ds, window=16, min_docs=2, shuffle_partitions=4
+        ds, window=16, min_docs=2
     ).to_pandas()
     want = _brute_spans()
     by_doc = {
@@ -239,15 +245,17 @@ def test_fingerprints_match_independent_python_impl(ray_session):
         ), did
 
 
-def test_strip_duplicate_spans(ray_session):
+def test_strip_duplicate_spans(ray_session, monkeypatch):
     import ray.data as rd
 
+    from record_matcher_ray.core import exchange
     from record_matcher_ray.pipelines.spandedup import strip_duplicate_spans
+
+    monkeypatch.setattr(exchange, "default_tasks", lambda: 4)
 
     ds = rd.from_pandas(pd.DataFrame(DOCS, columns=["doc_id", "text"]))
     got = (
-        strip_duplicate_spans(ds, window=16, min_docs=2,
-                              shuffle_partitions=4)
+        strip_duplicate_spans(ds, window=16, min_docs=2)
         .to_pandas().set_index("doc_id")["text"]
     )
     spans = _brute_spans()

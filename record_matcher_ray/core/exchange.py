@@ -168,20 +168,21 @@ def _slices(t: pa.Table, cap: int, rows: int) -> list[pa.Table]:
 
 
 @ray.remote(num_returns="streaming")
-def _map_run(
-    fn: Callable[[pa.Table], pa.Table], cap: int, rows: int, read_task, *blocks
-):
+def _map_run(fn: Callable[[pa.Table], pa.Table], partials: tuple, cap: int,
+             rows: int, read_task, *blocks):
     """One :func:`map_blocks` task: ``fn`` over each of the ``blocks`` (or
     those ``read_task`` reads) in :func:`_slices` of ``cap`` bytes →
     yields each non-empty output block, cut at ``rows`` rows and ``cap``
-    bytes, followed by its block metadata."""
+    bytes, then its block metadata and each of ``partials`` of it, all
+    made before the first is yielded: an error ends the stream between
+    two blocks."""
     for b in blocks if read_task is None else read_task():
         t = BlockAccessor.for_block(b).to_arrow().replace_schema_metadata(None)
         for piece in _slices(t, cap, t.num_rows):
             out = fn(piece).replace_schema_metadata(None)
             for block in _slices(out, cap, rows):
-                yield block
-                yield BlockMetadataWithSchema.from_block(block)
+                yield from [block, BlockMetadataWithSchema.from_block(block),
+                            *(p(block) for p in partials)]
 
 
 def _runs(blocks: list[tuple[ray.ObjectRef, int]], n: int) -> list[list]:
@@ -265,8 +266,10 @@ def concat_executed(datasets: list[MaterializedDataset]) -> MaterializedDataset:
 
 
 def map_blocks(
-    inputs: list[ray.data.Dataset], fn: Callable[[pa.Table], pa.Table]
-) -> list[MaterializedDataset]:
+    inputs: list[ray.data.Dataset],
+    fn: Callable[[pa.Table], pa.Table],
+    partials: list[tuple] | None = None,
+):
     """The row-wise ``fn`` over every input, as Ray core tasks at default
     resources submitted in one wave → one executed dataset per input:
     neither the map nor reading its result is a Ray Data execution.
@@ -283,11 +286,19 @@ def map_blocks(
     default_tasks())`` input rows, so the stages downstream get about
     ``default_tasks()`` blocks per input to spread. Outputs carry no
     schema metadata, and zero-row outputs are dropped (an input without
-    rows gives a dataset with no blocks)."""
+    rows gives a dataset with no blocks).
+
+    ``partials`` (one tuple of callables per input) are called on each
+    output block in the task that makes it, each result its own object,
+    so a narrow view of the blocks costs no second task wave and the
+    driver fetches only the views it uses. The call then returns
+    ``(datasets, refs)``: ``refs[i][j]`` holds input i's j-th partial of
+    each block of its dataset, in block order."""
     cap = DataContext.get_current().target_max_block_size or 1 << 62
     tasks = default_tasks()
+    parts = partials or [()] * len(inputs)
     waves = []  # per input: its tasks' streams of block, metadata, ...
-    for ds in inputs:
+    for ds, ps in zip(inputs, parts):
         op = ds._logical_plan.dag
         if isinstance(op, Read) and not ds._plan.has_computed_output():
             reads = op._datasource_or_legacy_reader.get_read_tasks(tasks)
@@ -300,18 +311,21 @@ def map_blocks(
             rows = sum(n for _, n in blocks)
             task = _map_run
         per_block = -(-rows // tasks) or 1 << 62
-        waves.append([task.remote(fn, cap, per_block, r, *run)
+        waves.append([task.remote(fn, ps, cap, per_block, r, *run)
                       for r, run in runs])
-    outs = []
-    for wave in waves:
+    cols = []  # per input: [blocks, metadata, *partials] ref lists
+    for wave, ps in zip(waves, parts):
+        k = 2 + len(ps)
         streams = [list(stream) for stream in wave]
         for refs in streams:
-            if len(refs) % 2:  # a task's error ends its stream, unpaired
+            if len(refs) % k:  # a task's error ends its stream, after a block
                 ray.get(refs[-1])
-        outs.append([ref for refs in streams for ref in refs])
-    metas = iter(ray.get([m for out in outs for m in out[1::2]]))
-    return [executed_from_refs(out[0::2], [next(metas) for _ in out[1::2]])
-            for out in outs]
+        out = [ref for refs in streams for ref in refs]
+        cols.append([out[j::k] for j in range(k)])
+    metas = iter(ray.get([m for c in cols for m in c[1]]))
+    datasets = [executed_from_refs(c[0], [next(metas) for _ in c[1]])
+                for c in cols]
+    return datasets if partials is None else (datasets, [c[2:] for c in cols])
 
 
 def bucket_exchange(

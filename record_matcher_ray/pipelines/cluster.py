@@ -218,7 +218,7 @@ def merge_components(
     clusters = clusters.materialize()
 
     # pass 1: old components touched by any new-edge endpoint
-    @ray.remote(num_cpus=0)
+    @ray.remote
     def touched_partial(t: pa.Table) -> np.ndarray:
         ends = ray.get(ends_ref)
         n = t[node_col].to_numpy()
@@ -234,7 +234,7 @@ def merge_components(
     touched_ref = ray.put(touched)
 
     # pass 2: pull ONLY touched members (star edges) to the driver
-    @ray.remote(num_cpus=0)
+    @ray.remote
     def members_partial(t: pa.Table) -> pa.Table:
         tc = ray.get(touched_ref)
         c = t[comp_col].to_numpy()
@@ -286,7 +286,7 @@ def merge_components(
     return passthrough.union(ray.data.from_arrow(relabeled))
 
 
-@ray.remote(num_cpus=0)
+@ray.remote
 def _node_ent_partial(t: pa.Table, node_col: str, comp_col: str):
     """Narrow (node, old_entity) projection of one old-side block — runs
     next to the block (plasma locality), ships only two int64 arrays."""
@@ -294,7 +294,7 @@ def _node_ent_partial(t: pa.Table, node_col: str, comp_col: str):
             pc.cast(t[comp_col], pa.int64()).to_numpy())
 
 
-@ray.remote(num_cpus=0)
+@ray.remote
 def _claim_partial(t: pa.Table, node_col: str, comp_col: str, old_sorted):
     """Per-new-block claim partial against the broadcast old index:
     → (distinct comps in block, per-comp min old entity id)."""

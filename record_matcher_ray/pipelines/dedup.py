@@ -470,7 +470,7 @@ def _candidates_from_comb(
     return _dedupe_pairs_bucketed(pairs) if distinct else pairs
 
 
-@ray.remote(num_cpus=0)
+@ray.remote
 def _route_partial(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(ids, folded-signature bytes) of one (id, sh, sig) block — runs
     next to the block; the fat ``sh`` payload never leaves it."""

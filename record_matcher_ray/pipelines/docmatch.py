@@ -139,40 +139,37 @@ _CARRY_CACHE: dict = {}
 
 # driver-side warm registry-index cache for repeated delta runs in one
 # session (match_documents_delta): {(root, fp, params) -> (y_flat, yk,
-# yset_ref)}; single entry — a session serves one registry at a time
+# yset_ref, y_route)}; single entry — a session serves one registry at a
+# time
 _DELTA_INDEX_CACHE: dict = {}
 
 
-# ---- per-block remote partials (multi-node-safe driver reads) -----------
+# ---- per-block partials (multi-node-safe driver reads) -----------------
 # r2's driver fast paths did `ray.get(ds.to_arrow_refs())` and projected
 # on the DRIVER: zero-copy on one node, but on a real cluster every get
 # ships the WHOLE block (body text included) to the driver node. These
-# tiny tasks run NEXT to the block (Ray schedules on the owning node for
-# plasma locality) and return only the narrow partial; the driver then
-# does ONE batched ray.get over small results (CLAUDE.md: never per-object
-# gets in a loop).
+# narrow projections run in the map_blocks task that makes the block
+# (``partials``) or in a task next to it, at default resources (CLAUDE.md:
+# a num_cpus=0 wave starts a second worker process); the driver then does
+# ONE batched ray.get over small results.
 
 
-@ray.remote(num_cpus=0)
-def _key_partial(t: pa.Table) -> np.ndarray:
+def _rids(t: pa.Table) -> np.ndarray:
+    """One flat block's 8 B/row int64 ``rid``: its part of a route."""
+    return np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
+
+
+def _distinct_keys(t: pa.Table) -> np.ndarray:
     """Distinct int64 blocking keys of one key block (delta pruning)."""
     if len(t) == 0 or "key" not in t.column_names:
         return np.empty(0, np.int64)
     return np.unique(t["key"].to_numpy())
 
 
-@ray.remote(num_cpus=0)
-def _id_partial(t: pa.Table, columns: list[str]):
-    """One flat block's 8 B/row int64 ``rid`` and the distinct values of
-    each of ``columns`` — the only bytes that leave it. One task wave
-    serves both the routing index and the uniqueness pass."""
-    if len(t) == 0:
-        return np.empty(0, np.int64), {}
-    ids_b = np.ascontiguousarray(t["rid"].to_numpy(), dtype=np.int64)
-    return ids_b, table_ops.distinct_values(t, columns)
+_key_partial = ray.remote(_distinct_keys)
 
 
-@ray.remote(num_cpus=0)
+@ray.remote
 def _sum_col_partial(t: pa.Table, col: str) -> int:
     if len(t) == 0 or col not in t.column_names:
         return 0
@@ -196,7 +193,7 @@ def _winners(t: pa.Table):
     )
 
 
-_winner_partial = ray.remote(num_cpus=0)(_winners)
+_winner_partial = ray.remote(_winners)
 
 
 def _assemble_route(
@@ -210,18 +207,6 @@ def _assemble_route(
     pos = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     o = np.argsort(ids, kind="stable")
     return ids[o], blk[o], pos[o].astype(np.int32)
-
-
-def _flat_route(
-    flat: ray.data.Dataset, columns: list[str] | tuple = ()
-) -> tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
-    """→ (block refs, (rids sorted asc, block-of-rid int32, row-in-block
-    int32), per-block distinct values of ``columns``) of a MATERIALIZED
-    flat table, projected by one task NEXT to each block: pulling whole
-    blocks ships body text to the driver on a multi-node cluster."""
-    refs = [ref for ref, _ in block_refs(flat)]
-    parts = ray.get([_id_partial.remote(r, list(columns)) for r in refs])
-    return refs, _assemble_route([ids for ids, _ in parts]), [u for _, u in parts]
 
 
 def _normalize_carry_cols(t: pa.Table, carry: list[str]) -> pa.Table:
@@ -238,21 +223,22 @@ def _normalize_carry_cols(t: pa.Table, carry: list[str]) -> pa.Table:
 
 
 def _flats(
-    docs: list[ray.data.Dataset], carry: list[str]
-) -> list[ray.data.Dataset]:
+    docs: list[ray.data.Dataset], carry: list[str], partials=None
+):
     """The flats of each ``(doc_id, spans)`` table (``flatten_spans`` →
     ``add_int_ids`` → ``carry`` columns normalized) from ONE
-    ``core.exchange.map_blocks`` wave; a bare read is decoded inside its
-    tasks. The flats keep the body, which key expansion reads back
-    zero-copy: re-running decode + flatten for it cost more than storing
-    body once. Normalized once here, the scorer columns give every
-    score_bucket worker zero-copy block views; over raw columns each
-    worker re-ran cast + fill_null + copy over the whole corpus."""
+    ``core.exchange.map_blocks`` wave (with its ``partials``); a bare
+    read is decoded inside its tasks. The flats keep the body, which key
+    expansion reads back zero-copy: re-running decode + flatten for it
+    cost more than storing body once. Normalized once here, the scorer
+    columns give every score_bucket worker zero-copy block views; over
+    raw columns each worker re-ran cast + fill_null + copy over the
+    whole corpus."""
 
     def flat(t: pa.Table) -> pa.Table:
         return _normalize_carry_cols(add_int_ids(flatten_spans(t)), carry)
 
-    return map_blocks(docs, flat)
+    return map_blocks(docs, flat, partials)
 
 
 def _gather_carry(
@@ -299,7 +285,7 @@ def match_documents(
     cluster_edges: bool = True,
     progress: "Callable[[str, dict], None] | None" = None,
     reduce_driver_cap: int = 500_000,
-    y_prepared: "tuple[ray.data.Dataset, ray.data.Dataset] | None" = None,
+    y_prepared: tuple | None = None,
 ) -> DocMatchResult:
     """x_docs / y_docs: (doc_id, spans) tables (corpus schema). Returns
     per-x assignments, accepted-pair edges and entity clusters.
@@ -309,11 +295,13 @@ def match_documents(
     unmatched backfill, edges and clustering (the Ray-path analogue of the
     reference's ``update_func``, matcher.py:320-332).
 
-    ``y_prepared``: optional pre-built registry side ``(y_flat, y_keys)``
-    — a MATERIALIZED normalized-flats dataset and its expanded key table
-    (as written by :func:`build_doc_index`). When given, ``y_docs`` is
-    ignored and the y-side flatten + key expansion are skipped entirely —
-    the incremental/delta path (:func:`match_documents_delta`).
+    ``y_prepared``: optional pre-built registry side ``(y_flat, y_keys,
+    yset_ref, y_route)`` as :func:`_load_y_prepared` loads it — a
+    MATERIALIZED normalized-flats dataset, its expanded key table (as
+    written by :func:`build_doc_index`), the ref of its sorted scoreable
+    keys (or None) and its routing index. When given, ``y_docs`` is
+    ignored and the y-side flatten, key expansion and route are skipped
+    entirely — the incremental/delta path (:func:`match_documents_delta`).
 
     ``max_block_side``: a key whose x width or y width exceeds it is
     dropped (counted in ``blocks_dropped``). Both widths are the key's
@@ -344,10 +332,17 @@ def match_documents(
             progress(stage, info)
 
     carry = sorted(set(cfg.x_match_columns()) | set(cfg.y_columns_needed()))
+    uniq_cols = [c for c, _ in cfg.columns_to_match]
+    # each flat block's rids (for the route) and x's distinct scorer
+    # values (for uniqueness) come from the task that makes the block
+    x_parts = (_rids, lambda t: table_ops.distinct_values(t, uniq_cols))
     if y_prepared is None:
-        x_flat, y_flat = _flats([x_docs, y_docs], carry)
+        [x_flat, y_flat], [(x_rids, x_distinct), (y_rids,)] = _flats(
+            [x_docs, y_docs], carry, [x_parts, (_rids,)]
+        )
     else:
-        [x_flat], y_flat = _flats([x_docs], carry), y_prepared[0]
+        [x_flat], [(x_rids, x_distinct)] = _flats([x_docs], carry, [x_parts])
+        y_flat, y_rids = y_prepared[0], []
     n_x_total = x_flat.count()
     n_y_total = y_flat.count()
     # key expansion runs inside the stage-B exchange's map tasks, over the
@@ -368,7 +363,7 @@ def match_documents(
         # build_doc_index): `blocks_dropped` counts only x-width
         # overflows on the delta path; assignments are unchanged.
         expand = key_prepare[0]
-        yset_ref = y_prepared[2] if len(y_prepared) > 2 else None
+        yset_ref = y_prepared[2]
 
         def _x_keys(t: pa.Table) -> pa.Table:
             t = expand(t)
@@ -379,16 +374,11 @@ def match_documents(
             pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
             return t.filter(pa.array(ks[pos] == k))
 
-        # expansion and pruning in one map_blocks wave over the flats
-        [xk] = map_blocks([x_flat], _x_keys)
-        key_parts = ray.get(
-            [_key_partial.remote(r) for r, _ in block_refs(xk)]
-        )
-        xkeys = (
-            np.unique(np.concatenate(key_parts))
-            if key_parts
-            else np.empty(0, np.int64)
-        )
+        # expansion, pruning and distinct keys in one map_blocks wave
+        [xk], [(key_refs,)] = map_blocks([x_flat], _x_keys,
+                                         [(_distinct_keys,)])
+        xkeys = np.unique(np.concatenate([np.empty(0, np.int64),
+                                          *ray.get(key_refs)]))
         xkeys_ref = (ray.put(xkeys) if 0 < len(xkeys) <= 50_000_000
                      else None)
 
@@ -412,16 +402,18 @@ def match_documents(
     # ~20×/doc carry-string replication (the shuffle, not the scorers, was
     # 55 s of the 75 s stage-B wall at 690 k docs). score_bucket gathers
     # the scorer columns zero-copy from the materialized flats via a
-    # broadcast (rid → block, row) routing index. The x-side route pass is
-    # FUSED with the uniqueness pass (one task wave, r3 — two separate
-    # per-block waves measurably stacked scheduling latency).
-    uniq_cols = [c for c, _ in cfg.columns_to_match]
-    fuse = 0 < n_x_total <= 50_000_000
-    x_refs, x_route, x_distinct = _flat_route(x_flat, uniq_cols if fuse else ())
-    uniq = (table_ops.merge_distinct(x_distinct, uniq_cols, n_x_total) if fuse
+    # broadcast (rid → block, row) routing index (the registry's comes
+    # with y_prepared). Distinct values reach the driver only up to 50M
+    # x rows; above that uniqueness dedupes them in an exchange.
+    rid_parts = ray.get(x_rids + y_rids)
+    x_route = _assemble_route(rid_parts[:len(x_rids)])
+    y_route = (_assemble_route(rid_parts[len(x_rids):]) if y_prepared is None
+               else y_prepared[3])
+    uniq = (table_ops.merge_distinct(ray.get(x_distinct), uniq_cols, n_x_total)
+            if 0 < n_x_total <= 50_000_000
             else table_ops.uniqueness(x_flat, uniq_cols, total=n_x_total))
     _tick("uniqueness", dict(uniq))
-    y_refs, y_route, _ = _flat_route(y_flat)
+    x_refs, y_refs = ([r for r, _ in block_refs(f)] for f in (x_flat, y_flat))
     carry_route_ref = ray.put((*x_route, *y_route))
 
     counters = Counter()
@@ -1019,9 +1011,9 @@ def _load_y_prepared(
     fingerprint: str,
 ):
     """Build (or manifest-skip) the registry index under ``root`` and
-    load its plasma-resident form ``(y_flat, yk, yset_ref)``, session-
-    cached so repeated calls against one registry pay the load once.
-    Shared by the delta and checkpointed paths."""
+    load its plasma-resident form ``(y_flat, yk, yset_ref, y_route)``,
+    session-cached so repeated calls against one registry pay the load
+    once. Shared by the delta and checkpointed paths."""
     runner = build_doc_index(
         y_docs, root, cfg=cfg, num_perm=num_perm, seed=seed,
         fingerprint=fingerprint, max_block_side=max_block_side,
@@ -1041,26 +1033,22 @@ def _load_y_prepared(
     # round-trip (score_bucket's views are zero-copy only over
     # single-chunk columns).
     need = ["rid"] + carry
-    [y_flat] = map_blocks(
+    [y_flat], [(y_rids,)] = map_blocks(
         [read_partition(root, "y_flat", "all", columns=need)],
-        lambda t: _normalize_carry_cols(t, carry),
+        lambda t: _normalize_carry_cols(t, carry), [(_rids,)],
     )
+    y_route = _assemble_route(ray.get(y_rids))
     yk = read_partition(root, "y_keys", "all").materialize()
-    set_parts = ray.get(
-        [_key_partial.remote(r)
-         for r in read_partition(
-             root, "y_keyset", "all"
-         ).to_arrow_refs()]
-    )
-    yset = (np.unique(np.concatenate(set_parts)) if set_parts
-            else np.empty(0, np.int64))
+    keyset = read_partition(root, "y_keyset", "all").to_arrow_refs()
+    yset = np.unique(np.concatenate([np.empty(0, np.int64), *ray.get(
+        [_key_partial.remote(r) for r in keyset])]))
     yset_ref = ray.put(yset) if len(yset) else None
     # one live entry: a daily-delta service processes many arriving
     # batches against ONE registry index per session — keep its
-    # plasma-resident form (flats + key table + keyset) warm so only
-    # the first delta pays the load
-    _DELTA_INDEX_CACHE["entry"] = (cache_key, (y_flat, yk, yset_ref))
-    return runner, (y_flat, yk, yset_ref)
+    # plasma-resident form (flats + key table + keyset + route) warm so
+    # only the first delta pays the load
+    _DELTA_INDEX_CACHE["entry"] = (cache_key, (y_flat, yk, yset_ref, y_route))
+    return runner, (y_flat, yk, yset_ref, y_route)
 
 
 def match_documents_delta(

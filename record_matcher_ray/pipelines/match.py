@@ -325,8 +325,6 @@ def match_datasets(
         flips = compute_flips(scored, cfg.duplicate_threshold)
         _tick("duplicate_pass", {"flips": len(flips[0]) + len(flips[1])})
 
-    # default resources: num_cpus=0 tasks submitted right after the
-    # exchange start an extra worker process
     flips_ref = None if flips is None else ray.put(flips)
     done = [
         _finalize_block.remote(ref, x_passthrough, cfg.columns_to_get,

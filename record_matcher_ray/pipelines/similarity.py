@@ -404,7 +404,7 @@ def embedding_near_dups(
 _KM_GUARD_BITS = 27  # |q| < 2**27 keeps d*(2|q|)**2 < 2**63 at d ≤ 64
 
 
-@ray.remote(num_cpus=0)
+@ray.remote
 def _km_init_partial(t: pa.Table, id_col: str, k: int, seed: int):
     """Per-block candidate centroids: the k rows with the smallest
     (sample_hash(id), id) — only k rows/block reach the driver."""

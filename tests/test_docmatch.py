@@ -755,7 +755,7 @@ def test_docmatch_delta_ignores_stored_key_group(ray_session, corpus_dir, tmp_pa
 
     x = rd.read_parquet(f"{corpus_dir}/corpus.parquet")
     y = rd.read_parquet(f"{corpus_dir}/registry.parquet")
-    _, (y_flat, yk, yset_ref) = _load_y_prepared(
+    _, (y_flat, yk, yset_ref, y_route) = _load_y_prepared(
         y, str(tmp_path / "regidx"), default_doc_config(), num_perm=64,
         seed=1, max_block_side=32, fingerprint="old-index",
     )
@@ -767,8 +767,71 @@ def test_docmatch_delta_ignores_stored_key_group(ray_session, corpus_dir, tmp_pa
     old = yk.map_batches(with_group, batch_format="pyarrow").materialize()
     assert old.schema().names == ["bucket", "key", "rid", "side"]
     got, want = (
-        _docmatch_outputs(match_documents(x, None, y_prepared=(y_flat, k, yset_ref)))
+        _docmatch_outputs(match_documents(
+            x, None, y_prepared=(y_flat, k, yset_ref, y_route)))
         for k in (old, yk)
     )
     assert want[3]["matches_accepted"] > 0
     _assert_same_outputs(got, want, "stored key group")
+
+
+# run in a child process that owns a 1-CPU Ray session: counts the live
+# Ray worker processes under it (the Ray Data stats actor and the
+# autoscaling requester are actors, not task workers) after the calls
+_WORKERS_SCRIPT = """
+import os, sys
+import ray
+import ray.data as rd
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from record_matcher_ray.pipelines.docmatch import match_documents
+d = sys.argv[1]
+for cap in (500_000, 0) * 4:
+    match_documents(rd.read_parquet(f"{d}/corpus.parquet"),
+                    rd.read_parquet(f"{d}/registry.parquet"),
+                    reduce_driver_cap=cap).assignments.count()
+children = {}
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        with open(f"/proc/{pid}/cmdline") as f:
+            title = f.read()
+    except OSError:
+        continue
+    children.setdefault(ppid, []).append((int(pid), title))
+workers, todo = [], [os.getpid()]
+while todo:
+    for pid, title in children.get(todo.pop(), []):
+        todo.append(pid)
+        if title.startswith("ray::") and not any(
+                a in title for a in ("_StatsActor", "AutoscalingRequester")):
+            workers.append(title.split(chr(0))[0])
+print("WORKERS", len(workers), workers)
+ray.shutdown()
+"""
+
+
+def test_docmatch_keeps_one_worker_per_cpu(corpus_dir):
+    """On 1 Ray CPU repeated match_documents calls leave one Ray worker
+    process: no task wave asks for num_cpus=0, which made Ray start a
+    second worker that stayed (~210 MB of peak RSS on perfbench
+    docmatch_full). The start depends on timing, so the child makes
+    eight calls over both tails; the parent left two workers by the
+    fourth call in every trial."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    repo = str(pathlib.Path(__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (repo, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _WORKERS_SCRIPT, corpus_dir], cwd=repo,
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    line = [ln for ln in out.stdout.splitlines() if ln.startswith("WORKERS")]
+    assert out.returncode == 0 and line, out.stderr[-2000:]
+    assert int(line[0].split()[1]) <= 1, line[0]

@@ -446,6 +446,57 @@ def test_map_blocks_in_memory_lazy_and_empty_inputs(ray_session, executions):
         exchange.map_blocks([ds], fails_on_last)
 
 
+def test_map_blocks_partials_line_up_with_blocks(ray_session, executions, tmp_path):
+    """Each partial gives one object per block of the result, in block
+    order, for a bare read_parquet, a materialized input and a
+    from_pandas input; a zero-row output makes neither a block nor a
+    partial; none of it is a Ray Data execution; and an error of a
+    partial on the last block is raised."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from record_matcher_ray.core.exchange import block_refs, map_blocks
+
+    df = _frame()
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    for i in range(3):
+        pq.write_table(t.slice(100 * i, 100), tmp_path / f"part{i}.parquet")
+    inputs = [
+        rd.read_parquet(str(tmp_path)),
+        rd.read_parquet(str(tmp_path)).materialize(),
+        rd.from_pandas([df.iloc[i:i + 30] for i in range(0, 300, 30)]),
+    ]
+
+    def fn(t: pa.Table) -> pa.Table:  # empties every 30-row block 1 mod 3
+        return t.filter(pc.not_equal(pc.bit_wise_and(
+            pc.divide(t["v"], 30), 3), 1))
+
+    def values(t: pa.Table) -> np.ndarray:
+        return t["v"].to_numpy()
+
+    with executions() as plans:
+        outs, refs = map_blocks(inputs, fn, [(values, len)] * 3)
+        blocks = [[ray.get(r) for r, _ in block_refs(o)] for o in outs]
+        parts = [[ray.get(p) for p in ps] for ps in refs]
+    assert plans == []
+    want = df["v"][(df["v"] // 30) & 3 != 1].to_numpy()
+    for bs, (vs, ns) in zip(blocks, parts):
+        assert len(vs) == len(ns) == len(bs) > 1
+        for b, v, n in zip(bs, vs, ns):
+            np.testing.assert_array_equal(v, b["v"].to_numpy())
+            assert n == b.num_rows > 0
+        np.testing.assert_array_equal(np.sort(np.concatenate(vs)), want)
+
+    def fails_on_last(t: pa.Table) -> int:
+        if t["v"][0].as_py() >= 270:
+            raise ValueError("last block")
+        return len(t)
+
+    with pytest.raises(Exception, match="last block"):
+        map_blocks([inputs[2]], lambda t: t, [(fails_on_last,)])
+
+
 def test_block_refs_lets_a_lazy_input_go_past_max_rows(ray_session, executions):
     """block_refs runs a lazy input once, streaming, and gives None as
     soon as its rows pass max_rows; below it, every non-empty block."""
@@ -732,3 +783,47 @@ def test_duplicate_name_ratchet_catches_a_copy(tmp_path):
     assert _duplicate_public_names(sorted(tmp_path.glob("*.py"))) == {
         "pack": ["a.py", "b.py"]
     }
+
+
+# Ray core tasks that ask for no CPU: a wave of them runs beside the
+# tasks that hold the CPUs, so Ray starts one more worker process for it,
+# and that process stays (~210 MB at 1 CPU on perfbench docmatch_full)
+def _zero_cpu_tasks(path: pathlib.Path) -> list[str]:
+    import ast
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        remote = (isinstance(f, ast.Attribute) and f.attr == "remote"
+                  and getattr(f.value, "id", None) == "ray")
+        options = isinstance(f, ast.Attribute) and f.attr == "options"
+        if (remote or options) and any(
+            k.arg == "num_cpus" and isinstance(k.value, ast.Constant)
+            and k.value.value == 0 for k in node.keywords
+        ):
+            found.append(node.lineno)
+    return [f"{path.name}:{n}" for n in sorted(found)]
+
+
+def test_no_engine_task_asks_for_zero_cpus():
+    found = [h for p in sorted(PIPELINES.parent.rglob("*.py"))
+             for h in _zero_cpu_tasks(p)]
+    assert not found, f"run these tasks at default resources: {found}"
+
+
+def test_zero_cpu_ratchet_catches_each_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import ray\n"
+        "@ray.remote(num_cpus=0)\n"
+        "def f(t):\n"
+        '    """ray.remote(num_cpus=0) in a docstring is fine"""\n'
+        "g = ray.remote(num_cpus=0)(len)\n"
+        "h = f.options(num_cpus=0)\n"
+        "@ray.remote(num_cpus=1)\n"
+        "def ok(t):\n"
+        "    return ray.remote(num_returns=2)\n"
+    )
+    assert [h.split(":")[1] for h in _zero_cpu_tasks(bad)] == ["2", "5", "6"]

@@ -380,13 +380,13 @@ def _q_dedup_keep_best(sf_dir: str):
     doc_id); full (doc_id, keeper_id) assignment."""
 
     from record_matcher_ray.pipelines.analysis import normalize_text
-    from record_matcher_ray.pipelines.dedup import exact_dedup_keep_best
+    from record_matcher_ray.pipelines.dedup import exact_dup_groups
 
     ds = read_table(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "n_chars"],
     )
-    return exact_dedup_keep_best(
+    return exact_dup_groups(
         normalize_text(ds), ["text"], "doc_id", "n_chars", emit_all=True
     )
 

@@ -61,18 +61,34 @@ def _q_transitions(sf_dir: str):
     return transition_counts(ds)
 
 
+def _q_events_window(sf_dir: str):
+    """Tumbling hour windows: the sliding window with slide = window."""
+
+    from record_matcher_ray.pipelines.relational import events_sliding_window
+
+    return events_sliding_window(sf_dir, window_s=3600, slide_s=3600)
+
+
+def _q_supplier_levenshtein(sf_dir: str):
+    """supplier × nation name cross under the Levenshtein kernel."""
+
+    from record_matcher_ray.pipelines.relational import supplier_nation_cross
+
+    return supplier_nation_cross(sf_dir, scorer="levenshtein")
+
+
 def _q_rollup(sf_dir: str):
     """ROLLUP(status, priority) counts + exact-cents price sums over
     orders — all three granularities, collapsed dims labelled 'ALL'."""
 
-    from record_matcher_ray.pipelines.relational import rollup_aggregate
+    from record_matcher_ray.pipelines.relational import cube_aggregate
 
     ds = read_table(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
-    return rollup_aggregate(
-        ds, ["o_orderstatus", "o_orderpriority"], "o_totalprice"
+    return cube_aggregate(
+        ds, ["o_orderstatus", "o_orderpriority"], "o_totalprice", rollup=True
     )
 
 
@@ -348,15 +364,15 @@ def queries():
         "lineitem_agg": relational.lineitem_agg,
         "customer_topk": relational.customer_nation_topk,
         "orders_by_status": relational.orders_by_status,
-        "events_window": relational.events_tumbling_window,
+        "events_window": _q_events_window,
         "topk_per_group": relational.topk_per_group,
         "sessionize_events": relational.sessionize_events,
         "last_error_asof": relational.last_error_asof,
         "events_sliding_window": relational.events_sliding_window,
         "building_orders_semi": relational.building_orders_semi,
         "events_props_extract": relational.events_props_extract,
-        "supplier_levenshtein": relational.supplier_nation_levenshtein,
-        "supplier_jaro": relational.supplier_nation_jaro,
+        "supplier_levenshtein": _q_supplier_levenshtein,
+        "supplier_jaro": relational.supplier_nation_cross,
         "interval_union_events": _q_interval_union,
         "attribution_events": _q_attribution,
         "attribution_first_events": _q_attribution_first,

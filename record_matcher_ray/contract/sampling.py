@@ -61,16 +61,16 @@ def _q_split_docs(sf_dir: str):
     document gets the split of its group REPRESENTATIVE (min doc_id per
     identical text), so no content straddles train and eval."""
 
-    from record_matcher_ray.pipelines.dedup import tuple_representatives
+    from record_matcher_ray.pipelines.dedup import exact_dup_groups
     from record_matcher_ray.pipelines.sampling import leakage_safe_split
 
     docs = read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    reps = tuple_representatives(docs, ["text"], "doc_id")
-    return leakage_safe_split(
-        reps, _SPLIT_WEIGHTS, key_col="rep", seed=11
-    ).to_pandas()[["doc_id", "rep", "split"]]
+    reps = exact_dup_groups(docs, ["text"], "doc_id", emit_all=True)
+    out = leakage_safe_split(reps, _SPLIT_WEIGHTS, key_col="keeper_id", seed=11)
+    return out.to_pandas().rename(columns={"keeper_id": "rep"})[
+        ["doc_id", "rep", "split"]]
 
 
 def _q_pack_docs(sf_dir: str):

@@ -6,7 +6,8 @@ algorithms", STOC 2002), n-gram-Jaccard verification, embedding-cosine
 near-dup.
 
 Scale shapes:
-- exact: one hash shuffle on the content hash, keep-first per group;
+- exact: one hash shuffle on the value tuple, one keeper per group (min
+  id, or the best ``pref_col`` row);
 - minhash LSH: shingle→minhash→band keys per batch (map_batches), explode
   to (band_key, doc_id), `groupby(band_key)` → candidate pairs (hot buckets
   capped, counted, never silently), verify with n-gram Jaccard, then
@@ -33,21 +34,29 @@ from record_matcher_ray.pipelines.cluster import connected_components
 from record_matcher_ray.stages.blocking import MinHasher
 
 
-def _tuple_groups_sorted(t: pa.Table, columns: list[str], id_col: str):
+def _tuple_groups_sorted(
+    t: pa.Table, columns: list[str], id_col: str, pref_col: str | None = None
+):
     """Arrow-native in-bucket grouping (VERDICT r4 item 5): dictionary-
-    encode each key column (exact value equality — never a hash), lexsort
-    rows by (codes..., id), and diff group boundaries — the docmatch
-    score_bucket pattern, so the corpus-scale text column is never copied
-    into pandas objects. Returns ``(order, first, ids_sorted)``: the sort
+    encode each key column (exact value equality — never a hash; nulls
+    form one group), lexsort rows by (codes..., [pref descending, nulls
+    last], id), and diff group boundaries — the docmatch score_bucket
+    pattern, so the corpus-scale text column is never copied into pandas
+    objects. Returns ``(order, first, ids_sorted)``: the sort
     permutation, the group-start mask over sorted rows, and the sorted
-    ids (group start = min id per tuple)."""
+    ids (group start = the keeper: the highest ``pref_col`` row, else
+    the min id, per tuple)."""
     ids = pc.cast(t[id_col], pa.int64()).to_numpy(zero_copy_only=False)
     codes = []
     for c in columns:
         di = pc.dictionary_encode(t[c].combine_chunks())
         idx = pc.fill_null(pc.cast(di.indices, pa.int64()), -1)
         codes.append(idx.to_numpy(zero_copy_only=False))
-    order = np.lexsort((ids, *reversed(codes)))
+    pref = [] if pref_col is None else [pc.rank(
+        t[pref_col], sort_keys="descending", null_placement="at_end",
+        tiebreaker="dense",
+    ).to_numpy(zero_copy_only=False)]
+    order = np.lexsort((ids, *pref, *reversed(codes)))
     first = np.zeros(len(ids), bool)
     if len(ids):
         first[0] = True
@@ -72,41 +81,39 @@ def exact_dedup(
 
 
 def exact_dup_groups(
-    ds: ray.data.Dataset, columns: list[str], id_col: str
+    ds: ray.data.Dataset,
+    columns: list[str],
+    id_col: str,
+    pref_col: str | None = None,
+    emit_all: bool = False,
 ) -> ray.data.Dataset:
-    """→ (keeper_id, dup_id) pairs for every exact-duplicate row; keeper is
-    the min id per value tuple. One hash exchange, vectorized group-first
-    inside each call."""
+    """Exact-duplicate groups of the value tuple of ``columns`` →
+    (keeper_id, dup_id) pairs for every non-keeper row, or with
+    ``emit_all`` the full (``id_col``, keeper_id) assignment (singletons
+    map to themselves: the representative every copy of a document
+    shares, e.g. for sampling.leakage_safe_split). The keeper is the min
+    id per tuple; with ``pref_col`` it is the row with the HIGHEST
+    ``pref_col`` (nulls last), ties broken by min id — the keep-best-copy
+    policy (keep the longest original, the highest-scored crawl, the
+    newest snapshot).
 
-    def pairs(t: pa.Table) -> pa.Table:
-        _, first, ids_s = _tuple_groups_sorted(t, columns, id_col)
+    Scale shape: ONE tuple-hash exchange; inside each ``fn`` call one
+    Arrow sort + boundary diff picks every group's keeper (never per
+    distinct value, and the key text never copied into pandas)."""
+
+    def groups(t: pa.Table) -> pa.Table:
+        _, first, ids_s = _tuple_groups_sorted(t, columns, id_col, pref_col)
         bounds = np.nonzero(first)[0]
         sizes = np.diff(np.concatenate((bounds, [len(ids_s)])))
         keeper = np.repeat(ids_s[bounds], sizes)
+        if emit_all:
+            return pa.table({id_col: pa.array(ids_s),
+                             "keeper_id": pa.array(keeper)})
         dup = ~first
         return pa.table({"keeper_id": pa.array(keeper[dup]),
                          "dup_id": pa.array(ids_s[dup])})
 
-    return bucket_exchange(ds, columns, pairs)
-
-
-def tuple_representatives(
-    ds: ray.data.Dataset, columns: list[str], id_col: str
-) -> ray.data.Dataset:
-    """→ (id, rep) for EVERY row: rep = min id among rows sharing the
-    exact value tuple of ``columns`` (singletons map to themselves).
-    Same exchange as exact_dup_groups; feeds
-    sampling.leakage_safe_split so all copies of a document land on the
-    same train/val/test side."""
-
-    def reps(t: pa.Table) -> pa.Table:
-        _, first, ids_s = _tuple_groups_sorted(t, columns, id_col)
-        bounds = np.nonzero(first)[0]
-        sizes = np.diff(np.concatenate((bounds, [len(ids_s)])))
-        rep = np.repeat(ids_s[bounds], sizes)
-        return pa.table({id_col: pa.array(ids_s), "rep": pa.array(rep)})
-
-    return bucket_exchange(ds, columns, reps)
+    return bucket_exchange(ds, columns, groups)
 
 
 class _MinhashKeys:
@@ -1139,6 +1146,8 @@ def ngram_jaccard_dedup(
         )
 
     # ---- global pair-count sum + jaccard --------------------------------
+    sizes = []  # filled by a reduce task's first call: one fetch per task
+
     def sum_and_score(t: pa.Table) -> pa.Table:
         empty = pa.schema(
             [("id_a", pa.int64()), ("id_b", pa.int64()),
@@ -1157,7 +1166,9 @@ def ngram_jaccard_dedup(
         starts = np.nonzero(first)[0]
         n_common = np.add.reduceat(c_s, starts)
         ua, ub = a_s[starts], b_s[starts]
-        sid, sn = _ray.get(sizes_ref)
+        if not sizes:
+            sizes.extend(_ray.get(sizes_ref))
+        sid, sn = sizes
         na = sn[np.searchsorted(sid, ua)]
         nb = sn[np.searchsorted(sid, ub)]
         if metric == "containment":
@@ -1365,44 +1376,6 @@ def minhash_decontam(
         )
 
     return res["pairs"].map_batches(decode, batch_format="pyarrow")
-
-
-def exact_dedup_keep_best(
-    ds: ray.data.Dataset,
-    columns: list[str],
-    id_col: str,
-    pref_col: str,
-    emit_all: bool = False,
-) -> ray.data.Dataset:
-    """Policy dedup where the keeper is the group row with the HIGHEST
-    ``pref_col`` (ties broken by min ``id_col``) — the keep-best-copy
-    selection every training-data dedup pass needs when duplicates
-    differ in provenance quality (keep the longest original, the
-    highest-scored crawl, the newest snapshot) instead of
-    `exact_dup_groups`' keep-first-id. → (keeper_id, dup_id) pairs for
-    the losers, or with ``emit_all`` the full (``id_col``, keeper_id)
-    assignment (singletons map to themselves, the
-    `tuple_representatives` shape).
-
-    Scale shape: identical to `exact_dup_groups` — ONE tuple-hash
-    exchange, winner selection vectorized per ``fn`` call (sort +
-    group-transform, never per distinct value).
-    """
-
-    def pairs(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            [pref_col, id_col], ascending=[False, True], kind="stable"
-        )
-        keeper = df.groupby(columns, sort=False, dropna=False)[
-            id_col
-        ].transform("first").to_numpy(dtype=np.int64)
-        ids = df[id_col].to_numpy(dtype=np.int64)
-        if emit_all:
-            return pa.table({id_col: ids, "keeper_id": keeper})
-        dup = ids != keeper
-        return pa.table({"keeper_id": keeper[dup], "dup_id": ids[dup]})
-
-    return bucket_exchange(ds, columns, pairs)
 
 
 def capture_recapture_dup_estimate(

@@ -112,37 +112,6 @@ def orders_by_status(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("o_orderstatus").reset_index(drop=True)
 
 
-def events_tumbling_window(sf_dir: str, window_s: int = 3600) -> pd.DataFrame:
-    """Stream-shaped tumbling window: per (event_type, hour-window) count +
-    value sum. Window key derived vectorized; ordering assumption: none
-    needed for tumbling aggregates (associative)."""
-    ds = _read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
-    )
-
-    def keyed(t: pa.Table) -> pa.Table:
-        epoch = pc.cast(t["ts"], pa.int64())  # microseconds since epoch
-        # integer division (exact; matches SQL //) — not float floor
-        win = pc.divide(epoch, window_s * 1_000_000)
-        return pa.table(
-            {
-                "event_type": t["event_type"],
-                "win": pc.cast(win, pa.int64()),
-                "value": t["value"],
-            }
-        )
-
-    out = (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .groupby(["event_type", "win"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
-        .to_pandas()
-    )
-    out["sum_value"] = out["sum_value"].round(2)
-    out["n_events"] = out["n_events"].astype("int64")
-    return out.sort_values(["event_type", "win"]).reset_index(drop=True)
-
-
 def topk_per_group(sf_dir: str, k: int = 2) -> pd.DataFrame:
     """Top-k orders by totalprice per customer — grouped top-k via one
     hash exchange + vectorized ranking of many customers per call (no
@@ -234,8 +203,10 @@ def events_sliding_window(
     sf_dir: str, window_s: int = 3600, slide_s: int = 1800
 ) -> pd.DataFrame:
     """Sliding-window aggregate: each event contributes to every window
-    covering it (window w spans [w*slide, w*slide + window)). Expansion is
-    a vectorized row-replication in map_batches (the Ray flat_map shape),
+    covering it (window w spans [w*slide, w*slide + window)); at
+    ``slide_s == window_s`` the windows tumble and each event lands in
+    window ``floor(epoch / window)``, before 1970 too. Expansion is a
+    vectorized row-replication in map_batches (the Ray flat_map shape),
     then a grouped count/sum over (event_type, window)."""
     ds = _read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
@@ -249,7 +220,7 @@ def events_sliding_window(
         hi = epoch // s_us
         counts = (hi - lo + 1).astype(np.int64)
         idx = np.repeat(np.arange(len(epoch)), counts)
-        offs = np.concatenate([np.arange(c) for c in counts]) if len(counts) else np.empty(0, np.int64)
+        offs = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
         wins = lo[idx] + offs
         take = pa.array(idx)
         return pa.table(
@@ -317,66 +288,45 @@ def events_props_extract(sf_dir: str) -> pd.DataFrame:
     return ds.map_batches(extract, batch_format="pyarrow").to_pandas()
 
 
-def supplier_nation_jaro(sf_dir: str) -> pd.DataFrame:
-    """Cross-score s_name × n_name with the vectorized Jaro-Winkler kernel
-    (scorer-kernel correctness surface for DuckDB's
-    ``jaro_winkler_similarity`` — semantics match exactly on non-empty
-    ASCII, see scorers.py:96)."""
-    from record_matcher_ray.functions.scorers import jaro_winkler_matrix
+def supplier_nation_cross(
+    sf_dir: str, scorer: str = "jaro_winkler"
+) -> pd.DataFrame:
+    """Cross-score s_name × n_name with a vectorized matrix kernel →
+    (s_suppkey, n_nationkey, jw_sim | lev_sim): ``scorer`` is
+    ``"jaro_winkler"`` (column ``jw_sim``; DuckDB's
+    ``jaro_winkler_similarity`` semantics on non-empty ASCII, see
+    scorers.py:96) or ``"levenshtein"`` (column ``lev_sim``) — the
+    scorer-kernel correctness surface for the DuckDB oracle. The 25-row
+    nation side rides in the closure."""
+    from record_matcher_ray.functions.scorers import (
+        jaro_winkler_matrix,
+        levenshtein_matrix,
+    )
 
+    kernels = {"jaro_winkler": (jaro_winkler_matrix, "jw_sim"),
+               "levenshtein": (levenshtein_matrix, "lev_sim")}
+    if scorer not in kernels:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    kernel, col = kernels[scorer]
     sup = _read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     )
     nat = _read_parquet(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pandas()
-    nat_ref = ray.put(nat)
+    nk = nat["n_nationkey"].to_numpy()
+    ys = np.asarray(nat["n_name"].to_numpy(), dtype=object)
 
     def cross(t: pa.Table) -> pa.Table:
-        n = ray.get(nat_ref)
         xs = np.asarray(t["s_name"].to_pylist(), dtype=object)
-        ys = np.asarray(n["n_name"].to_numpy(), dtype=object)
-        m = jaro_winkler_matrix(xs, ys)
-        nk = n["n_nationkey"].to_numpy()
+        m = kernel(xs, ys)
         sk = t["s_suppkey"].to_numpy()
         xi, yi = np.indices(m.shape)
         return pa.table(
             {
                 "s_suppkey": pa.array(sk[xi.ravel()]),
                 "n_nationkey": pa.array(nk[yi.ravel()]),
-                "jw_sim": pa.array(np.round(m.ravel(), 6)),
-            }
-        )
-
-    return sup.map_batches(cross, batch_format="pyarrow").to_pandas()
-
-
-def supplier_nation_levenshtein(sf_dir: str) -> pd.DataFrame:
-    """Cross-score s_name × n_name with the vectorized Levenshtein kernel
-    (scorer-kernel correctness surface for the DuckDB oracle)."""
-    from record_matcher_ray.functions.scorers import levenshtein_matrix
-
-    sup = _read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    )
-    nat = _read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    ).to_pandas()
-    nat_ref = ray.put(nat)
-
-    def cross(t: pa.Table) -> pa.Table:
-        n = ray.get(nat_ref)
-        xs = np.asarray(t["s_name"].to_pylist(), dtype=object)
-        ys = np.asarray(n["n_name"].to_numpy(), dtype=object)
-        m = levenshtein_matrix(xs, ys)
-        nk = n["n_nationkey"].to_numpy()
-        sk = t["s_suppkey"].to_numpy()
-        xi, yi = np.indices(m.shape)
-        return pa.table(
-            {
-                "s_suppkey": pa.array(sk[xi.ravel()]),
-                "n_nationkey": pa.array(nk[yi.ravel()]),
-                "lev_sim": pa.array(np.round(m.ravel(), 6)),
+                col: pa.array(np.round(m.ravel(), 6)),
             }
         )
 
@@ -692,90 +642,6 @@ def transition_counts(
 
     parts = bucket_exchange(ds, [key_col], local, prepare=prep)
     return parts.groupby(["src", "dst"]).aggregate(Sum("n", alias_name="n"))
-
-
-def rollup_aggregate(
-    ds: ray.data.Dataset,
-    dims: list[str],
-    val_col: str,
-    cents_scale: float = 100.0,
-    all_label: str = "ALL",
-) -> pa.Table:
-    """GROUP BY ROLLUP(dims): counts and exact-cents value sums at every
-    prefix granularity ((d1..dk), (d1..dk-1), …, ()) with collapsed
-    dimensions labelled ``all_label`` → columns (*dims, n, sum_val).
-    The OLAP cube-slice primitive for bounded-cardinality dimensions.
-
-    Scale shape: each block pre-aggregates to one row per distinct
-    finest-level tuple (value quantized once to integer units, so the
-    sum is EXACT and order-invariant), one small ``groupby(dims)``
-    exchange merges partials, and the rollup levels are derived from
-    the materialized finest level — legitimately driver-side because a
-    rollup is only meaningful over bounded-cardinality dims (the finest
-    table is vocabulary-sized, never corpus-sized). The one double op
-    (cents → value) is pinned-order, so the DuckDB ROLLUP oracle
-    replays it bit-for-bit.
-    """
-    if not dims:
-        raise ValueError("dims must be a non-empty list")
-    sch = ds.schema()
-    for name, typ in zip(sch.names, sch.types):
-        if name not in dims:
-            continue
-        if isinstance(typ, pa.DataType):  # Arrow-backed blocks
-            ok = pa.types.is_string(typ) or pa.types.is_large_string(typ)
-        else:  # pandas-backed blocks report numpy dtypes / `object`
-            kind = getattr(np.dtype(typ), "kind", "?") if typ is not object \
-                else "O"
-            ok = kind in ("O", "U")
-        if not ok:
-            raise ValueError(
-                f"rollup dim {name!r} must be a string column (the "
-                f"all_label sentinel replaces collapsed levels)"
-            )
-
-    def partial(t: pa.Table) -> pa.Table:
-        c = np.floor(
-            pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
-        ).astype(np.int64)
-        df = pd.DataFrame(
-            {d: t[d].to_numpy(zero_copy_only=False) for d in dims}
-        )
-        df["__cents__"] = c
-        g = df.groupby(dims, sort=False, dropna=False).agg(
-            n=("__cents__", "size"), cents=("__cents__", "sum")
-        ).reset_index()
-        return pa.table(
-            {**{d: pa.array(g[d].to_numpy(), pa.string()) for d in dims},
-             "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-             "cents": pa.array(g["cents"].to_numpy().astype(np.int64))}
-        )
-
-    finest = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(dims)
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("cents", alias_name="cents"))
-    ).to_pandas()
-
-    levels = [finest]
-    for k in range(len(dims) - 1, -1, -1):
-        lv = finest.groupby(dims[:k], sort=False).agg(
-            n=("n", "sum"), cents=("cents", "sum")
-        ).reset_index() if k else pd.DataFrame(
-            {"n": [int(finest["n"].sum())],
-             "cents": [int(finest["cents"].sum())]}
-        )
-        for d in dims[k:]:
-            lv[d] = all_label
-        levels.append(lv[dims + ["n", "cents"]])
-    out = pd.concat(levels, ignore_index=True)
-    out["sum_val"] = np.round(
-        out["cents"].to_numpy().astype(np.float64) / cents_scale, 6
-    )
-    out = out.drop(columns=["cents"])
-    out["n"] = out["n"].astype(np.int64)
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def ntile_by_group(
@@ -1495,55 +1361,94 @@ def cube_aggregate(
     ds: ray.data.Dataset,
     dims: list[str],
     val_col: str,
+    *,
+    rollup: bool = False,
     cents_scale: float = 100.0,
     all_label: str = "ALL",
 ) -> pa.Table:
-    """GROUP BY CUBE(dims): counts and exact-cents value sums at EVERY
-    dimension subset (2^|dims| granularities; :func:`rollup_aggregate`
-    covers only the prefix chain) with collapsed dimensions labelled
-    ``all_label`` → columns (*dims, n, sum_val). Same scale shape as
-    rollup: blocks pre-aggregate to the finest tuple (exact integer
-    cents), ONE vocabulary-sized exchange, and every coarser subset is
-    derived from the materialized finest table — the 2^k blowup touches
-    only the tiny finest vocabulary, never the corpus.
+    """GROUP BY CUBE(dims), or GROUP BY ROLLUP(dims) with ``rollup``:
+    counts and exact-cents value sums at every dimension subset
+    (2^|dims| granularities), or with ``rollup`` only at the prefix
+    chain ((d1..dk), (d1..dk-1), …, ()), collapsed dimensions labelled
+    ``all_label`` → columns (*dims, n, sum_val). The OLAP cube-slice
+    primitive for bounded-cardinality string dimensions.
+
+    Scale shape: each block pre-aggregates to one row per distinct
+    finest-level tuple (value quantized once to integer cents, so the
+    sum is EXACT and order-invariant), ONE small ``groupby(dims)``
+    exchange merges partials, and every coarser level is derived from
+    the materialized finest table — legitimately driver-side because the
+    finest table is vocabulary-sized, never corpus-sized, so the 2^k
+    blowup never touches the corpus. The one double op (cents → value)
+    is pinned-order, so the DuckDB CUBE / ROLLUP oracles replay it
+    bit-for-bit.
     """
     import itertools
 
     if not dims:
         raise ValueError("dims must be a non-empty list")
-    # reuse rollup's finest-level machinery for partials + validation
-    finest_tbl = rollup_aggregate(
-        ds, dims, val_col, cents_scale=cents_scale,
-        all_label="\x00__cube_unused__",
+    sch = ds.schema()
+    for name, typ in zip(sch.names, sch.types):
+        if name not in dims:
+            continue
+        if isinstance(typ, pa.DataType):  # Arrow-backed blocks
+            ok = pa.types.is_string(typ) or pa.types.is_large_string(typ)
+        else:  # pandas-backed blocks report numpy dtypes / `object`
+            kind = getattr(np.dtype(typ), "kind", "?") if typ is not object \
+                else "O"
+            ok = kind in ("O", "U")
+        if not ok:
+            raise ValueError(
+                f"cube dim {name!r} must be a string column (the "
+                f"all_label sentinel replaces collapsed levels)"
+            )
+
+    def partial(t: pa.Table) -> pa.Table:
+        c = np.floor(
+            pc.cast(t[val_col], pa.float64()).to_numpy() * cents_scale + 0.5
+        ).astype(np.int64)
+        df = pd.DataFrame(
+            {d: t[d].to_numpy(zero_copy_only=False) for d in dims}
+        )
+        df["__cents__"] = c
+        g = df.groupby(dims, sort=False, dropna=False).agg(
+            n=("__cents__", "size"), cents=("__cents__", "sum")
+        ).reset_index()
+        return pa.table(
+            {**{d: pa.array(g[d].to_numpy(), pa.string()) for d in dims},
+             "n": pa.array(g["n"].to_numpy().astype(np.int64)),
+             "cents": pa.array(g["cents"].to_numpy().astype(np.int64))}
+        )
+
+    fin = (
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby(dims)
+        .aggregate(Sum("n", alias_name="n"),
+                   Sum("cents", alias_name="cents"))
+    ).to_pandas()
+
+    subsets = (
+        [dims[:r] for r in range(len(dims), -1, -1)] if rollup else
+        [list(keep) for r in range(len(dims), -1, -1)
+         for keep in itertools.combinations(dims, r)]
     )
-    fin = finest_tbl.to_pandas()
-    # rollup output contains the prefix-chain levels; keep ONLY the
-    # finest rows (no sentinel labels) and rebuild cents exactly
-    mask = np.ones(len(fin), bool)
-    for d in dims:
-        mask &= fin[d].to_numpy() != "\x00__cube_unused__"
-    fin = fin[mask].copy()
-    fin["cents"] = np.round(
-        fin["sum_val"].to_numpy() * cents_scale
-    ).astype(np.int64)
     levels = []
-    for r in range(len(dims), -1, -1):
-        for keep in itertools.combinations(dims, r):
-            if len(keep) == len(dims):
-                lv = fin[list(dims) + ["n", "cents"]].copy()
-            elif keep:
-                lv = fin.groupby(list(keep), sort=False).agg(
-                    n=("n", "sum"), cents=("cents", "sum")
-                ).reset_index()
-            else:
-                lv = pd.DataFrame(
-                    {"n": [int(fin["n"].sum())],
-                     "cents": [int(fin["cents"].sum())]}
-                )
-            for d in dims:
-                if d not in keep:
-                    lv[d] = all_label
-            levels.append(lv[list(dims) + ["n", "cents"]])
+    for keep in subsets:
+        if len(keep) == len(dims):
+            lv = fin[list(dims) + ["n", "cents"]].copy()
+        elif keep:
+            lv = fin.groupby(keep, sort=False).agg(
+                n=("n", "sum"), cents=("cents", "sum")
+            ).reset_index()
+        else:
+            lv = pd.DataFrame(
+                {"n": [int(fin["n"].sum())],
+                 "cents": [int(fin["cents"].sum())]}
+            )
+        for d in dims:
+            if d not in keep:
+                lv[d] = all_label
+        levels.append(lv[list(dims) + ["n", "cents"]])
     out = pd.concat(levels, ignore_index=True)
     out["sum_val"] = np.round(
         out["cents"].to_numpy().astype(np.float64) / cents_scale, 6

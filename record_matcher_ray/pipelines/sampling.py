@@ -167,7 +167,7 @@ def leakage_safe_split(
     """Assign each row a named split by hash-banding ``key_col`` —
     train/val/test assignment that is a pure function of (key, seed).
     Pass a group REPRESENTATIVE id as the key (from
-    dedup.tuple_representatives, minhash components, or docmatch
+    dedup.exact_dup_groups with ``emit_all``, minhash components, or docmatch
     clusters) and every duplicate/near-duplicate of a document lands on
     the SAME side — the leakage-safe split a training pipeline needs;
     pass the row's own id for a plain iid split. Zero shuffle; band

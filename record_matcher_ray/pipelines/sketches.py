@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from record_matcher_ray.core.exchange import bucket_exchange
 from record_matcher_ray.functions.sketches import (
     hll_estimate,
     hll_registers,
@@ -48,27 +49,15 @@ def _registers_of(bucket: np.ndarray, rho: np.ndarray, p: int) -> np.ndarray:
     return regs
 
 
-def hll_partials(
-    ds: ray.data.Dataset,
-    col: str,
-    group_col: str | None = None,
-    p: int = 12,
-) -> ray.data.Dataset:
-    """Per-block HLL partials: one row per (group, block) with a
-    ``2**p``-byte register list. Hash = ``column_hash64`` (splitmix64
+def _hll_partial(col: str, group_col: str | None, p: int):
+    """→ the per-block HLL partial: one row per group of the block with
+    a ``2**p``-byte register list. Hash = ``column_hash64`` (splitmix64
     for int columns — SQL-replayable; whole-string rolling hash +
     splitmix64 finalizer for strings, whose raw poly hash has
     structured low bits that rho would read)."""
     from record_matcher_ray.core.hashkernels import column_hash64, mix64
 
     def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {
-                    "grp": pa.array([], pa.string()),
-                    "regs": pa.array([], pa.list_(pa.uint8())),
-                }
-            )
         col_arr = t[col]
         h = column_hash64(col_arr)
         if pa.types.is_string(col_arr.type):
@@ -97,7 +86,7 @@ def hll_partials(
             }
         )
 
-    return ds.map_batches(partial, batch_format="pyarrow")
+    return partial
 
 
 def approx_distinct(
@@ -108,23 +97,25 @@ def approx_distinct(
 ) -> pd.DataFrame:
     """Approximate distinct count of ``col`` (optionally per
     ``group_col``) via HyperLogLog: fixed-size mergeable partials per
-    block, merged with a tiny groupby over the partial stream — raw
-    values never shuffle. → DataFrame(grp, approx_n) sorted by grp,
-    estimate rounded to 6 decimals (double-determinism margin for the
-    SQL oracle)."""
-    parts = hll_partials(ds, col, group_col=group_col, p=p)
+    block, made in the map side of ONE small exchange on the group and
+    merged per call (sort by group, elementwise-max ``reduceat`` over
+    the stacked registers) — raw values never shuffle. → DataFrame(grp,
+    approx_n) sorted by grp, estimate rounded to 6 decimals
+    (double-determinism margin for the SQL oracle)."""
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        stack = np.stack([np.asarray(r, dtype=np.uint8) for r in df["regs"]])
-        regs = stack.max(axis=0)
-        return pd.DataFrame(
-            {
-                "grp": [df["grp"].iloc[0]],
-                "approx_n": [round(hll_estimate(regs), 6)],
-            }
+    def merge(t: pa.Table) -> pa.Table:
+        t = t.sort_by("grp")
+        grp = t["grp"].to_numpy(zero_copy_only=False)
+        regs = t["regs"].combine_chunks().flatten().to_numpy()
+        starts = np.flatnonzero(np.concatenate(([True], grp[1:] != grp[:-1])))
+        merged = np.maximum.reduceat(regs.reshape(len(t), 1 << p), starts)
+        return pa.table(
+            {"grp": pa.array(grp[starts], pa.string()),
+             "approx_n": [round(hll_estimate(r), 6) for r in merged]}
         )
 
-    out = parts.groupby("grp").map_groups(merge, batch_format="pandas")
+    out = bucket_exchange(ds, ["grp"], merge,
+                          prepare=_hll_partial(col, group_col, p))
     df = out.to_pandas()
     if len(df) == 0:  # Ray 2.49 drops names on 0-row to_pandas
         return pd.DataFrame({"grp": pd.Series([], dtype=object),

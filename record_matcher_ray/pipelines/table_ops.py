@@ -107,10 +107,6 @@ def uniqueness(ds: ray.data.Dataset, columns: list[str], total: int | None = Non
     return out
 
 
-def uniqueness_by_column(ds: ray.data.Dataset, column: str) -> float:
-    return uniqueness(ds, [column])[column]
-
-
 def approx_uniqueness(
     ds: ray.data.Dataset, columns: list[str], total: int | None = None, p: int = 12
 ) -> dict[str, float]:
@@ -355,15 +351,6 @@ def duplicated_by_column(
         return pa.Table.from_pandas(df.loc[keep], preserve_index=False)
 
     return bucket_exchange(ds, [column], keep_dups)
-
-
-def adjusted_uniqueness(
-    selected_columns: list[str], uniqueness_vector: dict[str, float]
-) -> dict[str, float]:
-    """O3 — driver-side weight renormalization (records.py:70-103)."""
-    sel = {c: u for c, u in uniqueness_vector.items() if c in set(selected_columns)}
-    total = sum(sel.values())
-    return {c: u / total for c, u in sel.items() if total > 0}
 
 
 def grouped_quantiles(

@@ -5,9 +5,10 @@ import pandas as pd
 
 
 def test_exact_dedup_keep_best(ray_session):
+    import pyarrow as pa
     import ray.data as rd
 
-    from record_matcher_ray.pipelines.dedup import exact_dedup_keep_best
+    from record_matcher_ray.pipelines.dedup import exact_dup_groups
 
     df = pd.DataFrame(
         {"doc_id": np.arange(8, dtype=np.int64),
@@ -15,8 +16,9 @@ def test_exact_dedup_keep_best(ray_session):
          "pref": np.array([5, 9, 9, 3, 3, 1, 2, 2], dtype=np.int64)}
     )
     out = (
-        exact_dedup_keep_best(
-            rd.from_pandas(df).repartition(4), ["text"], "doc_id", "pref"
+        exact_dup_groups(
+            rd.from_pandas(df).repartition(4), ["text"], "doc_id",
+            pref_col="pref",
         )
         .to_pandas().sort_values("dup_id").reset_index(drop=True)
     )
@@ -29,9 +31,11 @@ def test_exact_dedup_keep_best(ray_session):
     )
     pd.testing.assert_frame_equal(out[["keeper_id", "dup_id"]], want)
 
-    empty = df.iloc[:0]
-    out2 = exact_dedup_keep_best(
-        rd.from_pandas(empty), ["text"], "doc_id", "pref"
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "text": pa.array([], pa.string()),
+                      "pref": pa.array([], pa.int64())})
+    out2 = exact_dup_groups(
+        rd.from_arrow(empty), ["text"], "doc_id", pref_col="pref"
     ).to_pandas()
     assert len(out2) == 0
 
@@ -39,7 +43,7 @@ def test_exact_dedup_keep_best(ray_session):
 def test_exact_dedup_keep_best_emit_all(ray_session):
     import ray.data as rd
 
-    from record_matcher_ray.pipelines.dedup import exact_dedup_keep_best
+    from record_matcher_ray.pipelines.dedup import exact_dup_groups
 
     df = pd.DataFrame(
         {"doc_id": np.arange(5, dtype=np.int64),
@@ -47,9 +51,9 @@ def test_exact_dedup_keep_best_emit_all(ray_session):
          "pref": np.array([1, 7, 4, 2, 2], dtype=np.int64)}
     )
     out = (
-        exact_dedup_keep_best(
+        exact_dup_groups(
             rd.from_pandas(df).repartition(3), ["text"], "doc_id",
-            "pref", emit_all=True
+            pref_col="pref", emit_all=True
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
@@ -58,6 +62,39 @@ def test_exact_dedup_keep_best_emit_all(ray_session):
          "keeper_id": np.array([1, 1, 2, 3, 3], dtype=np.int64)}
     )
     pd.testing.assert_frame_equal(out, want)
+
+
+def test_keep_best_null_pref_and_null_keys(ray_session):
+    """Null prefs rank last and null key values group together. The
+    expected frames are the output of the pandas keep-best pass that
+    ``pref_col`` replaced (sort by pref descending, NaN last, then id;
+    groupby with dropna=False)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from record_matcher_ray.pipelines.dedup import exact_dup_groups
+
+    t = pa.table({
+        "doc_id": pa.array(range(10), pa.int64()),
+        "text": ["a", "a", None, None, "a", "b", None, "b", None, "b"],
+        "lang": ["en", "en", None, None, "en", None, None, None, "fr", "en"],
+        "pref": [None, 3.0, 2.0, None, 3.0, None, 5.0, None, 1.0, 4.0],
+    })
+
+    def run(**kw):
+        return exact_dup_groups(
+            rd.from_arrow(t).repartition(3), ["text", "lang"], "doc_id",
+            pref_col="pref", **kw,
+        ).to_pandas()
+
+    pairs = run().sort_values("dup_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(pairs, pd.DataFrame(
+        {"keeper_id": np.array([1, 6, 6, 1, 5], np.int64),
+         "dup_id": np.array([0, 2, 3, 4, 7], np.int64)}))
+    every = run(emit_all=True).sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(every, pd.DataFrame(
+        {"doc_id": np.arange(10, dtype=np.int64),
+         "keeper_id": np.array([1, 1, 6, 6, 1, 5, 6, 5, 8, 9], np.int64)}))
 
 
 def test_capture_recapture_dup_estimate(ray_session):
@@ -172,6 +209,7 @@ def test_ngram_containment_metric(ray_session):
 
 
 def test_dedup_savings_report(ray_session):
+    import pyarrow as pa
     import ray.data as rd
 
     from record_matcher_ray.pipelines.dedup import dedup_savings_report
@@ -186,5 +224,7 @@ def test_dedup_savings_report(ray_session):
     assert out["n_dup_docs"].iloc[0] == 3
     assert out["chars_total"].iloc[0] == 4 * 3 + 2 * 2 + 6
     assert out["chars_removable"].iloc[0] == 4 * 2 + 2 * 1
-    z = dedup_savings_report(rd.from_pandas(df.iloc[:0]))
+    z = dedup_savings_report(rd.from_arrow(pa.table(
+        {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
+    )))
     assert z["n_docs"].iloc[0] == 0

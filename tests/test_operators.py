@@ -20,6 +20,9 @@ def test_exact_dedup(ray_session):
     pairs = exact_dup_groups(ds, ["text"], "id").to_pandas()
     got = {(a, b) for a, b in zip(pairs["keeper_id"], pairs["dup_id"])}
     assert got == {(1, 3), (1, 4), (2, 5)}
+    every = exact_dup_groups(ds, ["text"], "id", emit_all=True).to_pandas()
+    assert dict(zip(every["id"], every["keeper_id"])) == {
+        1: 1, 2: 2, 3: 1, 4: 1, 5: 2}
 
 
 def test_minhash_dedup_finds_near_dups(ray_session):
@@ -1471,7 +1474,7 @@ def test_rollup_aggregate_vs_pandas(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from record_matcher_ray.pipelines.relational import rollup_aggregate
+    from record_matcher_ray.pipelines.relational import cube_aggregate
 
     rng = np.random.RandomState(53)
     n = 5_000
@@ -1480,8 +1483,8 @@ def test_rollup_aggregate_vs_pandas(ray_session):
          "p": rng.choice(["1-URGENT", "2-HIGH", "3-MEDIUM"], size=n),
          "v": rng.uniform(1, 1000, size=n)}
     )
-    out = rollup_aggregate(
-        rd.from_pandas(df).repartition(9), ["s", "p"], "v"
+    out = cube_aggregate(
+        rd.from_pandas(df).repartition(9), ["s", "p"], "v", rollup=True
     ).to_pandas().sort_values(["s", "p"]).reset_index(drop=True)
 
     cents = np.floor(df["v"].to_numpy() * 100.0 + 0.5).astype(np.int64)
@@ -1501,10 +1504,38 @@ def test_rollup_aggregate_vs_pandas(ray_session):
     )
 
     with pytest.raises(ValueError):
-        rollup_aggregate(rd.from_pandas(df), [], "v")
+        cube_aggregate(rd.from_pandas(df), [], "v", rollup=True)
     with pytest.raises(ValueError):
         bad = rd.from_pandas(pd.DataFrame({"k": [1, 2], "v": [1.0, 2.0]}))
-        rollup_aggregate(bad, ["k"], "v")
+        cube_aggregate(bad, ["k"], "v")
+
+
+@pytest.mark.parametrize("scorer, col, kernel", [
+    ("jaro_winkler", "jw_sim", "jaro_winkler_matrix"),
+    ("levenshtein", "lev_sim", "levenshtein_matrix"),
+])
+def test_supplier_nation_cross_scorers(ray_session, scorer, col, kernel):
+    from record_matcher_ray.contract.shared import SF001
+    from record_matcher_ray.functions import scorers
+    from record_matcher_ray.pipelines.relational import supplier_nation_cross
+
+    sup = pd.read_parquet(f"{SF001}/supplier.parquet")
+    nat = pd.read_parquet(f"{SF001}/nation.parquet")
+    out = supplier_nation_cross(SF001, scorer=scorer)
+    assert list(out.columns) == ["s_suppkey", "n_nationkey", col]
+    m = getattr(scorers, kernel)(sup["s_name"].to_numpy(object),
+                                 nat["n_name"].to_numpy(object))
+    want = pd.DataFrame({
+        "s_suppkey": np.repeat(sup["s_suppkey"].to_numpy(), len(nat)),
+        "n_nationkey": np.tile(nat["n_nationkey"].to_numpy(), len(sup)),
+        col: np.round(m.ravel(), 6),
+    }).sort_values(["s_suppkey", "n_nationkey"], ignore_index=True)
+    pd.testing.assert_frame_equal(
+        out.sort_values(["s_suppkey", "n_nationkey"], ignore_index=True),
+        want, check_dtype=False,
+    )
+    with pytest.raises(ValueError):
+        supplier_nation_cross(SF001, scorer="cosine")
 
 
 def test_distinct_count_by_exact(ray_session):

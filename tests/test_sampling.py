@@ -170,7 +170,7 @@ class TestLeakageSafeSplit:
     def test_duplicates_same_side_and_weights(self, ray_session):
         import ray.data
 
-        from record_matcher_ray.pipelines.dedup import tuple_representatives
+        from record_matcher_ray.pipelines.dedup import exact_dup_groups
         from record_matcher_ray.pipelines.sampling import leakage_safe_split
 
         import pandas as pd
@@ -184,12 +184,13 @@ class TestLeakageSafeSplit:
                 "text": texts,
             }
         )
-        reps = tuple_representatives(
-            ray.data.from_pandas(df).repartition(5), ["text"], "doc_id"
+        reps = exact_dup_groups(
+            ray.data.from_pandas(df).repartition(5), ["text"], "doc_id",
+            emit_all=True,
         )
         out = leakage_safe_split(
-            reps, {"train": 0.8, "val": 0.1, "test": 0.1}, key_col="rep",
-            seed=11,
+            reps, {"train": 0.8, "val": 0.1, "test": 0.1},
+            key_col="keeper_id", seed=11,
         ).to_pandas()
 
         merged = out.merge(df, on="doc_id")
@@ -199,7 +200,7 @@ class TestLeakageSafeSplit:
         assert abs(frac["train"] - 0.8) < 0.05
 
         with pytest.raises(ValueError):
-            leakage_safe_split(reps, {"a": -1.0}, key_col="rep")
+            leakage_safe_split(reps, {"a": -1.0}, key_col="keeper_id")
 
 
 def test_importance_sample_monotone_and_exact(ray_session):

@@ -92,15 +92,39 @@ def test_semi_and_anti_join(ray_session):
 
 
 def test_sliding_window_covers_each_event_twice(ray_session):
-    from record_matcher_ray.pipelines.relational import (
-        events_sliding_window,
-        events_tumbling_window,
-    )
+    from record_matcher_ray.pipelines.relational import events_sliding_window
 
     sf = "/root/testdata/sf0.001"
     sliding = events_sliding_window(sf)  # W=3600, S=1800 → 2 windows/event
-    tumbling = events_tumbling_window(sf)
+    tumbling = events_sliding_window(sf, window_s=3600, slide_s=3600)
     assert sliding["n_events"].sum() == 2 * tumbling["n_events"].sum()
+
+
+def test_tumbling_window_floors_before_1970(ray_session, tmp_path):
+    """At slide = window each event lands in exactly one window,
+    floor(epoch / window): an event 1 us before the epoch is in window
+    -1, not in a window 0 that spans [-1 h, +1 h)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from record_matcher_ray.pipelines.relational import events_sliding_window
+
+    w_us = 3_600_000_000
+    epoch = np.array([-1, -w_us, -w_us - 1, -2 * w_us + 5, 0, w_us - 1,
+                      -5 * w_us // 2], dtype=np.int64)
+    pq.write_table(pa.table({
+        "ts": pa.array(epoch, pa.timestamp("us")),
+        "event_type": ["x"] * len(epoch),
+        "value": np.arange(len(epoch), dtype=np.float64),
+    }), tmp_path / "events.parquet")
+
+    out = events_sliding_window(str(tmp_path), window_s=3600, slide_s=3600)
+    win = epoch // w_us
+    assert win.tolist() == [-1, -1, -2, -2, 0, 0, -3]
+    wins, counts = np.unique(win, return_counts=True)
+    assert out["win"].tolist() == wins.tolist()
+    assert out["n_events"].tolist() == counts.tolist()
+    assert out["n_events"].sum() == len(epoch)
 
 
 def test_count_min_overcounts_bounded_and_invariant(ray_session):
